@@ -1,10 +1,11 @@
-//! The cycle engine: Equations (1)–(4) with per-cycle cost accounting.
+//! The single-stream processor and the run/report types.
 
 use crate::routing::FollowScratch;
-use crate::{ApBackend, ApCosts, ApError, Routing, RoutingKind};
-use memcim_automata::{ApMatrices, HomogeneousAutomaton};
-use memcim_bits::BitVec;
+use crate::template::{ApTemplate, Lane};
+use crate::{ApBackend, ApError, MultiStreamProcessor, RoutingKind};
+use memcim_automata::HomogeneousAutomaton;
 use memcim_units::{Joules, Seconds};
+use std::sync::Arc;
 
 /// A report event or run summary cost line.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,14 +42,14 @@ pub struct ApRun {
     pub report: ApReport,
 }
 
-/// A homogeneous automaton mapped onto AP hardware.
+/// A homogeneous automaton mapped onto AP hardware, streaming one input
+/// at a time: a shared [`ApTemplate`] plus one stream lane.
 ///
-/// Construction programs the STE and routing arrays (a one-time
-/// configuration cost, reported by
-/// [`configuration_cost`](Self::configuration_cost)); each
-/// [`run`](Self::run) then streams input symbols through the three-step
-/// pipeline of the paper's Fig. 6, accumulating latency and energy from
-/// the backend's calibrated cost model.
+/// Compiling programs the STE and routing arrays (a one-time
+/// configuration cost, reported by [`ApTemplate::configuration_cost`]);
+/// each [`run`](Self::run) then streams input symbols through the
+/// three-step pipeline of the paper's Fig. 6, accumulating latency and
+/// energy from the backend's calibrated cost model.
 ///
 /// The symbol loop is allocation-free in steady state: the processor
 /// owns double-buffered active/follow vectors and the routing scratch,
@@ -56,35 +57,15 @@ pub struct ApRun {
 /// Long-lived connections can stream incrementally through
 /// [`reset`](Self::reset) / [`feed`](Self::feed) /
 /// [`finish`](Self::finish) — feeding an input in chunks is equivalent
-/// to one [`run`](Self::run) over the concatenation.
+/// to one [`run`](Self::run) over the concatenation. Cloning shares the
+/// template and copies only the stream state.
 ///
 /// See the [crate-level example](crate).
 #[derive(Debug, Clone)]
 pub struct AutomataProcessor {
-    pub(crate) matrices: ApMatrices,
-    pub(crate) routing: Routing,
-    pub(crate) backend: ApBackend,
-    pub(crate) costs: ApCosts,
-    /// `ste_ones[b]` = number of STE columns that discharge on symbol
-    /// `b` — the per-symbol STE energy is a table lookup instead of a
-    /// popcount over the row.
-    pub(crate) ste_ones: Vec<u32>,
-    /// Whether an all-zero active vector can come back to life after
-    /// position 0 (i.e. the automaton has `all_input` states). When
-    /// false, a dead stream is charged STE discharge per symbol but
-    /// skips routing, follow and accept work entirely.
-    pub(crate) revivable: bool,
-    /// Current active vector `a` (stream state).
-    active: BitVec,
-    /// Double buffer for the follow vector `f`; swapped with `active`
-    /// each cycle instead of reallocated.
-    follow: BitVec,
+    template: Arc<ApTemplate>,
+    lane: Lane,
     scratch: FollowScratch,
-    /// Symbols consumed since the last [`reset`](Self::reset).
-    pos: u64,
-    accept_events: Vec<(usize, usize)>,
-    energy: f64,
-    last_accepting: bool,
 }
 
 impl AutomataProcessor {
@@ -92,78 +73,31 @@ impl AutomataProcessor {
     ///
     /// # Errors
     ///
-    /// Returns [`ApError::EmptyAutomaton`] for a stateless automaton,
-    /// [`ApError::CapacityExceeded`] when the automaton exceeds the
-    /// device's STE capacity, and [`ApError::RoutingInfeasible`] when
-    /// hierarchical routing runs out of global wires.
+    /// Exactly the errors of [`ApTemplate::compile`].
     pub fn compile(
         automaton: &HomogeneousAutomaton,
         backend: ApBackend,
         routing: RoutingKind,
     ) -> Result<Self, ApError> {
-        let n = automaton.state_count();
-        if n == 0 {
-            return Err(ApError::EmptyAutomaton);
-        }
-        if n > backend.capacity {
-            return Err(ApError::CapacityExceeded { states: n, capacity: backend.capacity });
-        }
-        let matrices = automaton.to_matrices();
-        let routing = Routing::compile(&matrices.r, routing)?;
-        let costs = backend.costs(n, routing.resources().config_bits);
-        let scratch = routing.scratch();
-        let ste_ones = (0..256).map(|b| matrices.v.row(b).count_ones() as u32).collect();
-        let revivable = matrices.all_input.any();
-        Ok(Self {
-            matrices,
-            routing,
-            backend,
-            costs,
-            ste_ones,
-            revivable,
-            active: BitVec::new(n),
-            follow: BitVec::new(n),
-            scratch,
-            pos: 0,
-            accept_events: Vec::new(),
-            energy: 0.0,
-            last_accepting: false,
-        })
+        Ok(ApTemplate::compile(automaton, backend, routing)?.processor())
     }
 
-    /// The backend in use.
-    pub fn backend(&self) -> &ApBackend {
-        &self.backend
+    /// The compiled template this processor streams through: backend,
+    /// cost model, routing resources and configuration cost.
+    pub fn template(&self) -> &Arc<ApTemplate> {
+        &self.template
     }
 
     /// Number of STEs occupied.
     pub fn state_count(&self) -> usize {
-        self.matrices.state_count()
+        self.template.state_count()
     }
 
-    /// The derived per-cycle cost model.
-    pub fn costs(&self) -> &ApCosts {
-        &self.costs
-    }
-
-    /// Routing fabric resource usage.
-    pub fn routing_resources(&self) -> crate::RoutingResources {
-        self.routing.resources()
-    }
-
-    /// One-time cost of programming the STE array and routing switches.
-    pub fn configuration_cost(&self) -> ApReport {
-        let ste_bits = self.matrices.v.count_ones();
-        let routing_bits = self.matrices.r.count_ones();
-        let bits = (ste_bits + routing_bits) as f64;
-        // Rows are programmed in parallel across columns: 256 STE rows
-        // plus the routing rows.
-        let rows = 256 + self.routing.resources().config_bits / self.state_count().max(1);
-        ApReport {
-            cycles: rows as u64,
-            latency: self.costs.config_latency_per_row * rows as f64,
-            energy: Joules::new(self.costs.config_energy_per_bit.as_joules() * bits),
-        }
+    /// Instantiates a multi-stream processor over this processor's
+    /// template with `streams` fresh lanes; this processor's own stream
+    /// is untouched.
+    pub fn multi_stream(&self, streams: usize) -> MultiStreamProcessor {
+        self.template.multi_stream(streams)
     }
 
     /// Streams an input through the processor.
@@ -179,11 +113,7 @@ impl AutomataProcessor {
     /// Clears the streaming state: active vector, position, accumulated
     /// report events and energy. The scratch buffers keep their storage.
     pub fn reset(&mut self) {
-        self.active.clear();
-        self.pos = 0;
-        self.accept_events.clear();
-        self.energy = 0.0;
-        self.last_accepting = false;
+        self.lane.reset();
     }
 
     /// Streams one chunk of input through the pipeline, continuing from
@@ -222,121 +152,35 @@ impl AutomataProcessor {
     /// # }
     /// ```
     pub fn feed(&mut self, chunk: &[u8]) -> ApReport {
-        let ste_energy = self.costs.ste_energy_per_column.as_joules();
-        let routing_energy = self.costs.routing_energy_per_column.as_joules();
-        // Hot scalars live in locals for the duration of the chunk —
-        // accumulating through `self` would force a reload/store per
-        // symbol around every `&mut self`-field call.
-        let ste_ones = &self.ste_ones;
-        let v = &self.matrices.v;
-        let ai_words = self.matrices.all_input.as_words();
-        let acc_words = self.matrices.accept.as_words();
-        let revivable = self.revivable;
-        let mut energy = self.energy;
-        let mut pos = self.pos;
-        let mut last_accepting = self.last_accepting;
-        // Tracked across cycles so the steady state never re-scans the
-        // active vector: the fused pass below recomputes it for free.
-        let mut active_any = self.active.any();
-        for (i, &byte) in chunk.iter().enumerate() {
-            // Dead stream: past position 0 with no active states and no
-            // `all_input` revival, the active vector stays empty for the
-            // rest of the stream. The STE array still discharges on
-            // every symbol (the energy model is unchanged — a table
-            // lookup per byte), but routing, follow and the accept scan
-            // are skipped wholesale.
-            if !active_any && !revivable && pos > 0 {
-                for &b in &chunk[i..] {
-                    energy += ste_ones[b as usize] as f64 * ste_energy;
-                }
-                pos += (chunk.len() - i) as u64;
-                last_accepting = false;
-                break;
-            }
-
-            // Step 1 — input symbol processing (Equation 1): one STE-array
-            // evaluate. Discharge-proportional energy: columns whose bit
-            // line falls are the ones that match the symbol, precounted
-            // per symbol at compile time.
-            energy += ste_ones[byte as usize] as f64 * ste_energy;
-
-            // Step 2 — active state processing (Equations 2 and 3), into
-            // the reused follow buffer. An empty active vector routes to
-            // an empty follow vector with zero discharge, so the fabric
-            // walk is skipped outright.
-            if active_any {
-                self.routing.follow_into(&self.active, &mut self.follow, &mut self.scratch);
-                energy += self.follow.count_ones() as f64 * routing_energy;
-            } else {
-                self.follow.clear();
-            }
-            if pos == 0 {
-                self.follow.or_assign(&self.matrices.start_of_input);
-            }
-
-            // Steps 2b and 3, fused into a single word pass:
-            // `f = (f | all_input) & s` (Equation 3), its emptiness for
-            // the next cycle's skip decisions, and output identification
-            // (Equation 4) — a word-AND with the accept mask, iterating
-            // ones only in live words.
-            last_accepting = false;
-            let s_words = v.row(byte as usize).as_words();
-            let mut any = 0u64;
-            let f_words = self.follow.as_words_mut();
-            for wi in 0..f_words.len() {
-                let w = (f_words[wi] | ai_words[wi]) & s_words[wi];
-                f_words[wi] = w;
-                any |= w;
-                let mut live = w & acc_words[wi];
-                while live != 0 {
-                    let state = wi * 64 + live.trailing_zeros() as usize;
-                    self.accept_events.push((pos as usize, state));
-                    last_accepting = true;
-                    live &= live - 1;
-                }
-            }
-            std::mem::swap(&mut self.active, &mut self.follow);
-            active_any = any != 0;
-            pos += 1;
-        }
-        self.energy = energy;
-        self.pos = pos;
-        self.last_accepting = last_accepting;
-        self.stream_report()
-    }
-
-    /// The cumulative cost report for the stream so far.
-    fn stream_report(&self) -> ApReport {
-        ApReport {
-            cycles: self.pos,
-            latency: self.costs.cycle_latency * self.pos as f64,
-            energy: Joules::new(self.energy),
-        }
+        self.lane.feed(&self.template, &mut self.scratch, chunk);
+        self.lane.report(&self.template)
     }
 
     /// Ends the stream: returns the cumulative [`ApRun`] since the last
     /// [`reset`](Self::reset) and resets the processor for the next
     /// stream.
     pub fn finish(&mut self) -> ApRun {
-        let run = ApRun {
-            accepted: if self.pos == 0 { self.matrices.accepts_empty } else { self.last_accepting },
-            accept_events: std::mem::take(&mut self.accept_events),
-            symbols: self.pos,
-            report: self.stream_report(),
-        };
-        self.reset();
-        run
+        self.lane.finish(&self.template)
+    }
+}
+
+impl ApTemplate {
+    /// A single-stream processor over this template: one fresh lane,
+    /// sharing the arrays instead of copying them.
+    pub fn processor(self: &Arc<Self>) -> AutomataProcessor {
+        AutomataProcessor {
+            template: Arc::clone(self),
+            lane: Lane::new(self),
+            scratch: self.scratch(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::template::test_support::homog;
     use memcim_automata::{Regex, StartKind};
-
-    fn homog(pattern: &str) -> HomogeneousAutomaton {
-        HomogeneousAutomaton::from_nfa(&Regex::parse(pattern).expect("parses").compile())
-    }
 
     #[test]
     fn engine_agrees_with_reference_interpreter() {
@@ -368,6 +212,9 @@ mod tests {
         ap.reset();
         let mid = ap.feed(b"xa");
         assert_eq!(mid.cycles, 2);
+        // A clone shares the template but forks the stream state.
+        let mut fork = ap.clone();
+        assert_eq!(fork.feed(b"b").cycles, 3);
         ap.feed(b"");
         let cumulative = ap.feed(b"bxab");
         assert_eq!(cumulative.cycles, 6);
@@ -463,6 +310,7 @@ mod tests {
         for input in inputs {
             assert_eq!(dense.run(input).accepted, hier.run(input).accepted, "{input:?}");
         }
+        let (hier, dense) = (hier.template(), dense.template());
         assert!(hier.routing_resources().config_bits <= dense.routing_resources().config_bits);
     }
 
@@ -489,10 +337,10 @@ mod tests {
     #[test]
     fn configuration_cost_is_nonzero_and_backend_dependent() {
         let h = homog("(a|b|c|d)+x");
-        let rram = AutomataProcessor::compile(&h, ApBackend::rram(), RoutingKind::Dense)
+        let rram = ApTemplate::compile(&h, ApBackend::rram(), RoutingKind::Dense)
             .expect("maps")
             .configuration_cost();
-        let sram = AutomataProcessor::compile(&h, ApBackend::sram(), RoutingKind::Dense)
+        let sram = ApTemplate::compile(&h, ApBackend::sram(), RoutingKind::Dense)
             .expect("maps")
             .configuration_cost();
         assert!(rram.energy.as_joules() > 0.0);
@@ -505,24 +353,9 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::template::test_support::pattern_strategy;
     use memcim_automata::Regex;
     use proptest::prelude::*;
-
-    fn pattern_strategy() -> impl Strategy<Value = String> {
-        let leaf = prop_oneof![
-            Just("a".to_string()),
-            Just("b".to_string()),
-            Just("[ab]".to_string()),
-            Just(".".to_string()),
-        ];
-        leaf.prop_recursive(3, 12, 2, |inner| {
-            prop_oneof![
-                (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("{a}{b}")),
-                (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a}|{b})")),
-                inner.prop_map(|a| format!("({a})*")),
-            ]
-        })
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]

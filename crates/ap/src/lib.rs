@@ -49,9 +49,11 @@ mod engine;
 mod error;
 mod multi;
 mod routing;
+mod template;
 
 pub use backend::{ApBackend, ApCosts};
 pub use engine::{ApReport, ApRun, AutomataProcessor};
 pub use error::ApError;
 pub use multi::MultiStreamProcessor;
 pub use routing::{FollowScratch, Routing, RoutingKind, RoutingResources};
+pub use template::ApTemplate;

@@ -1,69 +1,31 @@
 //! Multi-stream AP execution: N independent input streams through one
-//! compiled automaton.
+//! compiled template.
 //!
-//! The Micron AP and the Cache Automaton both amortize one compiled
-//! automaton across many concurrent inputs — the configuration cost is
-//! paid once and the symbol pipeline is kept saturated. The
-//! [`MultiStreamProcessor`] models that: a single `ApMatrices`/
-//! [`Routing`] pair (and one follow scratch) shared by every stream,
-//! with per-stream *lanes* holding only the stream state — active and
-//! follow vectors, position, report events and accumulated energy.
-//!
-//! Per lane, the symbol step is **bit-for-bit identical** to
-//! [`AutomataProcessor::feed`] — same accept events, same acceptance,
-//! same `f64` energy accumulation order — property-tested in this
-//! module. What the batch interface buys is throughput: the whole batch
-//! runs inside one monomorphized kernel whose hot scalars stay in
-//! registers and whose shared tables stay cache-resident across lanes,
-//! instead of re-entering the public streaming API per stream and per
-//! chunk.
+//! The Micron AP and the Cache Automaton both run one configured
+//! automaton against many concurrent inputs, paying the configuration
+//! cost once. The [`MultiStreamProcessor`] models that: one shared
+//! [`ApTemplate`] and routing scratch, and per-stream lanes holding only
+//! the stream state. Lanes run one after another through the same
+//! symbol kernel as [`AutomataProcessor`](crate::AutomataProcessor), so
+//! a lane's results are exactly a dedicated single-stream processor's;
+//! batching saves no work per symbol.
 
 use crate::engine::{ApReport, ApRun};
 use crate::routing::FollowScratch;
-use crate::{ApBackend, ApCosts, ApError, AutomataProcessor, Routing, RoutingKind};
-use memcim_automata::{ApMatrices, HomogeneousAutomaton};
-use memcim_bits::BitVec;
+use crate::template::{ApTemplate, Lane};
+use crate::{ApBackend, ApError, RoutingKind};
+use memcim_automata::HomogeneousAutomaton;
 use memcim_units::Joules;
-
-/// One stream's private state.
-#[derive(Debug, Clone)]
-struct Lane {
-    active: BitVec,
-    follow: BitVec,
-    pos: u64,
-    accept_events: Vec<(usize, usize)>,
-    energy: f64,
-    last_accepting: bool,
-}
-
-impl Lane {
-    fn new(n: usize) -> Self {
-        Self {
-            active: BitVec::new(n),
-            follow: BitVec::new(n),
-            pos: 0,
-            accept_events: Vec::new(),
-            energy: 0.0,
-            last_accepting: false,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.active.clear();
-        self.pos = 0;
-        self.accept_events.clear();
-        self.energy = 0.0;
-        self.last_accepting = false;
-    }
-}
+use std::sync::Arc;
 
 /// N independent input streams driven through one compiled automaton.
 ///
-/// Obtain one from [`compile`](Self::compile) or instantiate it from an
-/// already-compiled single-stream template with
-/// [`AutomataProcessor::multi_stream`]. Streams are addressed by lane
-/// index `0..streams()`; each lane is an independent stream with the
-/// exact semantics of a dedicated [`AutomataProcessor`].
+/// Obtain one from [`compile`](Self::compile) or stamp it off an
+/// already-compiled template with [`ApTemplate::multi_stream`] or
+/// [`AutomataProcessor::multi_stream`](crate::AutomataProcessor::multi_stream).
+/// Streams are addressed by lane index `0..streams()`; each lane is an
+/// independent stream with the exact semantics of a dedicated
+/// [`AutomataProcessor`](crate::AutomataProcessor).
 ///
 /// # Examples
 ///
@@ -86,12 +48,7 @@ impl Lane {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiStreamProcessor {
-    matrices: ApMatrices,
-    routing: Routing,
-    backend: ApBackend,
-    costs: ApCosts,
-    ste_ones: Vec<u32>,
-    revivable: bool,
+    template: Arc<ApTemplate>,
     /// One scratch serves every lane: `follow_into` leaves no state
     /// behind in it, so lanes can share it without cross-talk.
     scratch: FollowScratch,
@@ -103,105 +60,25 @@ pub struct MultiStreamProcessor {
     total_energy: f64,
 }
 
-/// The shared per-symbol kernel: one lane, one chunk, everything hot in
-/// locals. Semantically identical to [`AutomataProcessor::feed`].
-#[allow(clippy::too_many_arguments)]
-fn feed_lane(
-    lane: &mut Lane,
-    chunk: &[u8],
-    matrices: &ApMatrices,
-    routing: &Routing,
-    scratch: &mut FollowScratch,
-    ste_ones: &[u32],
-    revivable: bool,
-    ste_energy: f64,
-    routing_energy: f64,
-) {
-    let v = &matrices.v;
-    let ai_words = matrices.all_input.as_words();
-    let acc_words = matrices.accept.as_words();
-    let mut energy = lane.energy;
-    let mut pos = lane.pos;
-    let mut last_accepting = lane.last_accepting;
-    let mut active_any = lane.active.any();
-    for (i, &byte) in chunk.iter().enumerate() {
-        // Dead stream: bulk-charge STE discharge and stop cycling (see
-        // `AutomataProcessor::feed`).
-        if !active_any && !revivable && pos > 0 {
-            for &b in &chunk[i..] {
-                energy += ste_ones[b as usize] as f64 * ste_energy;
-            }
-            pos += (chunk.len() - i) as u64;
-            last_accepting = false;
-            break;
-        }
-
-        energy += ste_ones[byte as usize] as f64 * ste_energy;
-        if active_any {
-            routing.follow_into(&lane.active, &mut lane.follow, scratch);
-            energy += lane.follow.count_ones() as f64 * routing_energy;
-        } else {
-            lane.follow.clear();
-        }
-        if pos == 0 {
-            lane.follow.or_assign(&matrices.start_of_input);
-        }
-
-        last_accepting = false;
-        let s_words = v.row(byte as usize).as_words();
-        let mut any = 0u64;
-        let f_words = lane.follow.as_words_mut();
-        for wi in 0..f_words.len() {
-            let w = (f_words[wi] | ai_words[wi]) & s_words[wi];
-            f_words[wi] = w;
-            any |= w;
-            let mut live = w & acc_words[wi];
-            while live != 0 {
-                let state = wi * 64 + live.trailing_zeros() as usize;
-                lane.accept_events.push((pos as usize, state));
-                last_accepting = true;
-                live &= live - 1;
-            }
-        }
-        std::mem::swap(&mut lane.active, &mut lane.follow);
-        active_any = any != 0;
-        pos += 1;
-    }
-    lane.energy = energy;
-    lane.pos = pos;
-    lane.last_accepting = last_accepting;
-}
-
 impl MultiStreamProcessor {
     /// Maps an automaton onto a backend with `streams` independent
     /// stream lanes.
     ///
     /// # Errors
     ///
-    /// Exactly the errors of [`AutomataProcessor::compile`].
+    /// Exactly the errors of [`ApTemplate::compile`].
     pub fn compile(
         automaton: &HomogeneousAutomaton,
         backend: ApBackend,
         routing: RoutingKind,
         streams: usize,
     ) -> Result<Self, ApError> {
-        Ok(AutomataProcessor::compile(automaton, backend, routing)?.multi_stream(streams))
+        Ok(ApTemplate::compile(automaton, backend, routing)?.multi_stream(streams))
     }
 
-    pub(crate) fn from_processor(ap: &AutomataProcessor, streams: usize) -> Self {
-        let n = ap.matrices.state_count();
-        Self {
-            matrices: ap.matrices.clone(),
-            routing: ap.routing.clone(),
-            backend: ap.backend.clone(),
-            costs: ap.costs,
-            ste_ones: ap.ste_ones.clone(),
-            revivable: ap.revivable,
-            scratch: ap.routing.scratch(),
-            lanes: (0..streams.max(1)).map(|_| Lane::new(n)).collect(),
-            total_cycles: 0,
-            total_energy: 0.0,
-        }
+    /// The compiled template every lane streams through.
+    pub fn template(&self) -> &Arc<ApTemplate> {
+        &self.template
     }
 
     /// Number of stream lanes.
@@ -209,47 +86,11 @@ impl MultiStreamProcessor {
         self.lanes.len()
     }
 
-    /// Number of STEs occupied (shared by every lane).
-    pub fn state_count(&self) -> usize {
-        self.matrices.state_count()
-    }
-
-    /// The backend in use.
-    pub fn backend(&self) -> &ApBackend {
-        &self.backend
-    }
-
-    /// The derived per-cycle cost model (shared by every lane).
-    pub fn costs(&self) -> &ApCosts {
-        &self.costs
-    }
-
-    /// Routing fabric resource usage — one fabric, however many lanes.
-    pub fn routing_resources(&self) -> crate::RoutingResources {
-        self.routing.resources()
-    }
-
-    /// One-time cost of programming the STE array and routing switches.
-    /// Paid once for the whole processor: this is the multi-stream
-    /// amortization of configuration.
-    pub fn configuration_cost(&self) -> ApReport {
-        let ste_bits = self.matrices.v.count_ones();
-        let routing_bits = self.matrices.r.count_ones();
-        let bits = (ste_bits + routing_bits) as f64;
-        let rows = 256 + self.routing.resources().config_bits / self.state_count().max(1);
-        ApReport {
-            cycles: rows as u64,
-            latency: self.costs.config_latency_per_row * rows as f64,
-            energy: Joules::new(self.costs.config_energy_per_bit.as_joules() * bits),
-        }
-    }
-
     /// Grows the processor to at least `streams` lanes (new lanes start
     /// as fresh streams). Never shrinks — lane indices stay stable.
     pub fn ensure_streams(&mut self, streams: usize) {
-        let n = self.matrices.state_count();
         while self.lanes.len() < streams {
-            self.lanes.push(Lane::new(n));
+            self.lanes.push(Lane::new(&self.template));
         }
     }
 
@@ -257,56 +98,22 @@ impl MultiStreamProcessor {
     /// stream's current position. Returns the lane's cumulative cost
     /// report, exactly as [`AutomataProcessor::feed`] would.
     ///
+    /// [`AutomataProcessor::feed`]: crate::AutomataProcessor::feed
+    ///
     /// # Errors
     ///
     /// Returns [`ApError::UnknownStream`] for an out-of-range lane.
     pub fn feed(&mut self, stream: usize, chunk: &[u8]) -> Result<ApReport, ApError> {
-        let streams = self.lanes.len();
-        let lane = self.lanes.get_mut(stream).ok_or(ApError::UnknownStream { stream, streams })?;
-        let (e0, p0) = (lane.energy, lane.pos);
-        feed_lane(
-            lane,
-            chunk,
-            &self.matrices,
-            &self.routing,
-            &mut self.scratch,
-            &self.ste_ones,
-            self.revivable,
-            self.costs.ste_energy_per_column.as_joules(),
-            self.costs.routing_energy_per_column.as_joules(),
-        );
-        self.total_cycles += lane.pos - p0;
-        self.total_energy += lane.energy - e0;
-        Ok(Self::lane_report(&self.costs, &self.lanes[stream]))
+        self.check(stream)?;
+        Ok(self.feed_lane(stream, chunk))
     }
 
     /// Feeds `chunks[i]` to lane `i` — the batch interface. Lanes are
-    /// grown on demand to `chunks.len()`, and the whole batch runs
-    /// through one shared kernel. Returns each lane's cumulative
-    /// report, in lane order.
+    /// grown on demand to `chunks.len()` and fed one after another.
+    /// Returns each lane's cumulative report, in lane order.
     pub fn feed_many<C: AsRef<[u8]>>(&mut self, chunks: &[C]) -> Vec<ApReport> {
         self.ensure_streams(chunks.len());
-        let ste_energy = self.costs.ste_energy_per_column.as_joules();
-        let routing_energy = self.costs.routing_energy_per_column.as_joules();
-        let mut reports = Vec::with_capacity(chunks.len());
-        for (lane, chunk) in self.lanes.iter_mut().zip(chunks) {
-            let (e0, p0) = (lane.energy, lane.pos);
-            feed_lane(
-                lane,
-                chunk.as_ref(),
-                &self.matrices,
-                &self.routing,
-                &mut self.scratch,
-                &self.ste_ones,
-                self.revivable,
-                ste_energy,
-                routing_energy,
-            );
-            self.total_cycles += lane.pos - p0;
-            self.total_energy += lane.energy - e0;
-            reports.push(Self::lane_report(&self.costs, lane));
-        }
-        reports
+        chunks.iter().enumerate().map(|(l, chunk)| self.feed_lane(l, chunk.as_ref())).collect()
     }
 
     /// The cumulative cost report of one lane's stream so far.
@@ -315,11 +122,8 @@ impl MultiStreamProcessor {
     ///
     /// Returns [`ApError::UnknownStream`] for an out-of-range lane.
     pub fn report(&self, stream: usize) -> Result<ApReport, ApError> {
-        let lane = self
-            .lanes
-            .get(stream)
-            .ok_or(ApError::UnknownStream { stream, streams: self.lanes.len() })?;
-        Ok(Self::lane_report(&self.costs, lane))
+        self.check(stream)?;
+        Ok(self.lanes[stream].report(&self.template))
     }
 
     /// Ends lane `stream`'s current stream: returns its cumulative
@@ -330,22 +134,13 @@ impl MultiStreamProcessor {
     ///
     /// Returns [`ApError::UnknownStream`] for an out-of-range lane.
     pub fn finish(&mut self, stream: usize) -> Result<ApRun, ApError> {
-        let streams = self.lanes.len();
-        let costs = &self.costs;
-        let lane = self.lanes.get_mut(stream).ok_or(ApError::UnknownStream { stream, streams })?;
-        let run = ApRun {
-            accepted: if lane.pos == 0 { self.matrices.accepts_empty } else { lane.last_accepting },
-            accept_events: std::mem::take(&mut lane.accept_events),
-            symbols: lane.pos,
-            report: Self::lane_report(costs, lane),
-        };
-        lane.reset();
-        Ok(run)
+        self.check(stream)?;
+        Ok(self.lanes[stream].finish(&self.template))
     }
 
     /// Ends every lane's stream, returning the runs in lane order.
     pub fn finish_all(&mut self) -> Vec<ApRun> {
-        (0..self.lanes.len()).map(|l| self.finish(l).expect("lane index in range")).collect()
+        self.lanes.iter_mut().map(|lane| lane.finish(&self.template)).collect()
     }
 
     /// Monotonic lifetime totals over all lanes: cycles executed and
@@ -355,38 +150,50 @@ impl MultiStreamProcessor {
     pub fn billing_report(&self) -> ApReport {
         ApReport {
             cycles: self.total_cycles,
-            latency: self.costs.cycle_latency * self.total_cycles as f64,
+            latency: self.template.costs().cycle_latency * self.total_cycles as f64,
             energy: Joules::new(self.total_energy),
         }
     }
 
-    fn lane_report(costs: &ApCosts, lane: &Lane) -> ApReport {
-        ApReport {
-            cycles: lane.pos,
-            latency: costs.cycle_latency * lane.pos as f64,
-            energy: Joules::new(lane.energy),
+    fn check(&self, stream: usize) -> Result<(), ApError> {
+        if stream < self.lanes.len() {
+            Ok(())
+        } else {
+            Err(ApError::UnknownStream { stream, streams: self.lanes.len() })
         }
+    }
+
+    /// Feeds an in-range lane and adds its cost to the billing totals.
+    fn feed_lane(&mut self, stream: usize, chunk: &[u8]) -> ApReport {
+        let lane = &mut self.lanes[stream];
+        let (cycles, energy) = lane.feed(&self.template, &mut self.scratch, chunk);
+        self.total_cycles += cycles;
+        self.total_energy += energy;
+        lane.report(&self.template)
     }
 }
 
-impl AutomataProcessor {
-    /// Instantiates a multi-stream processor from this compiled
-    /// automaton: the matrices, routing fabric and cost model are
-    /// shared by `streams` fresh lanes. The template keeps its own
-    /// streaming state; the new processor starts clean.
-    pub fn multi_stream(&self, streams: usize) -> MultiStreamProcessor {
-        MultiStreamProcessor::from_processor(self, streams)
+impl ApTemplate {
+    /// A processor with `streams` fresh lanes (at least one) over this
+    /// template, sharing the arrays instead of copying them; its billing
+    /// totals start at zero.
+    pub fn multi_stream(self: &Arc<Self>, streams: usize) -> MultiStreamProcessor {
+        MultiStreamProcessor {
+            template: Arc::clone(self),
+            scratch: self.scratch(),
+            lanes: (0..streams.max(1)).map(|_| Lane::new(self)).collect(),
+            total_cycles: 0,
+            total_energy: 0.0,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memcim_automata::{Regex, StartKind};
-
-    fn homog(pattern: &str) -> HomogeneousAutomaton {
-        HomogeneousAutomaton::from_nfa(&Regex::parse(pattern).expect("parses").compile())
-    }
+    use crate::template::test_support::homog;
+    use crate::AutomataProcessor;
+    use memcim_automata::StartKind;
 
     #[test]
     fn lanes_are_independent_streams() {
@@ -465,44 +272,34 @@ mod tests {
 
     #[test]
     fn configuration_cost_matches_single_stream_template() {
+        // Stamping lanes or cloning shares the configured arrays, so the
+        // configuration is paid once however many streams run.
         let h = homog("(a|b)+c");
         let ap =
             AutomataProcessor::compile(&h, ApBackend::rram(), RoutingKind::Dense).expect("maps");
         let multi = ap.multi_stream(8);
-        assert_eq!(multi.configuration_cost(), ap.configuration_cost());
-        assert_eq!(multi.state_count(), ap.state_count());
+        assert!(Arc::ptr_eq(multi.template(), ap.template()), "lanes share the template");
+        assert!(Arc::ptr_eq(ap.clone().template(), ap.template()), "clones share it too");
+        assert_eq!(multi.template().configuration_cost(), ap.template().configuration_cost());
     }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::template::test_support::pattern_strategy;
+    use crate::AutomataProcessor;
     use memcim_automata::Regex;
     use proptest::prelude::*;
 
-    fn pattern_strategy() -> impl Strategy<Value = String> {
-        let leaf = prop_oneof![
-            Just("a".to_string()),
-            Just("b".to_string()),
-            Just("[ab]".to_string()),
-            Just(".".to_string()),
-        ];
-        leaf.prop_recursive(3, 12, 2, |inner| {
-            prop_oneof![
-                (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("{a}{b}")),
-                (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a}|{b})")),
-                inner.prop_map(|a| format!("({a})*")),
-            ]
-        })
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-        /// Multi-stream execution is bit-identical to N sequential
-        /// single-stream runs: accept events, acceptance, per-stream
-        /// cumulative reports and exact `f64` energy sums — across both
-        /// fabrics, both start kinds, and arbitrary per-lane chunkings
-        /// interleaved between lanes.
+        /// Lanes share one routing scratch, so interleaving them must
+        /// not leak state between streams: every lane equals a dedicated
+        /// single-stream run — accept events, acceptance, cumulative
+        /// reports and exact `f64` energy sums — across both fabrics,
+        /// both start kinds, and arbitrary per-lane chunkings fed
+        /// round-robin.
         #[test]
         fn multi_stream_equals_sequential_single_streams(
             pattern in pattern_strategy(),
@@ -593,35 +390,6 @@ mod proptests {
                     billing.energy.as_joules(), expected_energy_sum,
                 );
             }
-        }
-
-        /// `feed_many` batches equal the same feeds issued lane by lane.
-        #[test]
-        fn feed_many_equals_per_lane_feeds(
-            pattern in pattern_strategy(),
-            inputs in proptest::collection::vec(
-                proptest::collection::vec(b'a'..=b'c', 0..12),
-                1..5,
-            ),
-        ) {
-            let nfa = Regex::parse(&pattern).expect("generated").compile();
-            let base = HomogeneousAutomaton::from_nfa(&nfa)
-                .with_start_kind(memcim_automata::StartKind::AllInput);
-            if base.state_count() == 0 {
-                return Ok(());
-            }
-            let kind = RoutingKind::Hierarchical { block: 64, max_global: 1 << 16 };
-            let mut batched = MultiStreamProcessor::compile(
-                &base, ApBackend::rram(), kind, inputs.len(),
-            ).expect("maps");
-            let mut lane_by_lane = batched.clone();
-            let batch_reports = batched.feed_many(&inputs);
-            for (l, input) in inputs.iter().enumerate() {
-                let report = lane_by_lane.feed(l, input).expect("lane exists");
-                prop_assert_eq!(&batch_reports[l], &report);
-            }
-            prop_assert_eq!(batched.finish_all(), lane_by_lane.finish_all());
-            prop_assert_eq!(batched.billing_report(), lane_by_lane.billing_report());
         }
     }
 }

@@ -104,13 +104,13 @@ fn d3_routing_structures() {
         ("hierarchical 256", RoutingKind::Hierarchical { block: 256, max_global: 1 << 16 }),
     ] {
         let ap = AutomataProcessor::compile(&homog, ApBackend::rram(), kind).expect("maps");
-        let r = ap.routing_resources();
+        let r = ap.template().routing_resources();
         rows.push(vec![
             name.into(),
             format!("{}", ap.state_count()),
             format!("{}", r.config_bits),
             format!("{}", r.global_wires),
-            format!("{:.4}", ap.costs().area.as_square_millimeters()),
+            format!("{:.4}", ap.template().costs().area.as_square_millimeters()),
         ]);
     }
     println!("{}", table(&["fabric", "STEs", "switch bits", "global wires", "area (mm²)"], &rows));

@@ -71,13 +71,14 @@ fn main() {
         let mut ap =
             AutomataProcessor::compile(&homog, backend, RoutingKind::Dense).expect("rule set maps");
         let run = ap.run(&traffic);
+        let costs = ap.template().costs();
         chip_rows.push(vec![
             name.into(),
             format!("{}", ap.state_count()),
-            format!("{:.2}", ap.costs().throughput() / 1.0e9),
+            format!("{:.2}", costs.throughput() / 1.0e9),
             format!("{:.2}", run.report.energy_per_symbol().as_picojoules()),
-            format!("{:.3}", ap.costs().area.as_square_millimeters()),
-            format!("{:.2}", ap.costs().static_power.as_milliwatts()),
+            format!("{:.3}", costs.area.as_square_millimeters()),
+            format!("{:.2}", costs.static_power.as_milliwatts()),
             format!("{}", run.accept_events.len()),
         ]);
     }

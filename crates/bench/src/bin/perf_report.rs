@@ -135,13 +135,12 @@ fn run_workloads(quick: bool) -> Vec<ConfigResult> {
 
     // --- Multi-stream AP: 8 lanes through one compiled automaton -------
     // The same hierarchical automaton, but the traffic is sliced into 8
-    // independent streams driven in lockstep by a MultiStreamProcessor:
-    // each pass fetches the symbol-indexed STE rows once per *symbol
-    // column*, not once per stream, so ns/symbol should land below the
-    // single-stream `engine_hierarchical_RRAM-AP` number above. The
-    // lanes are fed chunk-by-chunk (as the serve layer does) and
-    // finished each iteration, so lane state never leaks across timed
-    // passes.
+    // independent streams fed one after another through a
+    // MultiStreamProcessor's lanes — the same symbol kernel as the
+    // single-stream configs, so any gain over
+    // `engine_hierarchical_RRAM-AP` comes from the shorter streams, not
+    // from sharing work across lanes. The lanes are finished each
+    // iteration, so lane state never leaks across timed passes.
     {
         let streams = 8usize;
         let lane_len = traffic.len() / streams;

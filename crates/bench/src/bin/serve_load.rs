@@ -111,7 +111,11 @@ fn parse_args() -> Args {
     }
     assert!(args.clients > 0, "--clients must be positive");
     assert!(args.kill_rate >= 0.0 && args.kill_rate.is_finite(), "--kill-rate must be finite");
-    assert!(args.streams <= 64, "--streams is capped at the wire protocol's 64 lanes");
+    assert!(
+        args.streams <= memcim_serve::MAX_LANES,
+        "--streams is capped at {} lanes per session",
+        memcim_serve::MAX_LANES
+    );
     assert!(
         args.streams == 0 || args.kill_rate == 0.0,
         "--streams and --kill-rate are separate instruments (AP sessions live on one worker)"

@@ -52,10 +52,6 @@ pub(crate) enum Unit {
     },
     /// A client-assembled batch, executed as submitted.
     MvpSolo { tenant: TenantId, batch: BatchRequest, responder: Responder },
-    /// One streaming chunk for an AP session.
-    ApFeed { tenant: TenantId, session: SessionId, chunk: Vec<u8>, responder: Responder },
-    /// Stream end for an AP session.
-    ApFinish { tenant: TenantId, session: SessionId, responder: Responder },
     /// One chunk per stream lane of an AP session.
     ApFeedMany { tenant: TenantId, session: SessionId, chunks: Vec<Vec<u8>>, responder: Responder },
     /// Stream end for every lane of an AP session.
@@ -95,10 +91,6 @@ pub(crate) fn coalesce(burst: impl IntoIterator<Item = Envelope>) -> Vec<Unit> {
                 }
             }
             Job::MvpBatch(batch) => units.push(Unit::MvpSolo { tenant, batch, responder }),
-            Job::ApFeed { session, chunk } => {
-                units.push(Unit::ApFeed { tenant, session, chunk, responder })
-            }
-            Job::ApFinish { session } => units.push(Unit::ApFinish { tenant, session, responder }),
             Job::ApFeedMany { session, chunks } => {
                 units.push(Unit::ApFeedMany { tenant, session, chunks, responder })
             }
@@ -179,18 +171,18 @@ mod tests {
     fn batches_and_ap_jobs_stay_individual() {
         let units = coalesce(vec![
             envelope(1, Job::MvpBatch(BatchRequest::new())),
-            envelope(1, Job::ApFeed { session: 0, chunk: b"abc".to_vec() }),
+            envelope(1, Job::ApFeedMany { session: 0, chunks: vec![b"abc".to_vec()] }),
             envelope(1, Job::MvpProgram(program(0))),
-            envelope(1, Job::ApFinish { session: 0 }),
+            envelope(1, Job::ApFinishMany { session: 0 }),
             envelope(1, Job::MvpBatch(BatchRequest::new())),
             envelope(1, Job::ApFeedMany { session: 0, chunks: vec![b"a".to_vec(), b"b".to_vec()] }),
             envelope(1, Job::ApFinishMany { session: 0 }),
         ]);
         assert_eq!(units.len(), 7);
         assert!(matches!(units[0], Unit::MvpSolo { .. }));
-        assert!(matches!(units[1], Unit::ApFeed { .. }));
+        assert!(matches!(&units[1], Unit::ApFeedMany { chunks, .. } if chunks.len() == 1));
         assert!(matches!(units[2], Unit::MvpBurst { .. }));
-        assert!(matches!(units[3], Unit::ApFinish { .. }));
+        assert!(matches!(units[3], Unit::ApFinishMany { .. }));
         assert!(matches!(units[4], Unit::MvpSolo { .. }));
         assert!(matches!(&units[5], Unit::ApFeedMany { chunks, .. } if chunks.len() == 2));
         assert!(matches!(units[6], Unit::ApFinishMany { .. }));

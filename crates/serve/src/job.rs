@@ -15,6 +15,11 @@ pub type TenantId = u64;
 /// Identifies an open AP streaming session.
 pub type SessionId = u64;
 
+/// The most stream lanes one AP session holds. A [`Job::ApFeedMany`]
+/// with more chunks is refused before it reaches the session, in
+/// process and on the wire alike.
+pub const MAX_LANES: usize = 64;
+
 /// One unit of work a tenant submits to the service.
 ///
 /// Jobs are **independent**: each must load whatever rows it reads
@@ -30,26 +35,13 @@ pub enum Job {
     MvpProgram(Vec<Instruction>),
     /// A pre-assembled batch of MVP programs, executed as one unit.
     MvpBatch(BatchRequest),
-    /// Streams one chunk of input through an open AP session.
-    /// Chunks of one session must be serialized by the client: wait on
-    /// each ticket before submitting the next chunk.
-    ApFeed {
-        /// The session opened via `Service::open_session`.
-        session: SessionId,
-        /// The input bytes to stream.
-        chunk: Vec<u8>,
-    },
-    /// Ends an AP session's current stream, collecting its matches and
-    /// cost; the session stays open for the next stream.
-    ApFinish {
-        /// The session to finish.
-        session: SessionId,
-    },
     /// Streams one chunk into **each** stream lane of an AP session in
     /// a single job: `chunks[i]` goes to lane `i`. Lanes are
     /// independent streams through one compiled automaton; the session
-    /// grows lanes on demand to `chunks.len()`. Like [`Job::ApFeed`],
-    /// jobs of one session must be serialized by the client.
+    /// grows lanes on demand to `chunks.len()`, at most [`MAX_LANES`].
+    /// A single stream is one chunk, fed to lane 0. Jobs of one session
+    /// must be serialized by the client: wait on each ticket before
+    /// submitting the next.
     ApFeedMany {
         /// The session opened via `Service::open_session`.
         session: SessionId,
@@ -139,11 +131,6 @@ pub struct CorrOutcome {
 pub enum JobOutput {
     /// Result of [`Job::MvpProgram`] / [`Job::MvpBatch`].
     Mvp(MvpOutput),
-    /// Result of [`Job::ApFeed`]: the *cumulative* cost report for the
-    /// session's stream so far.
-    ApFeed(ApReport),
-    /// Result of [`Job::ApFinish`].
-    ApFinish(ApMatches),
     /// Result of [`Job::ApFeedMany`]: the *cumulative* per-lane cost
     /// reports, `reports[i]` for lane `i`.
     ApFeedMany(Vec<ApReport>),
@@ -157,22 +144,6 @@ impl JobOutput {
     pub fn into_mvp(self) -> Option<MvpOutput> {
         match self {
             JobOutput::Mvp(out) => Some(out),
-            _ => None,
-        }
-    }
-
-    /// The feed report, if this was an [`Job::ApFeed`].
-    pub fn into_ap_feed(self) -> Option<ApReport> {
-        match self {
-            JobOutput::ApFeed(report) => Some(report),
-            _ => None,
-        }
-    }
-
-    /// The stream result, if this was an [`Job::ApFinish`].
-    pub fn into_ap_finish(self) -> Option<ApMatches> {
-        match self {
-            JobOutput::ApFinish(run) => Some(run),
             _ => None,
         }
     }
@@ -350,14 +321,14 @@ mod tests {
     fn fulfilled_ticket_yields_the_result() {
         let (ticket, responder) = ticket_pair();
         assert!(!ticket.is_ready());
-        responder.fulfil(Ok(JobOutput::ApFeed(ApReport {
+        responder.fulfil(Ok(JobOutput::ApFeedMany(vec![ApReport {
             cycles: 3,
             latency: memcim_units::Seconds::from_nanoseconds(1.0),
             energy: memcim_units::Joules::from_femtojoules(2.0),
-        })));
+        }])));
         assert!(ticket.is_ready());
-        let report = ticket.wait().expect("ok").into_ap_feed().expect("feed");
-        assert_eq!(report.cycles, 3);
+        let reports = ticket.wait().expect("ok").into_ap_feed_many().expect("feed");
+        assert_eq!(reports[0].cycles, 3);
     }
 
     #[test]

@@ -102,15 +102,17 @@
 //! let result = ticket.wait()?.into_mvp().expect("an MVP job");
 //! assert_eq!(result.outputs[0][0].ones().collect::<Vec<_>>(), vec![5]);
 //!
-//! // Tenant 9: streaming pattern matching on an AP session.
+//! // Tenant 9: streaming pattern matching on an AP session, one lane.
 //! let session = service.open_session(9, &["GET /[a-z]+"])?;
-//! service.submit(9, Job::ApFeed { session, chunk: b"GET /ind".to_vec() })?.wait()?;
-//! service.submit(9, Job::ApFeed { session, chunk: b"ex HTTP".to_vec() })?.wait()?;
-//! let run = service
-//!     .submit(9, Job::ApFinish { session })?
+//! for chunk in [&b"GET /ind"[..], b"ex HTTP"] {
+//!     service.submit(9, Job::ApFeedMany { session, chunks: vec![chunk.to_vec()] })?.wait()?;
+//! }
+//! let runs = service
+//!     .submit(9, Job::ApFinishMany { session })?
 //!     .wait()?
-//!     .into_ap_finish()
+//!     .into_ap_finish_many()
 //!     .expect("a finish job");
+//! let run = &runs[0];
 //! assert_eq!(run.matches.first(), Some(&(5, 0)), "pattern 0 first matches at \"GET /i\"");
 //! assert!(run.matches.contains(&(9, 0)), "…and keeps matching through \"GET /index\"");
 //!
@@ -132,7 +134,6 @@ mod error;
 mod job;
 pub mod net;
 pub mod placement;
-mod queue;
 mod router;
 mod service;
 mod session;
@@ -141,10 +142,9 @@ mod sync;
 pub use error::ServeError;
 pub use job::{
     ApMatches, BurstReport, CorrFeedReport, CorrOutcome, Job, JobOutput, MvpOutput, SessionId,
-    ShardPartial, ShardedOutput, ShardedTicket, TenantId, Ticket,
+    ShardPartial, ShardedOutput, ShardedTicket, TenantId, Ticket, MAX_LANES,
 };
 pub use placement::{Catalog, PlacementConfig};
-pub use queue::{BoundedQueue, PushRefused};
 pub use service::{BoxedBackend, EngineFactory, ServeConfig, Service, TenantUsage};
 pub use session::ApOpenInfo;
 
@@ -158,7 +158,6 @@ mod tests {
     #[test]
     fn the_public_surface_is_thread_mobile() {
         assert_send_sync::<Service>();
-        assert_send_sync::<BoundedQueue<Job>>();
         assert_send::<Job>();
         assert_send::<Ticket>();
         assert_send::<ShardedTicket>();

@@ -303,30 +303,27 @@ impl NetClient {
         }
     }
 
-    /// Streams one chunk through a session; the report is cumulative
-    /// for the stream so far.
+    /// Streams one chunk through lane 0 of a session — a one-lane
+    /// [`ap_feed_many`](Self::ap_feed_many), not a protocol verb of its
+    /// own. The report is cumulative for the stream so far.
     ///
     /// # Errors
     ///
     /// [`ClientError::Server`] with [`ErrorCode::UnknownSession`] for a
     /// session this tenant does not hold.
     pub fn ap_feed(&mut self, session: SessionId, chunk: &[u8]) -> Result<ApReport, ClientError> {
-        match self.request(&Request::ApFeed { session, chunk: chunk.to_vec() })? {
-            Response::ApFed(report) => Ok(report),
-            other => Err(unexpected(&other)),
-        }
+        lane_zero(self.ap_feed_many(session, &[chunk.to_vec()])?)
     }
 
-    /// Ends the session's stream and collects its matches.
+    /// Ends the session's streams and returns lane 0's matches — the
+    /// one-lane [`ap_finish_many`](Self::ap_finish_many) for sessions
+    /// driven through [`ap_feed`](Self::ap_feed).
     ///
     /// # Errors
     ///
     /// As [`NetClient::ap_feed`].
     pub fn ap_finish(&mut self, session: SessionId) -> Result<ApMatches, ClientError> {
-        match self.request(&Request::ApFinish { session })? {
-            Response::ApFinished(run) => Ok(run),
-            other => Err(unexpected(&other)),
-        }
+        lane_zero(self.ap_finish_many(session)?)
     }
 
     /// Streams one chunk into **each** lane of a multi-stream session:
@@ -511,13 +508,20 @@ impl NetClient {
     }
 }
 
+/// The first lane's entry of a per-lane answer; a session always has at
+/// least one lane.
+fn lane_zero<T>(lanes: Vec<T>) -> Result<T, ClientError> {
+    lanes
+        .into_iter()
+        .next()
+        .ok_or(ClientError::Unexpected { got: "a per-lane answer with no lanes" })
+}
+
 fn unexpected(response: &Response) -> ClientError {
     let got = match response {
         Response::HelloOk => "HelloOk",
         Response::Mvp(_) => "Mvp",
         Response::ApOpened { .. } => "ApOpened",
-        Response::ApFed(_) => "ApFed",
-        Response::ApFinished(_) => "ApFinished",
         Response::ApFedMany(_) => "ApFedMany",
         Response::ApFinishedMany(_) => "ApFinishedMany",
         Response::ApClosed => "ApClosed",

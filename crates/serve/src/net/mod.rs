@@ -8,13 +8,15 @@
 //! * [`wire`] — a small length-prefixed binary protocol: every frame is
 //!   a 4-byte big-endian body length followed by a one-byte opcode and
 //!   payload. Verbs: `Hello` (authenticate), `Submit` (MVP programs),
-//!   `ApOpen`/`ApFeed`/`ApFinish`/`ApClose` (streaming sessions),
-//!   `Usage` and `Stats`. Malformed input never panics the server — it
-//!   answers with a typed [`wire::ErrorCode`] frame.
+//!   `ApOpen`/`ApFeedMany`/`ApFinishMany`/`ApClose` (AP sessions; one
+//!   feed and one finish verb, a single stream being one lane),
+//!   `CorrOpen`/`CorrFeed`/`CorrFinish` (correlation sessions), `Usage`
+//!   and `Stats`. Malformed input never panics the server — it answers
+//!   with a typed [`wire::ErrorCode`] frame.
 //! * [`admission`] — the gate *in front of* the bounded queue:
 //!   per-tenant authentication tokens, job quotas and token-bucket rate
 //!   limiting. An over-quota or over-rate submission is refused before
-//!   `BoundedQueue::push` could block, so one greedy client can stall
+//!   the service's queue could block, so one greedy client can stall
 //!   neither the accept loop nor another tenant's connection. `Submit`
 //!   programs are additionally verified *statically* against the engine
 //!   geometry — and, for tenants carrying a

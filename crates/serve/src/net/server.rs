@@ -424,30 +424,6 @@ fn dispatch(
                 Err(e) => error_frame(&e),
             }
         }
-        Request::ApFeed { session, chunk } => {
-            if let Err(e) = admission.admit(tenant, 1, Instant::now()) {
-                return error_frame(&e);
-            }
-            match submit_and_wait(service, tenant, Job::ApFeed { session, chunk }) {
-                Err(e) => error_frame(&e),
-                Ok(output) => match output.into_ap_feed() {
-                    Some(report) => Response::ApFed(report),
-                    None => internal("feed job resolved to a non-feed output"),
-                },
-            }
-        }
-        Request::ApFinish { session } => {
-            if let Err(e) = admission.admit(tenant, 1, Instant::now()) {
-                return error_frame(&e);
-            }
-            match submit_and_wait(service, tenant, Job::ApFinish { session }) {
-                Err(e) => error_frame(&e),
-                Ok(output) => match output.into_ap_finish() {
-                    Some(run) => Response::ApFinished(run),
-                    None => internal("finish job resolved to a non-finish output"),
-                },
-            }
-        }
         Request::ApFeedMany { session, chunks } => {
             if let Err(e) = admission.admit(tenant, 1, Instant::now()) {
                 return error_frame(&e);

@@ -30,8 +30,7 @@
 //! | `0x01` | → | [`Request::Hello`] — authenticate the connection |
 //! | `0x02` | → | [`Request::Submit`] — one or more MVP programs |
 //! | `0x03` | → | [`Request::ApOpen`] — compile patterns into a session |
-//! | `0x04` | → | [`Request::ApFeed`] — stream a chunk into a session |
-//! | `0x05` | → | [`Request::ApFinish`] — end the stream, collect matches |
+//! | `0x04`, `0x05` | → | reserved (retired single-lane feed/finish); refused as unknown |
 //! | `0x06` | → | [`Request::ApClose`] — drop the session |
 //! | `0x07` | → | [`Request::Usage`] — the tenant's accumulated bill |
 //! | `0x08` | → | [`Request::Stats`] — service-wide health and load |
@@ -40,19 +39,20 @@
 //! | `0x0B` | → | [`Request::CorrFinish`] — collect the correlated set |
 //! | `0x0C` | → | [`Request::ApFeedMany`] — one chunk per stream lane |
 //! | `0x0D` | → | [`Request::ApFinishMany`] — end every lane's stream |
-//! | `0x81`–`0x8D` | ← | the matching success responses |
+//! | `0x81`–`0x8D` | ← | the matching success responses (`0x84`, `0x85` reserved) |
 //! | `0xEE` | ← | [`Response::Error`] with an [`ErrorCode`] |
 //!
-//! Correlation sessions are closed with the kind-agnostic `ApClose`
-//! verb (`0x06`): the session table does not care which workload's
-//! state it drops.
+//! AP sessions have one feed and one finish verb: a single stream is a
+//! one-lane `ApFeedMany`. Correlation sessions are closed with the
+//! kind-agnostic `ApClose` verb (`0x06`): the session table does not
+//! care which workload's state it drops.
 //!
 //! Each connection is a synchronous request/response stream: the server
 //! answers every request frame with exactly one response frame, in
 //! order. (Pipelining across *connections* is how the load generator
 //! drives overload.)
 
-use crate::{ServeError, SessionId, TenantId};
+use crate::{ServeError, SessionId, TenantId, MAX_LANES};
 use core::fmt;
 use memcim_ap::ApReport;
 use memcim_bits::BitVec;
@@ -70,18 +70,15 @@ pub const MAX_FRAME_DEFAULT: usize = 1 << 20;
 /// work, so the count is capped independently of the frame size.
 const MAX_PATTERNS: usize = 1024;
 
-/// Upper bound on stream lanes per multi-stream AP request. Like
-/// [`MAX_PATTERNS`], this caps what a hostile frame can make the server
-/// allocate and execute in one job.
-const MAX_STREAMS: usize = 64;
-
 // --- Opcodes ----------------------------------------------------------
+//
+// 0x04/0x05 and their responses 0x84/0x85 carried the retired
+// single-lane AP feed/finish verbs. They stay reserved — never reused —
+// and decode as unknown opcodes.
 
 const OP_HELLO: u8 = 0x01;
 const OP_SUBMIT: u8 = 0x02;
 const OP_AP_OPEN: u8 = 0x03;
-const OP_AP_FEED: u8 = 0x04;
-const OP_AP_FINISH: u8 = 0x05;
 const OP_AP_CLOSE: u8 = 0x06;
 const OP_USAGE: u8 = 0x07;
 const OP_STATS: u8 = 0x08;
@@ -94,8 +91,6 @@ const OP_AP_FINISH_MANY: u8 = 0x0D;
 const OP_HELLO_OK: u8 = 0x81;
 const OP_MVP_RESULT: u8 = 0x82;
 const OP_AP_OPENED: u8 = 0x83;
-const OP_AP_FEED_OK: u8 = 0x84;
-const OP_AP_MATCHES: u8 = 0x85;
 const OP_AP_CLOSED: u8 = 0x86;
 const OP_USAGE_REPORT: u8 = 0x87;
 const OP_STATS_REPORT: u8 = 0x88;
@@ -139,7 +134,7 @@ pub enum ErrorCode {
     /// The session is busy on another in-flight job.
     SessionBusy,
     /// The session exists but holds a different streaming workload's
-    /// state (e.g. an `ApFeed` aimed at a correlation session).
+    /// state (e.g. an `ApFeedMany` aimed at a correlation session).
     WrongSessionKind,
     /// Pattern compilation failed in `ApOpen`.
     Compile,
@@ -612,18 +607,6 @@ pub enum Request {
         /// The regex patterns (capped at 1024 per request).
         patterns: Vec<String>,
     },
-    /// Streams one chunk of input through an open session.
-    ApFeed {
-        /// The session to feed.
-        session: SessionId,
-        /// The input bytes.
-        chunk: Vec<u8>,
-    },
-    /// Ends a session's stream and collects its matches.
-    ApFinish {
-        /// The session to finish.
-        session: SessionId,
-    },
     /// Drops a session — any streaming workload kind, not only AP.
     ApClose {
         /// The session to close.
@@ -657,7 +640,7 @@ pub enum Request {
     },
     /// Streams one chunk into **each** lane of an AP session:
     /// `chunks[i]` goes to lane `i`, lanes growing on demand (capped at
-    /// 64 per request).
+    /// [`MAX_LANES`] per request). A single stream is one chunk.
     ApFeedMany {
         /// The session to feed.
         session: SessionId,
@@ -704,17 +687,6 @@ impl Request {
                 for pattern in patterns {
                     w.string("pattern", pattern)?;
                 }
-                w.buf
-            }
-            Request::ApFeed { session, chunk } => {
-                let mut w = Writer::new(OP_AP_FEED);
-                w.u64(*session);
-                w.bytes("chunk", chunk)?;
-                w.buf
-            }
-            Request::ApFinish { session } => {
-                let mut w = Writer::new(OP_AP_FINISH);
-                w.u64(*session);
                 w.buf
             }
             Request::ApClose { session } => {
@@ -797,8 +769,6 @@ impl Request {
                 let patterns = (0..n).map(|_| r.string()).collect::<Result<Vec<_>, _>>()?;
                 Request::ApOpen { patterns }
             }
-            OP_AP_FEED => Request::ApFeed { session: r.u64()?, chunk: r.bytes()? },
-            OP_AP_FINISH => Request::ApFinish { session: r.u64()? },
             OP_AP_CLOSE => Request::ApClose { session: r.u64()? },
             OP_USAGE => Request::Usage,
             OP_STATS => Request::Stats,
@@ -813,7 +783,7 @@ impl Request {
             OP_AP_FEED_MANY => {
                 let session = r.u64()?;
                 let n = r.count(4)?;
-                if n == 0 || n > MAX_STREAMS {
+                if n == 0 || n > MAX_LANES {
                     return Err(FrameError::BadPayload("stream count out of range"));
                 }
                 let chunks = (0..n).map(|_| r.bytes()).collect::<Result<Vec<_>, _>>()?;
@@ -972,11 +942,6 @@ pub enum Response {
         /// The compiled automaton came from the server's compile cache.
         cache_hit: bool,
     },
-    /// An `ApFeed` ran; the report is cumulative for the stream so far.
-    ApFed(ApReport),
-    /// An `ApFinish` ran: anchored acceptance, `(end position, pattern
-    /// index)` match events, symbols and stream cost.
-    ApFinished(crate::ApMatches),
     /// An `ApClose` dropped the session.
     ApClosed,
     /// The tenant's accumulated bill.
@@ -996,7 +961,9 @@ pub enum Response {
     CorrReport(crate::CorrOutcome),
     /// An `ApFeedMany` ran; per-lane cumulative reports, in lane order.
     ApFedMany(Vec<ApReport>),
-    /// An `ApFinishMany` ran; per-lane stream results, in lane order.
+    /// An `ApFinishMany` ran; per-lane stream results — anchored
+    /// acceptance, `(end position, pattern index)` match events, symbols
+    /// and stream cost — in lane order.
     ApFinishedMany(Vec<crate::ApMatches>),
     /// The request failed; `code` is machine-readable, `message` is for
     /// the operator's log.
@@ -1037,16 +1004,6 @@ impl Response {
                 w.u64(*session);
                 w.u8(u8::from(*routing_fallback));
                 w.u8(u8::from(*cache_hit));
-                w.buf
-            }
-            Response::ApFed(report) => {
-                let mut w = Writer::new(OP_AP_FEED_OK);
-                encode_ap_report(&mut w, report);
-                w.buf
-            }
-            Response::ApFinished(run) => {
-                let mut w = Writer::new(OP_AP_MATCHES);
-                encode_ap_matches(&mut w, run)?;
                 w.buf
             }
             Response::ApClosed => Writer::new(OP_AP_CLOSED).buf,
@@ -1183,8 +1140,6 @@ impl Response {
                 routing_fallback: r.bool()?,
                 cache_hit: r.bool()?,
             },
-            OP_AP_FEED_OK => Response::ApFed(decode_ap_report(&mut r)?),
-            OP_AP_MATCHES => Response::ApFinished(decode_ap_matches(&mut r)?),
             OP_AP_CLOSED => Response::ApClosed,
             OP_USAGE_REPORT => {
                 let mut usage = WireUsage {
@@ -1424,8 +1379,6 @@ mod tests {
             ],
         });
         roundtrip_request(Request::ApOpen { patterns: vec!["ab+c".into(), "x[yz]".into()] });
-        roundtrip_request(Request::ApFeed { session: 9, chunk: b"GET /index".to_vec() });
-        roundtrip_request(Request::ApFinish { session: 9 });
         roundtrip_request(Request::ApClose { session: 9 });
         roundtrip_request(Request::Usage);
         roundtrip_request(Request::Stats);
@@ -1462,21 +1415,6 @@ mod tests {
             routing_fallback: true,
             cache_hit: true,
         });
-        roundtrip_response(Response::ApFed(ApReport {
-            cycles: 11,
-            latency: Seconds::from_nanoseconds(2.0),
-            energy: Joules::from_femtojoules(4.0),
-        }));
-        roundtrip_response(Response::ApFinished(crate::ApMatches {
-            accepted: true,
-            matches: vec![(5, 0), (9, 1)],
-            symbols: 15,
-            report: ApReport {
-                cycles: 15,
-                latency: Seconds::from_nanoseconds(3.0),
-                energy: Joules::from_femtojoules(6.0),
-            },
-        }));
         roundtrip_response(Response::ApClosed);
         roundtrip_response(Response::Usage(WireUsage {
             mvp_jobs: 1,
@@ -1561,7 +1499,7 @@ mod tests {
         roundtrip_response(Response::ApFinishedMany(vec![
             crate::ApMatches {
                 accepted: true,
-                matches: vec![(5, 0)],
+                matches: vec![(5, 0), (9, 1)],
                 symbols: 15,
                 report: ApReport {
                     cycles: 15,
@@ -1599,8 +1537,8 @@ mod tests {
         // An ApFeedMany claiming more lanes than the stream cap.
         let mut body = vec![OP_AP_FEED_MANY];
         body.extend_from_slice(&9u64.to_be_bytes());
-        body.extend_from_slice(&(MAX_STREAMS as u32 + 1).to_be_bytes());
-        body.extend_from_slice(&[0; 4 * (MAX_STREAMS + 1)]);
+        body.extend_from_slice(&(MAX_LANES as u32 + 1).to_be_bytes());
+        body.extend_from_slice(&[0; 4 * (MAX_LANES + 1)]);
         assert_eq!(
             Request::decode(&body),
             Err(FrameError::BadPayload("stream count out of range"))
@@ -1652,6 +1590,13 @@ mod tests {
         );
         assert_eq!(Request::decode(&[0x7F]), Err(FrameError::UnknownOpcode(0x7F)));
         assert_eq!(FrameError::UnknownOpcode(0x7F).error_code(), ErrorCode::UnknownOpcode);
+        // The retired single-lane feed/finish opcodes stay reserved.
+        for op in [0x04, 0x05] {
+            assert_eq!(Request::decode(&[op, 0, 0, 0, 0]), Err(FrameError::UnknownOpcode(op)));
+        }
+        for op in [0x84, 0x85] {
+            assert_eq!(Response::decode(&[op]), Err(FrameError::UnknownOpcode(op)));
+        }
         assert_eq!(FrameError::Truncated.error_code(), ErrorCode::BadFrame);
     }
 

@@ -1,5 +1,11 @@
-//! A routed variant of [`BoundedQueue`](crate::BoundedQueue): one
-//! shared lane plus a targeted mailbox per worker.
+//! The service's work queue: a bounded MPMC queue with blocking
+//! backpressure, one shared lane plus a targeted mailbox per worker.
+//!
+//! The tree is offline — no tokio, no crossbeam — so the spine is a
+//! `Mutex` over the lanes with two condition variables: `not_empty`
+//! wakes workers, `not_full` wakes producers blocked on backpressure.
+//! Closing wakes everyone; producers get their item back, consumers
+//! drain what is left and then observe the close.
 //!
 //! Placement needs *directed* delivery — replica `r` of shard `s` lives
 //! on a specific worker, so a sharded sub-query must land on that
@@ -13,16 +19,23 @@
 //! consumer — a job routed to a dead engine is popped by its worker and
 //! re-routed through the catalog rather than stranded.
 //!
-//! Capacity bounds the *total* of all lanes, so backpressure behaves
-//! exactly like the plain queue's; `requeue_to` bypasses the bound the
-//! same way [`BoundedQueue::requeue`](crate::BoundedQueue::requeue)
-//! does, and with the same close-refusal contract (the regression suite
-//! below mirrors the queue's requeue-vs-close race test).
+//! Capacity bounds the *total* of all lanes. `requeue` and `requeue_to`
+//! bypass the bound for items a worker already accepted, but still
+//! refuse once the router is closed (pinned by the requeue-vs-close
+//! race test below).
 
-use crate::queue::PushRefused;
 use crate::sync;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
+
+/// Why a non-blocking push was refused; the item is handed back.
+#[derive(Debug)]
+pub(crate) enum PushRefused<T> {
+    /// The router is at capacity (backpressure signal).
+    Full(T),
+    /// The router has been closed.
+    Closed(T),
+}
 
 #[derive(Debug)]
 struct RouterState<T> {
@@ -216,14 +229,33 @@ mod tests {
     use std::thread;
 
     #[test]
+    fn blocking_push_waits_for_space() {
+        let r = Arc::new(WorkRouter::new(1, 1));
+        r.push(0u32).expect("open");
+        let producer = {
+            let r = Arc::clone(&r);
+            thread::spawn(move || r.push(1).is_ok())
+        };
+        thread::sleep(std::time::Duration::from_millis(10));
+        let mut sink = Vec::new();
+        assert!(r.pop_burst(0, 1, &mut sink));
+        assert!(producer.join().expect("joins"), "push succeeded once space appeared");
+        assert!(r.pop_burst(0, 1, &mut sink));
+        assert_eq!(sink, vec![0, 1]);
+    }
+
+    #[test]
     fn mailbox_drains_before_the_shared_lane() {
         let r = WorkRouter::new(8, 2);
         r.push("shared-a").expect("open");
         r.push_to(1, "mine").expect("open");
         r.push("shared-b").expect("open");
+        r.push("shared-c").expect("open");
         let mut sink = Vec::new();
-        assert!(r.pop_burst(1, 4, &mut sink));
+        assert!(r.pop_burst(1, 3, &mut sink), "a burst takes at most `max` items");
         assert_eq!(sink, vec!["mine", "shared-a", "shared-b"], "mailbox first, then FIFO");
+        assert!(r.pop_burst(0, 3, &mut sink));
+        assert_eq!(sink[3..], ["shared-c"]);
     }
 
     #[test]
@@ -255,6 +287,9 @@ mod tests {
         r.close();
         assert_eq!(r.requeue_to(0, 5), Err(5));
         assert!(matches!(r.try_push(6), Err(PushRefused::Closed(6))));
+        // Blocking pushes hand the item back once closed, too.
+        assert_eq!(r.push(7), Err(7));
+        assert_eq!(r.push_to(1, 8), Err(8));
     }
 
     #[test]

@@ -4,15 +4,14 @@
 use crate::coalesce::{coalesce, Envelope, ShardRoute, Unit};
 use crate::job::{ticket_pair, Responder, ShardedTicket};
 use crate::placement::{Catalog, PlacementConfig};
-use crate::queue::PushRefused;
-use crate::router::WorkRouter;
+use crate::router::{PushRefused, WorkRouter};
 use crate::session::{ApOpenInfo, ApSession, CorrSession, SessionTable, StreamSession};
 use crate::sync;
 use crate::{
     ApMatches, BurstReport, CorrFeedReport, CorrOutcome, Job, JobOutput, MvpOutput, ServeError,
-    SessionId, TenantId, Ticket,
+    SessionId, TenantId, Ticket, MAX_LANES,
 };
-use memcim_ap::ApBackend;
+use memcim_ap::{ApBackend, ApError};
 use memcim_bits::BitVec;
 use memcim_crossbar::{BankedCrossbar, CrossbarBackend, EccCrossbar, HammingCode, OpLedger};
 use memcim_mvp::{correlation, BatchRequest, Instruction, MvpError, MvpSimulator, ShardMap};
@@ -447,16 +446,23 @@ impl Shared {
         Ok(())
     }
 
-    /// [`verify_program_cached`](Self::verify_program_cached) applied
-    /// to every MVP program a job carries (streaming AP jobs pass
-    /// untouched).
-    fn verify_job_cached(&self, tenant: TenantId, job: &Job) -> Result<(), ServeError> {
+    /// The submission gate: [`verify_program_cached`](Self::verify_program_cached)
+    /// applied to every MVP program a job carries, and the
+    /// [`MAX_LANES`] cap on AP feeds — both checked before the job is
+    /// queued, so a refusal touches no session and bills nothing.
+    fn check_job(&self, tenant: TenantId, job: &Job) -> Result<(), ServeError> {
         match job {
             Job::MvpProgram(program) => self.verify_program_cached(tenant, program),
             Job::MvpBatch(batch) => batch
                 .programs()
                 .iter()
                 .try_for_each(|program| self.verify_program_cached(tenant, program)),
+            Job::ApFeedMany { chunks, .. } if chunks.len() > MAX_LANES => {
+                Err(ServeError::Ap(ApError::UnknownStream {
+                    stream: chunks.len() - 1,
+                    streams: MAX_LANES,
+                }))
+            }
             _ => Ok(()),
         }
     }
@@ -470,13 +476,13 @@ impl Shared {
 /// non-blocking variant) and wait on the returned [`Ticket`]. Workers
 /// drain the queue in bursts, coalescing each tenant's single-program
 /// MVP jobs into one [`BatchRequest`] execution, and stream AP jobs
-/// through per-session [`AutomataProcessor`]s checked out of a shared
-/// session table. Every completed job is billed to its tenant
+/// through per-session [`MultiStreamProcessor`]s checked out of a
+/// shared session table. Every completed job is billed to its tenant
 /// ([`tenant_usage`](Service::tenant_usage)) before its ticket resolves.
 ///
 /// See the [crate-level example](crate).
 ///
-/// [`AutomataProcessor`]: memcim_ap::AutomataProcessor
+/// [`MultiStreamProcessor`]: memcim_ap::MultiStreamProcessor
 #[derive(Debug)]
 pub struct Service {
     shared: Arc<Shared>,
@@ -678,12 +684,15 @@ impl Service {
     /// when it is [draining](Self::begin_drain) and `job` is new MVP
     /// work (streaming jobs for open sessions still pass);
     /// [`ServeError::InvalidProgram`] when static verification refuses
-    /// an MVP program (nothing is queued or billed).
+    /// an MVP program, and [`ServeError::Ap`] with
+    /// [`ApError::UnknownStream`] for a [`Job::ApFeedMany`] of more
+    /// than [`MAX_LANES`] chunks (nothing is queued or billed either
+    /// way).
     pub fn submit(&self, tenant: TenantId, job: Job) -> Result<Ticket, ServeError> {
         if self.drain_refuses(&job) {
             return Err(ServeError::ShuttingDown);
         }
-        self.shared.verify_job_cached(tenant, &job)?;
+        self.shared.check_job(tenant, &job)?;
         let (ticket, responder) = ticket_pair();
         self.shared
             .queue
@@ -698,14 +707,13 @@ impl Service {
     ///
     /// [`ServeError::QueueFull`] when the queue is at capacity,
     /// [`ServeError::ShuttingDown`] once the service is closing or
-    /// [draining](Self::begin_drain) (for new MVP work), and
-    /// [`ServeError::InvalidProgram`] when static verification refuses
-    /// an MVP program (nothing is queued or billed).
+    /// [draining](Self::begin_drain) (for new MVP work), and the
+    /// submission refusals of [`submit`](Self::submit).
     pub fn try_submit(&self, tenant: TenantId, job: Job) -> Result<Ticket, ServeError> {
         if self.drain_refuses(&job) {
             return Err(ServeError::ShuttingDown);
         }
-        self.shared.verify_job_cached(tenant, &job)?;
+        self.shared.check_job(tenant, &job)?;
         let (ticket, responder) = ticket_pair();
         match self.shared.queue.try_push(Envelope { tenant, job, route: None, responder }) {
             Ok(()) => Ok(ticket),
@@ -835,7 +843,7 @@ impl Service {
 
     /// Compiles `patterns` into a streaming AP session for `tenant`
     /// (synchronously — compilation is a configuration-time cost, not a
-    /// queued job). Feed it with [`Job::ApFeed`] / [`Job::ApFinish`].
+    /// queued job). Feed it with [`Job::ApFeedMany`] / [`Job::ApFinishMany`].
     ///
     /// # Errors
     ///
@@ -1035,7 +1043,7 @@ impl Service {
     /// accumulated scores into the correlated set and resets the
     /// session (scores, event counter, billing watermark and cost
     /// tallies) for the next stream — the session stays open, mirroring
-    /// [`Job::ApFinish`]. The finish itself is billed as one
+    /// [`Job::ApFinishMany`]. The finish itself is billed as one
     /// correlation job; its events were already billed feed by feed.
     ///
     /// # Errors
@@ -1292,49 +1300,12 @@ fn execute_unit(unit: Unit, engine: &mut Option<Engine>, shared: &Shared, worker
             let jobs = 1;
             run_solo(tenant, batch, jobs, responder, engine, shared, worker);
         }
-        Unit::ApFeed { tenant, session, chunk, responder } => {
-            match shared.sessions.checkout_ap(session, tenant) {
-                // Lane 0 is the legacy single-stream path; a session
-                // always has at least one lane.
-                Ok(mut state) => match state.processor.feed(0, &chunk) {
-                    Ok(cumulative) => {
-                        let (symbols, energy, busy) = state.take_unaccounted();
-                        shared.account_ap(tenant, symbols, energy, busy);
-                        shared.sessions.put_back(session, StreamSession::Ap(state));
-                        responder.fulfil(Ok(JobOutput::ApFeed(cumulative)));
-                    }
-                    Err(e) => {
-                        shared.sessions.put_back(session, StreamSession::Ap(state));
-                        responder.fulfil(Err(e.into()));
-                    }
-                },
-                Err(e) => responder.fulfil(Err(e)),
-            }
-        }
-        Unit::ApFinish { tenant, session, responder } => {
-            match shared.sessions.checkout_ap(session, tenant) {
-                Ok(mut state) => match state.processor.finish(0) {
-                    Ok(run) => {
-                        let (symbols, energy, busy) = state.take_unaccounted();
-                        shared.account_ap(tenant, symbols, energy, busy);
-                        let matches = ap_matches(&state, &run);
-                        shared.sessions.put_back(session, StreamSession::Ap(state));
-                        responder.fulfil(Ok(JobOutput::ApFinish(matches)));
-                    }
-                    Err(e) => {
-                        shared.sessions.put_back(session, StreamSession::Ap(state));
-                        responder.fulfil(Err(e.into()));
-                    }
-                },
-                Err(e) => responder.fulfil(Err(e)),
-            }
-        }
         Unit::ApFeedMany { tenant, session, chunks, responder } => {
             match shared.sessions.checkout_ap(session, tenant) {
                 Ok(mut state) => {
-                    // Lanes grow on demand to the chunk count; the whole
-                    // batch runs through one shared kernel and is billed
-                    // as one AP job via the monotonic billing watermark.
+                    // Lanes grow on demand to the chunk count (capped at
+                    // submission); the batch is billed as one AP job via
+                    // the monotonic billing watermark.
                     let reports = state.processor.feed_many(&chunks);
                     let (symbols, energy, busy) = state.take_unaccounted();
                     shared.account_ap(tenant, symbols, energy, busy);

@@ -1,8 +1,9 @@
 //! The streaming session table, shared by every long-lived workload.
 //!
-//! A session is per-tenant server-side streaming state: a compiled
-//! [`AutomataProcessor`] plus its state→pattern ownership map for AP
-//! regex sessions, or a [`CorrelationAccumulator`] plus detection
+//! A session is per-tenant server-side streaming state: a
+//! [`MultiStreamProcessor`] stamped off a cached [`ApTemplate`] plus its
+//! state→pattern ownership map for AP regex sessions, or a
+//! [`CorrelationAccumulator`] plus detection
 //! threshold for correlation sessions. Workers *check a session out* of
 //! the table to run a feed/finish job against it, then put it back; the
 //! checkout marker keeps two workers from racing on one session's
@@ -11,12 +12,12 @@
 //! the state inside the [`StreamSession`] differs.
 
 use crate::{sync, ServeError, SessionId, TenantId};
-use memcim_ap::{ApBackend, ApError, AutomataProcessor, MultiStreamProcessor, RoutingKind};
+use memcim_ap::{ApBackend, ApError, ApTemplate, MultiStreamProcessor, RoutingKind};
 use memcim_automata::{PatternSet, StartKind};
 use memcim_mvp::correlation::CorrelationAccumulator;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Bounded capacity of the per-table AP compile cache (templates, not
 /// sessions — a template is one compiled automaton plus its attribution
@@ -113,13 +114,13 @@ enum Entry {
     CheckedOut(TenantId),
 }
 
-/// One cached compile artifact: the single-stream template processor
-/// (sessions are stamped off it via [`AutomataProcessor::multi_stream`],
-/// which starts fresh lanes and a zero billing watermark), the pattern
-/// attribution map, and whether routing fell back to dense.
+/// One cached compile artifact: the compiled template (sessions are
+/// stamped off it via [`ApTemplate::multi_stream`], which shares the
+/// arrays and starts fresh lanes and a zero billing watermark), the
+/// pattern attribution map, and whether routing fell back to dense.
 #[derive(Debug)]
-struct ApTemplate {
-    processor: AutomataProcessor,
+struct CompiledSet {
+    template: Arc<ApTemplate>,
     owner_of_state: HashMap<usize, usize>,
     routing_fallback: bool,
 }
@@ -130,12 +131,12 @@ struct ApTemplate {
 /// least-recent use across the table.
 #[derive(Debug, Default)]
 struct ApCompileCache {
-    entries: HashMap<(TenantId, Vec<String>), (u64, ApTemplate)>,
+    entries: HashMap<(TenantId, Vec<String>), (u64, CompiledSet)>,
     clock: u64,
 }
 
 impl ApCompileCache {
-    fn get(&mut self, key: &(TenantId, Vec<String>)) -> Option<&ApTemplate> {
+    fn get(&mut self, key: &(TenantId, Vec<String>)) -> Option<&CompiledSet> {
         self.clock += 1;
         let clock = self.clock;
         self.entries.get_mut(key).map(|(stamp, template)| {
@@ -144,7 +145,7 @@ impl ApCompileCache {
         })
     }
 
-    fn insert(&mut self, key: (TenantId, Vec<String>), template: ApTemplate) {
+    fn insert(&mut self, key: (TenantId, Vec<String>), template: CompiledSet) {
         if self.entries.len() >= AP_CACHE_CAPACITY && !self.entries.contains_key(&key) {
             if let Some(oldest) =
                 self.entries.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| k.clone())
@@ -179,7 +180,7 @@ struct Inner {
 /// Compiles `patterns` onto `backend` (hierarchical routing with a
 /// dense fallback, unanchored scanning semantics). The fallback is
 /// recorded in the template rather than decided silently.
-fn compile_ap_template(patterns: &[&str], backend: &ApBackend) -> Result<ApTemplate, ServeError> {
+fn compile_ap_template(patterns: &[&str], backend: &ApBackend) -> Result<CompiledSet, ServeError> {
     let set = PatternSet::compile(patterns)
         .map_err(|e| ServeError::Compile { message: e.to_string() })?;
     let (homog, owner_of_state) = set.to_homogeneous();
@@ -192,15 +193,15 @@ fn compile_ap_template(patterns: &[&str], backend: &ApBackend) -> Result<ApTempl
         .into_iter()
         .filter_map(|(state, pattern)| remap[state].map(|new| (new, pattern)))
         .collect();
-    let (processor, routing_fallback) =
-        match AutomataProcessor::compile(&homog, backend.clone(), RoutingKind::cache_automaton()) {
-            Ok(p) => (p, false),
+    let (template, routing_fallback) =
+        match ApTemplate::compile(&homog, backend.clone(), RoutingKind::cache_automaton()) {
+            Ok(t) => (t, false),
             Err(ApError::RoutingInfeasible { .. }) => {
-                (AutomataProcessor::compile(&homog, backend.clone(), RoutingKind::Dense)?, true)
+                (ApTemplate::compile(&homog, backend.clone(), RoutingKind::Dense)?, true)
             }
             Err(e) => return Err(e.into()),
         };
-    Ok(ApTemplate { processor, owner_of_state, routing_fallback })
+    Ok(CompiledSet { template, owner_of_state, routing_fallback })
 }
 
 impl SessionTable {
@@ -220,9 +221,9 @@ impl SessionTable {
         let key = (tenant, patterns.iter().map(|p| p.to_string()).collect::<Vec<String>>());
         let cached = {
             let mut cache = sync::lock(&self.compile_cache);
-            cache.get(&key).map(|t| {
-                (t.processor.multi_stream(1), t.owner_of_state.clone(), t.routing_fallback)
-            })
+            cache
+                .get(&key)
+                .map(|t| (t.template.multi_stream(1), t.owner_of_state.clone(), t.routing_fallback))
         };
         let (processor, owner_of_state, routing_fallback, cache_hit) = match cached {
             Some((processor, owner, fallback)) => {
@@ -232,7 +233,7 @@ impl SessionTable {
             None => {
                 self.ap_cache_misses.fetch_add(1, Ordering::Relaxed);
                 let template = compile_ap_template(patterns, backend)?;
-                let processor = template.processor.multi_stream(1);
+                let processor = template.template.multi_stream(1);
                 let owner = template.owner_of_state.clone();
                 let fallback = template.routing_fallback;
                 sync::lock(&self.compile_cache).insert(key, template);

@@ -196,11 +196,11 @@ fn dead_pool_fails_fast_and_keeps_streaming() {
     // The worker thread is still alive and serves AP sessions.
     let session = service.open_session(3, &["abc"]).expect("compiles");
     let run = service
-        .submit(3, Job::ApFeed { session, chunk: b"abc".to_vec() })
+        .submit(3, Job::ApFeedMany { session, chunks: vec![b"abc".to_vec()] })
         .expect("running")
         .wait()
         .expect("AP unaffected by MVP pool death");
-    assert!(run.into_ap_feed().is_some());
+    assert!(run.into_ap_feed_many().is_some());
     service.shutdown();
 }
 

@@ -87,8 +87,10 @@ fn mutated_valid_frames_never_kill_the_server() {
         .encode()
         .expect("encodes"),
         Request::ApOpen { patterns: vec!["ab+c".into()] }.encode().expect("encodes"),
-        Request::ApFeed { session: 0, chunk: b"abbbc".to_vec() }.encode().expect("encodes"),
-        Request::ApFinish { session: 0 }.encode().expect("encodes"),
+        Request::ApFeedMany { session: 0, chunks: vec![b"abbbc".to_vec(), b"ab".to_vec()] }
+            .encode()
+            .expect("encodes"),
+        Request::ApFinishMany { session: 0 }.encode().expect("encodes"),
         Request::ApClose { session: 9 }.encode().expect("encodes"),
         Request::CorrOpen { streams: 3, threshold: 17 }.encode().expect("encodes"),
         Request::CorrFeed {
@@ -133,6 +135,37 @@ fn mutated_valid_frames_never_kill_the_server() {
         Response::decode(&reply).expect("every response is well-formed");
     }
     assert_eq!(client.stats().expect("server survived the corpus").workers, 2);
+    server.shutdown();
+}
+
+/// The retired single-lane feed/finish opcodes (0x04/0x05) stay
+/// reserved: a live server answers each with a typed `UnknownOpcode`
+/// frame — well-formed old payload or not — and keeps serving the
+/// connection.
+#[test]
+fn retired_opcodes_are_refused_typed_and_the_server_keeps_serving() {
+    let (_service, server) = start_server(NetConfig::default());
+    let mut client = NetClient::connect(server.local_addr()).expect("connects");
+    client.hello(1, TOKEN).expect("auth");
+    let session = client.ap_open(&["ab+c"]).expect("opens");
+    let mut feed = vec![0x04];
+    feed.extend_from_slice(&session.to_be_bytes());
+    feed.extend_from_slice(&3u32.to_be_bytes());
+    feed.extend_from_slice(b"abc");
+    let mut finish = vec![0x05];
+    finish.extend_from_slice(&session.to_be_bytes());
+    for body in [feed, finish] {
+        client.send_raw(&body).expect("frame written");
+        let reply = client.recv_raw().expect("a response frame comes back");
+        match Response::decode(&reply).expect("well-formed") {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownOpcode),
+            other => panic!("retired opcode {:#04x} was served: {other:?}", body[0]),
+        }
+    }
+    // Nothing reached the session, and the connection still serves.
+    let report = client.ap_feed(session, b"abbc").expect("feeds");
+    assert_eq!(report.cycles, 4, "the refused frames streamed nothing");
+    assert_eq!(client.ap_finish(session).expect("finishes").matches, vec![(3, 0)]);
     server.shutdown();
 }
 

@@ -1,9 +1,10 @@
 //! End-to-end service behavior: correctness of served results, burst
 //! coalescing invariants, error isolation, tenant isolation, shutdown.
 
+use memcim_ap::ApError;
 use memcim_bits::BitVec;
 use memcim_mvp::{BatchRequest, Instruction, MvpSimulator};
-use memcim_serve::{Job, JobOutput, ServeConfig, ServeError, Service};
+use memcim_serve::{Job, JobOutput, ServeConfig, ServeError, Service, MAX_LANES};
 
 fn two_worker_config() -> ServeConfig {
     ServeConfig::default().with_workers(2).with_mvp_geometry(8, 4, 32)
@@ -144,24 +145,28 @@ fn ap_sessions_are_tenant_isolated() {
     let session = service.open_session(1, &["abc"]).expect("compiles");
     // Tenant 2 cannot feed tenant 1's session — and cannot learn that
     // the session exists.
-    let stolen = service.submit(2, Job::ApFeed { session, chunk: b"abc".to_vec() }).unwrap().wait();
+    let stolen = service
+        .submit(2, Job::ApFeedMany { session, chunks: vec![b"abc".to_vec()] })
+        .unwrap()
+        .wait();
     assert_eq!(stolen, Err(ServeError::UnknownSession { session }));
     // The rightful owner still streams fine.
     let report = service
-        .submit(1, Job::ApFeed { session, chunk: b"xabc".to_vec() })
+        .submit(1, Job::ApFeedMany { session, chunks: vec![b"xabc".to_vec()] })
         .unwrap()
         .wait()
         .expect("owner feeds")
-        .into_ap_feed()
-        .expect("feed");
+        .into_ap_feed_many()
+        .expect("feed")[0];
     assert_eq!(report.cycles, 4);
     let run = service
-        .submit(1, Job::ApFinish { session })
+        .submit(1, Job::ApFinishMany { session })
         .unwrap()
         .wait()
         .expect("finishes")
-        .into_ap_finish()
-        .expect("finish");
+        .into_ap_finish_many()
+        .expect("finish")
+        .remove(0);
     assert_eq!(run.matches, vec![(3, 0)]);
     assert_eq!(service.tenant_usage(1).expect("billed").ap_symbols, 4);
     assert!(service.tenant_usage(2).is_none(), "the rejected feed billed nothing");
@@ -177,14 +182,16 @@ fn a_session_survives_many_streams_and_bills_incrementally() {
     let service = Service::start(two_worker_config());
     let session = service.open_session(5, &["ab"]).expect("compiles");
     for round in 1..=3u64 {
-        service.submit(5, Job::ApFeed { session, chunk: b"zab".to_vec() }).unwrap().wait().unwrap();
+        let feed = Job::ApFeedMany { session, chunks: vec![b"zab".to_vec()] };
+        service.submit(5, feed).unwrap().wait().unwrap();
         let run = service
-            .submit(5, Job::ApFinish { session })
+            .submit(5, Job::ApFinishMany { session })
             .unwrap()
             .wait()
             .unwrap()
-            .into_ap_finish()
-            .unwrap();
+            .into_ap_finish_many()
+            .unwrap()
+            .remove(0);
         assert_eq!(run.matches, vec![(2, 0)], "round {round}");
         let usage = service.tenant_usage(5).expect("billed");
         assert_eq!(usage.ap_symbols, 3 * round, "symbols accumulate across streams");
@@ -218,11 +225,43 @@ fn submissions_after_shutdown_are_refused() {
 #[test]
 fn unknown_sessions_are_reported() {
     let service = Service::start(two_worker_config());
-    let result = service.submit(1, Job::ApFinish { session: 1234 }).unwrap().wait();
+    let result = service.submit(1, Job::ApFinishMany { session: 1234 }).unwrap().wait();
     assert_eq!(result, Err(ServeError::UnknownSession { session: 1234 }));
     assert!(matches!(
         service.close_session(1, 777),
         Err(ServeError::UnknownSession { session: 777 })
     ));
+    service.shutdown();
+}
+
+#[test]
+fn over_cap_lane_feeds_are_refused_typed_and_charge_nothing() {
+    let service = Service::start(two_worker_config());
+    let session = service.open_session(3, &["ab"]).expect("compiles");
+    let over = vec![b"ab".to_vec(); MAX_LANES + 1];
+    for refused in [
+        service.submit(3, Job::ApFeedMany { session, chunks: over.clone() }),
+        service.try_submit(3, Job::ApFeedMany { session, chunks: over }),
+    ] {
+        assert!(matches!(
+            refused,
+            Err(ServeError::Ap(ApError::UnknownStream { stream: MAX_LANES, streams: MAX_LANES }))
+        ));
+    }
+    assert!(service.tenant_usage(3).is_none(), "a refused feed bills nothing");
+    // The session never saw the refused feed: it still serves, with its
+    // single lane.
+    let feed = Job::ApFeedMany { session, chunks: vec![b"xab".to_vec()] };
+    service.submit(3, feed).unwrap().wait().expect("feeds");
+    let runs = service
+        .submit(3, Job::ApFinishMany { session })
+        .unwrap()
+        .wait()
+        .expect("finishes")
+        .into_ap_finish_many()
+        .expect("finish");
+    assert_eq!(runs.len(), 1, "no lanes were grown by the refused feed");
+    assert_eq!(runs[0].matches, vec![(2, 0)]);
+    assert_eq!(service.tenant_usage(3).expect("billed").ap_symbols, 3);
     service.shutdown();
 }

@@ -300,7 +300,7 @@ fn drain_under_load_strands_no_ticket_and_bills_what_completed() {
     let sharded = service.submit_sharded(5, scatter(&table, &map, query)).expect("accepts");
     let session = service.open_session(6, &["ab+c"]).expect("compiles");
     service
-        .submit(6, Job::ApFeed { session, chunk: b"ab".to_vec() })
+        .submit(6, Job::ApFeedMany { session, chunks: vec![b"ab".to_vec()] })
         .expect("accepts")
         .wait()
         .expect("feed runs");
@@ -333,18 +333,19 @@ fn drain_under_load_strands_no_ticket_and_bills_what_completed() {
     let (stitched, _) = gather(&map, sharded).expect("scatter queued before the drain");
     assert_eq!(stitched, table.query_reference(query.0, query.1));
     let run = service
-        .submit(6, Job::ApFeed { session, chunk: b"bc".to_vec() })
+        .submit(6, Job::ApFeedMany { session, chunks: vec![b"bc".to_vec()] })
         .expect("open sessions keep streaming during a drain")
         .wait()
         .expect("feed runs");
-    assert!(run.into_ap_feed().is_some());
+    assert!(run.into_ap_feed_many().is_some());
     let matches = service
-        .submit(6, Job::ApFinish { session })
+        .submit(6, Job::ApFinishMany { session })
         .expect("finish passes the drain gate")
         .wait()
         .expect("finish runs")
-        .into_ap_finish()
-        .expect("finish output");
+        .into_ap_finish_many()
+        .expect("finish output")
+        .remove(0);
     assert_eq!(matches.matches, vec![(3, 0)], "abbc matches ab+c at its end");
 
     // The bill covers exactly what completed: 16 plain jobs + 2 shard

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example packet_inspection`
 
 use memcim::prelude::*;
-use memcim_ap::RoutingKind;
+use memcim_ap::{ApTemplate, RoutingKind};
 use memcim_automata::rules;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -25,24 +25,24 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let (homog, _) = set.to_homogeneous();
     let homog = homog.with_start_kind(StartKind::AllInput);
     let kind = RoutingKind::cache_automaton();
-    let ap = match AutomataProcessor::compile(&homog, ApBackend::rram(), kind) {
-        Ok(ap) => ap,
-        Err(_) => AutomataProcessor::compile(&homog, ApBackend::rram(), RoutingKind::Dense)?,
+    let template = match ApTemplate::compile(&homog, ApBackend::rram(), kind) {
+        Ok(template) => template,
+        Err(_) => ApTemplate::compile(&homog, ApBackend::rram(), RoutingKind::Dense)?,
     };
-    let resources = ap.routing_resources();
+    let resources = template.routing_resources();
     println!("\nAP sizing:");
-    println!("  STEs (homogeneous states): {}", ap.state_count());
+    println!("  STEs (homogeneous states): {}", template.state_count());
     println!(
         "  routing: {} blocks, {} switch bits, {} global wires",
         resources.blocks, resources.config_bits, resources.global_wires
     );
     println!(
         "  area {}, cycle {}, throughput {:.2} Gsym/s",
-        ap.costs().area,
-        ap.costs().cycle_latency,
-        ap.costs().throughput() / 1.0e9
+        template.costs().area,
+        template.costs().cycle_latency,
+        template.costs().throughput() / 1.0e9
     );
-    let config = ap.configuration_cost();
+    let config = template.configuration_cost();
     println!("  one-time configuration: {} / {}", config.latency, config.energy);
 
     // Scan and attribute.

@@ -64,19 +64,21 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                         .open_session(tenant, &["GET /[a-z]+", "EVIL[a-z]*"])
                         .expect("rules compile");
                     for chunk in [&b"GET /inde"[..], b"x then EV", b"ILpayload"] {
+                        let chunks = vec![chunk.to_vec()];
                         service
-                            .submit(tenant, Job::ApFeed { session, chunk: chunk.to_vec() })
+                            .submit(tenant, Job::ApFeedMany { session, chunks })
                             .expect("running")
                             .wait()
                             .expect("feed runs");
                     }
                     let run = service
-                        .submit(tenant, Job::ApFinish { session })
+                        .submit(tenant, Job::ApFinishMany { session })
                         .expect("running")
                         .wait()
                         .expect("finish runs")
-                        .into_ap_finish()
-                        .expect("finish");
+                        .into_ap_finish_many()
+                        .expect("finish")
+                        .remove(0);
                     println!(
                         "tenant {tenant}: {hits:4} bitmap hits, {} rule events over {} bytes",
                         run.matches.len(),

@@ -91,7 +91,7 @@ fn many_tenants_mixed_jobs_no_deadlock_clean_shutdown() {
                             ..(iteration + 1) * input.len() / MVP_JOBS_PER_TENANT]
                             .to_vec();
                         service
-                            .submit(tenant, Job::ApFeed { session, chunk })
+                            .submit(tenant, Job::ApFeedMany { session, chunks: vec![chunk] })
                             .expect("accepts")
                             .wait()
                             .expect("feed runs");
@@ -111,12 +111,13 @@ fn many_tenants_mixed_jobs_no_deadlock_clean_shutdown() {
                 // single-threaded facade on the same input.
                 if let Some(session) = session {
                     let run = service
-                        .submit(tenant, Job::ApFinish { session })
+                        .submit(tenant, Job::ApFinishMany { session })
                         .expect("accepts")
                         .wait()
                         .expect("finish runs")
-                        .into_ap_finish()
-                        .expect("finish job");
+                        .into_ap_finish_many()
+                        .expect("finish job")
+                        .remove(0);
                     let mut reference =
                         RegexAccelerator::rram(&AP_PATTERNS).expect("reference compiles");
                     let expected = reference.scan(&ap_input(tenant));
