@@ -28,6 +28,8 @@ pub struct Crossbar {
     read_voltage: Volts,
     variability: Option<(VariabilityModel, Vec<DeviceSample>)>,
     endurance: Option<EnduranceModel>,
+    /// Per-cell wear, `rows × cols` once an endurance model is attached
+    /// and empty otherwise (nothing reads it without one).
     wear: Vec<WearState>,
     faults: FaultMap,
     ledger: OpLedger,
@@ -93,7 +95,7 @@ impl Crossbar {
             read_voltage: Volts::from_millivolts(100.0),
             variability: None,
             endurance: None,
-            wear: vec![WearState::new(); rows * cols],
+            wear: Vec::new(),
             faults: FaultMap::new(),
             ledger: OpLedger::new(),
             endurance_failures: 0,
@@ -122,6 +124,7 @@ impl Crossbar {
     #[must_use]
     pub fn with_endurance(mut self, model: EnduranceModel) -> Self {
         self.endurance = Some(model);
+        self.wear = vec![WearState::new(); self.rows * self.cols];
         self
     }
 
@@ -727,6 +730,13 @@ mod tests {
         assert!(or.get(3), "row 1 carries the 1");
         let and = x.scouting(ScoutingKind::And, &[0, 1]).expect("and");
         assert!(!and.get(3), "stuck row 0 kills the AND");
+    }
+
+    #[test]
+    fn wear_is_allocated_only_with_an_endurance_model() {
+        assert!(Crossbar::rram(4, 8).wear.is_empty());
+        let worn = Crossbar::rram(4, 8).with_endurance(EnduranceModel::new(3));
+        assert_eq!(worn.wear.len(), 4 * 8);
     }
 
     #[test]

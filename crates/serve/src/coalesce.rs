@@ -1,19 +1,30 @@
 //! Burst coalescing: turning a drained queue burst into execution units.
 //!
-//! Compatible jobs are merged so the engine does one [`BatchRequest`]
-//! run instead of many: all [`Job::MvpProgram`] submissions of one
-//! tenant *and one shard route* that land in the same scheduling burst
-//! ride in one coalesced burst (one ledger delta, accounted once to
-//! that tenant). The shard is part of the merge key on purpose: two
-//! sub-queries of one scatter-gather touch different shards and must
-//! never share a burst ledger, or the gather's `merge_parallel` over
-//! per-shard deltas would double-count. Everything else —
-//! pre-assembled batches, AP streaming jobs — executes as its own unit
-//! in arrival order.
+//! Only engine work reaches the queue: AP session jobs run on the
+//! submitting thread (`Service::submit`), so a burst holds MVP programs
+//! and batches alone, as [`EngineJob`]s. Compatible jobs are merged so
+//! the engine does one [`BatchRequest`] run instead of many: all
+//! single-program submissions of one tenant *and one shard route* that
+//! land in the same scheduling burst ride in one coalesced burst (one
+//! ledger delta, accounted once to that tenant). The shard is part of
+//! the merge key on purpose: two sub-queries of one scatter-gather touch
+//! different shards and must never share a burst ledger, or the
+//! gather's `merge_parallel` over per-shard deltas would double-count.
+//! Pre-assembled batches execute as their own unit in arrival order.
 
 use crate::job::Responder;
-use crate::{Job, SessionId, TenantId};
+use crate::TenantId;
 use memcim_mvp::{BatchRequest, Instruction};
+
+/// The queued form of an engine [`Job`](crate::Job): the only work the
+/// workers execute.
+#[derive(Debug)]
+pub(crate) enum EngineJob {
+    /// A single MVP program, coalesced with its burst neighbours.
+    Program(Vec<Instruction>),
+    /// A pre-assembled batch, executed as submitted.
+    Batch(BatchRequest),
+}
 
 /// Where a sharded sub-query is in its failover journey: which shard
 /// it serves and how many placement attempts it has consumed.
@@ -31,7 +42,7 @@ pub(crate) struct ShardRoute {
 #[derive(Debug)]
 pub(crate) struct Envelope {
     pub(crate) tenant: TenantId,
-    pub(crate) job: Job,
+    pub(crate) job: EngineJob,
     /// `Some` for scatter-gather sub-queries (always delivered via a
     /// worker mailbox); `None` for ordinary shared-lane jobs.
     pub(crate) route: Option<ShardRoute>,
@@ -52,26 +63,22 @@ pub(crate) enum Unit {
     },
     /// A client-assembled batch, executed as submitted.
     MvpSolo { tenant: TenantId, batch: BatchRequest, responder: Responder },
-    /// One chunk per stream lane of an AP session.
-    ApFeedMany { tenant: TenantId, session: SessionId, chunks: Vec<Vec<u8>>, responder: Responder },
-    /// Stream end for every lane of an AP session.
-    ApFinishMany { tenant: TenantId, session: SessionId, responder: Responder },
 }
 
 /// Partitions a drained burst into execution units, merging each
 /// (tenant, shard) group's single-program MVP jobs.
 ///
 /// Order within a coalesced unit follows arrival, but merging can move
-/// a `MvpProgram` ahead of a later-arriving unit of another kind. That
-/// is sound because jobs are *independent by contract*: engine row
-/// state is never promised across job boundaries anyway (two jobs of
-/// one tenant may execute on different workers' engines entirely).
+/// a program ahead of a later-arriving batch. That is sound because
+/// jobs are *independent by contract*: engine row state is never
+/// promised across job boundaries anyway (two jobs of one tenant may
+/// execute on different workers' engines entirely).
 pub(crate) fn coalesce(burst: impl IntoIterator<Item = Envelope>) -> Vec<Unit> {
     let burst = burst.into_iter();
     let mut units: Vec<Unit> = Vec::with_capacity(burst.size_hint().0);
     for Envelope { tenant, job, route, responder } in burst {
         match job {
-            Job::MvpProgram(program) => {
+            EngineJob::Program(program) => {
                 let key = route.map(|r| r.shard);
                 let existing = units.iter_mut().find_map(|unit| match unit {
                     Unit::MvpBurst { tenant: t, shard, programs }
@@ -90,13 +97,7 @@ pub(crate) fn coalesce(burst: impl IntoIterator<Item = Envelope>) -> Vec<Unit> {
                     }),
                 }
             }
-            Job::MvpBatch(batch) => units.push(Unit::MvpSolo { tenant, batch, responder }),
-            Job::ApFeedMany { session, chunks } => {
-                units.push(Unit::ApFeedMany { tenant, session, chunks, responder })
-            }
-            Job::ApFinishMany { session } => {
-                units.push(Unit::ApFinishMany { tenant, session, responder })
-            }
+            EngineJob::Batch(batch) => units.push(Unit::MvpSolo { tenant, batch, responder }),
         }
     }
     units
@@ -107,12 +108,12 @@ mod tests {
     use super::*;
     use crate::job::ticket_pair;
 
-    fn envelope(tenant: TenantId, job: Job) -> Envelope {
+    fn envelope(tenant: TenantId, job: EngineJob) -> Envelope {
         let (_ticket, responder) = ticket_pair();
         Envelope { tenant, job, route: None, responder }
     }
 
-    fn routed(tenant: TenantId, shard: usize, job: Job) -> Envelope {
+    fn routed(tenant: TenantId, shard: usize, job: EngineJob) -> Envelope {
         let (_ticket, responder) = ticket_pair();
         Envelope { tenant, job, route: Some(ShardRoute { shard, attempts: 0 }), responder }
     }
@@ -124,9 +125,9 @@ mod tests {
     #[test]
     fn same_tenant_programs_merge_into_one_burst() {
         let units = coalesce(vec![
-            envelope(1, Job::MvpProgram(program(0))),
-            envelope(2, Job::MvpProgram(program(1))),
-            envelope(1, Job::MvpProgram(program(2))),
+            envelope(1, EngineJob::Program(program(0))),
+            envelope(2, EngineJob::Program(program(1))),
+            envelope(1, EngineJob::Program(program(2))),
         ]);
         assert_eq!(units.len(), 2);
         match &units[0] {
@@ -148,10 +149,10 @@ mod tests {
         // 1, one unsharded. Shards must stay apart (their ledgers merge
         // parallel at the gather) while same-shard programs coalesce.
         let units = coalesce(vec![
-            routed(1, 0, Job::MvpProgram(program(0))),
-            routed(1, 1, Job::MvpProgram(program(1))),
-            envelope(1, Job::MvpProgram(program(2))),
-            routed(1, 0, Job::MvpProgram(program(3))),
+            routed(1, 0, EngineJob::Program(program(0))),
+            routed(1, 1, EngineJob::Program(program(1))),
+            envelope(1, EngineJob::Program(program(2))),
+            routed(1, 0, EngineJob::Program(program(3))),
         ]);
         assert_eq!(units.len(), 3);
         match &units[0] {
@@ -168,23 +169,19 @@ mod tests {
     }
 
     #[test]
-    fn batches_and_ap_jobs_stay_individual() {
+    fn batches_stay_individual_between_coalesced_programs() {
+        // A batch is never merged, with a program or with another batch,
+        // and never splits the burst its tenant's programs share.
         let units = coalesce(vec![
-            envelope(1, Job::MvpBatch(BatchRequest::new())),
-            envelope(1, Job::ApFeedMany { session: 0, chunks: vec![b"abc".to_vec()] }),
-            envelope(1, Job::MvpProgram(program(0))),
-            envelope(1, Job::ApFinishMany { session: 0 }),
-            envelope(1, Job::MvpBatch(BatchRequest::new())),
-            envelope(1, Job::ApFeedMany { session: 0, chunks: vec![b"a".to_vec(), b"b".to_vec()] }),
-            envelope(1, Job::ApFinishMany { session: 0 }),
+            envelope(1, EngineJob::Batch(BatchRequest::new().with_program(program(0)))),
+            envelope(1, EngineJob::Program(program(1))),
+            envelope(1, EngineJob::Batch(BatchRequest::new())),
+            envelope(1, EngineJob::Program(program(2))),
         ]);
-        assert_eq!(units.len(), 7);
-        assert!(matches!(units[0], Unit::MvpSolo { .. }));
-        assert!(matches!(&units[1], Unit::ApFeedMany { chunks, .. } if chunks.len() == 1));
-        assert!(matches!(units[2], Unit::MvpBurst { .. }));
-        assert!(matches!(units[3], Unit::ApFinishMany { .. }));
-        assert!(matches!(units[4], Unit::MvpSolo { .. }));
-        assert!(matches!(&units[5], Unit::ApFeedMany { chunks, .. } if chunks.len() == 2));
-        assert!(matches!(units[6], Unit::ApFinishMany { .. }));
+        assert_eq!(units.len(), 3);
+        assert!(matches!(&units[0], Unit::MvpSolo { batch, .. } if batch.len() == 1));
+        assert!(matches!(&units[1], Unit::MvpBurst { tenant: 1, programs, .. }
+            if programs.len() == 2));
+        assert!(matches!(&units[2], Unit::MvpSolo { batch, .. } if batch.is_empty()));
     }
 }

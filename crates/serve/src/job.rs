@@ -175,14 +175,20 @@ struct Slot {
 /// A claim on a submitted job's eventual result.
 ///
 /// Obtained from `Service::submit`; [`wait`](Ticket::wait) blocks until
-/// a worker fulfils (or fails) the job. Dropping a ticket abandons the
-/// result without cancelling the job.
+/// a worker fulfils (or fails) the job. AP session jobs run on the
+/// submitting thread, so their tickets come back already resolved.
+/// Dropping a ticket abandons the result without cancelling the job.
 #[derive(Debug)]
 pub struct Ticket {
     slot: Arc<Slot>,
 }
 
 impl Ticket {
+    /// A ticket whose job already ran on the submitting thread.
+    pub(crate) fn resolved(result: Result<JobOutput, ServeError>) -> Self {
+        Self { slot: Arc::new(Slot { result: Mutex::new(Some(result)), ready: Condvar::new() }) }
+    }
+
     /// Blocks until the job completes.
     ///
     /// # Errors

@@ -10,9 +10,11 @@
 //! runtime):
 //!
 //! * [`Service`] — the front door: a pool of worker threads, each owning
-//!   one banked [`MvpSimulator`](memcim_mvp::MvpSimulator), fed from a
-//!   bounded MPMC queue with blocking backpressure
-//!   ([`Service::submit`] / [`Service::try_submit`]).
+//!   one banked [`MvpSimulator`](memcim_mvp::MvpSimulator) and serving
+//!   MVP and correlation work fed from a bounded MPMC queue with
+//!   blocking backpressure ([`Service::submit`] / [`Service::try_submit`]).
+//!   AP session jobs never queue: they run on the submitting thread and
+//!   return an already-resolved [`Ticket`].
 //! * [`Job`] — the work unit: MVP macro-instruction programs and
 //!   pre-assembled [`BatchRequest`](memcim_mvp::BatchRequest)s, plus
 //!   streaming AP chunks against sessions opened with

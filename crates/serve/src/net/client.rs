@@ -109,8 +109,8 @@ pub struct NetClient {
 
 impl NetClient {
     fn from_stream(stream: TcpStream) -> Self {
-        // Frames are written as header + body; NODELAY keeps Nagle from
-        // parking the second small write behind a delayed ACK.
+        // Requests are small: NODELAY keeps Nagle from parking one
+        // behind a delayed ACK (each frame leaves in one write).
         let _ = stream.set_nodelay(true);
         let addr = stream.peer_addr().ok();
         Self {

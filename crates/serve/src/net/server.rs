@@ -237,9 +237,10 @@ fn accept_loop(
             break;
         }
         let Ok(mut stream) = stream else { continue };
-        // Frames are written as header + body; without NODELAY, Nagle
-        // holds the second small write for the peer's delayed ACK and
-        // every round trip eats ~40 ms.
+        // Responses are small: without NODELAY, Nagle can hold one
+        // behind the peer's delayed ACK and a round trip eats ~40 ms.
+        // `write_frame` sends each frame in one write, so NODELAY costs
+        // no extra segments.
         let _ = stream.set_nodelay(true);
         // Reap finished handlers so the cap counts live connections.
         let mut still_running = Vec::with_capacity(handlers.len());
@@ -471,9 +472,9 @@ fn dispatch(
             if let Err(e) = admission.admit(tenant, 1, Instant::now()) {
                 return error_frame(&e);
             }
-            // Unlike `Submit`, a feed of an open streaming session may
-            // briefly block on queue backpressure (as AP feeds do on a
-            // saturated pool); only this connection's handler waits.
+            // Unlike `Submit`, a correlation feed may briefly block on
+            // queue backpressure; only this connection's handler waits.
+            // AP feeds never queue: they run on this handler thread.
             match service.corr_feed(tenant, session, &window) {
                 Ok(report) => Response::CorrFed(report),
                 Err(e) => error_frame(&e),
@@ -568,6 +569,7 @@ fn check_energy_budget(
 
 /// The non-blocking submit path: a full queue is a typed refusal
 /// (`QueueFull` → `OverCapacity` on the wire), never a blocked handler.
+/// AP session jobs never queue; they run on this handler thread.
 fn submit_and_wait(
     service: &Service,
     tenant: TenantId,

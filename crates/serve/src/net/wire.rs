@@ -1329,7 +1329,9 @@ pub fn read_frame(stream: &mut impl Read, max: usize) -> Result<Vec<u8>, FrameRe
 }
 
 /// Writes one frame: the 4-byte big-endian length of `body`, then
-/// `body` itself.
+/// `body` itself, assembled first and handed to `stream` in one write,
+/// so a `TCP_NODELAY` socket sends one segment instead of a lone
+/// header.
 ///
 /// # Errors
 ///
@@ -1344,8 +1346,10 @@ pub fn write_frame(stream: &mut impl Write, body: &[u8]) -> std::io::Result<()> 
             EncodeError { field: "frame body", value: body.len() },
         )
     })?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(body);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -1647,5 +1651,39 @@ mod tests {
         assert!(matches!(read_frame(&mut cut, 16), Err(FrameReadError::Truncated)));
         let mut zero = std::io::Cursor::new(vec![0, 0, 0, 0]);
         assert!(matches!(read_frame(&mut zero, 16), Err(FrameReadError::Truncated)));
+    }
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut sink = CountingWriter::default();
+        let bodies = [Request::Stats.encode().expect("encodes"), vec![7; 300]];
+        for (i, body) in bodies.iter().enumerate() {
+            write_frame(&mut sink, body).expect("writes");
+            assert_eq!(sink.writes, i + 1, "header and body leave in one write");
+        }
+        let mut cursor = std::io::Cursor::new(sink.bytes);
+        for body in &bodies {
+            assert_eq!(&read_frame(&mut cursor, 1024).expect("reads"), body);
+        }
+        assert!(matches!(read_frame(&mut cursor, 1024), Err(FrameReadError::Closed)));
     }
 }

@@ -14,10 +14,10 @@
 //! keeps unsharded jobs balanced. The router keeps both under one
 //! mutex: untargeted jobs go to the shared lane any worker may pop;
 //! targeted jobs go to the owner's mailbox, which that worker drains
-//! *first* on every pop. A worker thread outlives its engine (it still
-//! serves AP sessions after retirement), so a mailbox always has a live
-//! consumer — a job routed to a dead engine is popped by its worker and
-//! re-routed through the catalog rather than stranded.
+//! *first* on every pop. A worker thread outlives its engine, so a
+//! mailbox always has a live consumer — a job routed to a dead engine is
+//! popped by its worker and re-routed through the catalog rather than
+//! stranded.
 //!
 //! Capacity bounds the *total* of all lanes. `requeue` and `requeue_to`
 //! bypass the bound for items a worker already accepted, but still
@@ -84,6 +84,11 @@ impl<T> WorkRouter<T> {
     /// Items queued across all lanes.
     pub(crate) fn len(&self) -> usize {
         sync::lock(&self.state).len()
+    }
+
+    /// `true` once [`close`](Self::close) was called.
+    pub(crate) fn is_closed(&self) -> bool {
+        sync::lock(&self.state).closed
     }
 
     /// Enqueues on the shared lane, blocking on backpressure. Returns
@@ -284,7 +289,9 @@ mod tests {
         r.requeue_to(0, 3).expect("admitted once, lands");
         r.requeue(4).expect("admitted once, lands");
         assert_eq!(r.len(), 4);
+        assert!(!r.is_closed());
         r.close();
+        assert!(r.is_closed());
         assert_eq!(r.requeue_to(0, 5), Err(5));
         assert!(matches!(r.try_push(6), Err(PushRefused::Closed(6))));
         // Blocking pushes hand the item back once closed, too.

@@ -1,7 +1,7 @@
 //! The service front door: configuration, submission, worker pool,
 //! per-tenant accounting, shutdown.
 
-use crate::coalesce::{coalesce, Envelope, ShardRoute, Unit};
+use crate::coalesce::{coalesce, EngineJob, Envelope, ShardRoute, Unit};
 use crate::job::{ticket_pair, Responder, ShardedTicket};
 use crate::placement::{Catalog, PlacementConfig};
 use crate::router::{PushRefused, WorkRouter};
@@ -37,7 +37,8 @@ pub struct ServeConfig {
     /// Worker threads, each owning one banked MVP engine.
     pub workers: usize,
     /// Bounded queue depth; `submit` blocks (backpressure) and
-    /// `try_submit` refuses once this many jobs are pending.
+    /// `try_submit` refuses once this many engine jobs are pending. AP
+    /// session jobs never queue.
     pub queue_depth: usize,
     /// Maximum jobs a worker drains per scheduling burst (the
     /// coalescing window).
@@ -449,7 +450,7 @@ impl Shared {
     /// The submission gate: [`verify_program_cached`](Self::verify_program_cached)
     /// applied to every MVP program a job carries, and the
     /// [`MAX_LANES`] cap on AP feeds — both checked before the job is
-    /// queued, so a refusal touches no session and bills nothing.
+    /// queued or run, so a refusal touches no session and bills nothing.
     fn check_job(&self, tenant: TenantId, job: &Job) -> Result<(), ServeError> {
         match job {
             Job::MvpProgram(program) => self.verify_program_cached(tenant, program),
@@ -466,19 +467,56 @@ impl Shared {
             _ => Ok(()),
         }
     }
+
+    /// Runs one AP session job on the calling thread: checks the
+    /// session out, feeds `chunks` (lane `i` gets `chunks[i]`) or, for
+    /// `None`, finishes every lane, bills the tenant, and puts the
+    /// session back. The job is billed as one AP job through the
+    /// session's monotonic billing watermark.
+    fn run_ap_job(
+        &self,
+        tenant: TenantId,
+        session: SessionId,
+        chunks: Option<&[Vec<u8>]>,
+    ) -> Result<JobOutput, ServeError> {
+        let mut state = self.sessions.checkout_ap(session, tenant)?;
+        let output = match chunks {
+            // Lanes grow on demand to the chunk count (capped at
+            // submission).
+            Some(chunks) => JobOutput::ApFeedMany(state.processor.feed_many(chunks)),
+            None => {
+                let runs = state.processor.finish_all();
+                JobOutput::ApFinishMany(runs.iter().map(|run| ap_matches(&state, run)).collect())
+            }
+        };
+        let (symbols, energy, busy) = state.take_unaccounted();
+        self.account_ap(tenant, symbols, energy, busy);
+        self.sessions.put_back(session, StreamSession::Ap(state));
+        Ok(output)
+    }
+}
+
+/// What the submission gate made of a job.
+enum Admitted {
+    /// An AP session job, already run on the submitting thread.
+    Ran(Ticket),
+    /// Engine work, to be queued for the workers.
+    Queue(EngineJob),
 }
 
 /// A concurrent multi-tenant query service over the banked engines.
 ///
 /// `Service::start` spawns a pool of worker threads, each owning one
-/// banked [`MvpSimulator`]; clients [`submit`](Service::submit) jobs
-/// through a bounded queue (blocking backpressure; `try_submit` for the
-/// non-blocking variant) and wait on the returned [`Ticket`]. Workers
-/// drain the queue in bursts, coalescing each tenant's single-program
-/// MVP jobs into one [`BatchRequest`] execution, and stream AP jobs
-/// through per-session [`MultiStreamProcessor`]s checked out of a
-/// shared session table. Every completed job is billed to its tenant
-/// ([`tenant_usage`](Service::tenant_usage)) before its ticket resolves.
+/// banked [`MvpSimulator`] and serving MVP and correlation work; clients
+/// [`submit`](Service::submit) jobs through a bounded queue (blocking
+/// backpressure; `try_submit` for the non-blocking variant) and wait on
+/// the returned [`Ticket`]. Workers drain the queue in bursts,
+/// coalescing each tenant's single-program MVP jobs into one
+/// [`BatchRequest`] execution. AP session jobs never queue: they run on
+/// the submitting thread, through per-session [`MultiStreamProcessor`]s
+/// checked out of a shared session table. Every completed job is billed
+/// to its tenant ([`tenant_usage`](Service::tenant_usage)) before its
+/// ticket resolves.
 ///
 /// See the [crate-level example](crate).
 ///
@@ -592,8 +630,8 @@ impl Service {
 
     /// Worker engines retired from the pool after fault-fatal errors.
     /// Their in-flight jobs were requeued onto surviving engines —
-    /// tenants see degraded throughput, not failures. The workers keep
-    /// serving AP streaming jobs.
+    /// tenants see degraded throughput, not failures. AP sessions, which
+    /// never touch the engines, stream on unaffected.
     pub fn retired_engines(&self) -> usize {
         self.worker_count() - self.live_engines()
     }
@@ -675,8 +713,34 @@ impl Service {
         self.is_draining() && matches!(job, Job::MvpProgram(_) | Job::MvpBatch(_))
     }
 
-    /// Submits a job for `tenant`, blocking while the queue is full —
-    /// the backpressure path.
+    /// The gate both submit paths share: refuses new MVP work while
+    /// draining and whatever [`check_job`](Shared::check_job) refuses,
+    /// then runs an AP session job to completion on the calling thread.
+    /// Engine work comes back to be queued.
+    fn admit(&self, tenant: TenantId, job: Job) -> Result<Admitted, ServeError> {
+        if self.drain_refuses(&job) {
+            return Err(ServeError::ShuttingDown);
+        }
+        self.shared.check_job(tenant, &job)?;
+        let (session, chunks) = match job {
+            Job::MvpProgram(program) => return Ok(Admitted::Queue(EngineJob::Program(program))),
+            Job::MvpBatch(batch) => return Ok(Admitted::Queue(EngineJob::Batch(batch))),
+            Job::ApFeedMany { session, chunks } => (session, Some(chunks)),
+            Job::ApFinishMany { session } => (session, None),
+        };
+        if self.shared.queue.is_closed() {
+            return Err(ServeError::ShuttingDown);
+        }
+        let output = self.shared.run_ap_job(tenant, session, chunks.as_deref());
+        Ok(Admitted::Ran(Ticket::resolved(output)))
+    }
+
+    /// Submits a job for `tenant`. Engine jobs queue, blocking while the
+    /// queue is full — the backpressure path. AP session jobs
+    /// ([`Job::ApFeedMany`], [`Job::ApFinishMany`]) never queue: they
+    /// run on the calling thread and return an already-resolved ticket,
+    /// so a caller that submits several AP feeds before waiting runs
+    /// them one after another.
     ///
     /// # Errors
     ///
@@ -687,12 +751,13 @@ impl Service {
     /// an MVP program, and [`ServeError::Ap`] with
     /// [`ApError::UnknownStream`] for a [`Job::ApFeedMany`] of more
     /// than [`MAX_LANES`] chunks (nothing is queued or billed either
-    /// way).
+    /// way). An AP job's own failure, such as an unknown session, comes
+    /// back through its ticket.
     pub fn submit(&self, tenant: TenantId, job: Job) -> Result<Ticket, ServeError> {
-        if self.drain_refuses(&job) {
-            return Err(ServeError::ShuttingDown);
-        }
-        self.shared.check_job(tenant, &job)?;
+        let job = match self.admit(tenant, job)? {
+            Admitted::Ran(ticket) => return Ok(ticket),
+            Admitted::Queue(job) => job,
+        };
         let (ticket, responder) = ticket_pair();
         self.shared
             .queue
@@ -701,19 +766,21 @@ impl Service {
         Ok(ticket)
     }
 
-    /// Submits without blocking.
+    /// Submits without blocking. AP session jobs run on the calling
+    /// thread exactly as in [`submit`](Self::submit): they never see
+    /// [`ServeError::QueueFull`].
     ///
     /// # Errors
     ///
-    /// [`ServeError::QueueFull`] when the queue is at capacity,
-    /// [`ServeError::ShuttingDown`] once the service is closing or
-    /// [draining](Self::begin_drain) (for new MVP work), and the
-    /// submission refusals of [`submit`](Self::submit).
+    /// [`ServeError::QueueFull`] when an engine job meets a queue at
+    /// capacity, [`ServeError::ShuttingDown`] once the service is
+    /// closing or [draining](Self::begin_drain) (for new MVP work), and
+    /// the submission refusals of [`submit`](Self::submit).
     pub fn try_submit(&self, tenant: TenantId, job: Job) -> Result<Ticket, ServeError> {
-        if self.drain_refuses(&job) {
-            return Err(ServeError::ShuttingDown);
-        }
-        self.shared.check_job(tenant, &job)?;
+        let job = match self.admit(tenant, job)? {
+            Admitted::Ran(ticket) => return Ok(ticket),
+            Admitted::Queue(job) => job,
+        };
         let (ticket, responder) = ticket_pair();
         match self.shared.queue.try_push(Envelope { tenant, job, route: None, responder }) {
             Ok(()) => Ok(ticket),
@@ -797,7 +864,7 @@ impl Service {
                 Some(worker) => {
                     let envelope = Envelope {
                         tenant,
-                        job: Job::MvpProgram(program),
+                        job: EngineJob::Program(program),
                         route: Some(ShardRoute { shard, attempts: 0 }),
                         responder,
                     };
@@ -813,7 +880,7 @@ impl Service {
     /// Enqueues one engine sub-program of an open streaming session on
     /// the shared (unrouted) lane, bypassing the drain gate: feeds of
     /// open sessions keep passing while the service drains, exactly
-    /// like AP feed jobs.
+    /// like AP feeds.
     fn push_streaming_program(
         &self,
         tenant: TenantId,
@@ -822,7 +889,7 @@ impl Service {
         let (ticket, responder) = ticket_pair();
         self.shared
             .queue
-            .push(Envelope { tenant, job: Job::MvpProgram(program), route: None, responder })
+            .push(Envelope { tenant, job: EngineJob::Program(program), route: None, responder })
             .map_err(|_| ServeError::ShuttingDown)?;
         Ok(ticket)
     }
@@ -1157,7 +1224,7 @@ fn retire_engine(engine: &mut Option<Engine>, shared: &Shared, worker: usize) {
 /// Re-routes one MVP job whose assigned engine is gone: back onto the
 /// queue while healthy engines remain, otherwise an explicit failure —
 /// a ticket is never stranded.
-fn divert(tenant: TenantId, job: Job, responder: Responder, shared: &Shared) {
+fn divert(tenant: TenantId, job: EngineJob, responder: Responder, shared: &Shared) {
     if shared.live_engines.load(Ordering::SeqCst) == 0 {
         responder.fulfil(Err(ServeError::NoHealthyEngine));
         return;
@@ -1208,7 +1275,7 @@ fn divert_routed(
         Some(worker) => {
             let envelope = Envelope {
                 tenant,
-                job: Job::MvpProgram(program),
+                job: EngineJob::Program(program),
                 route: Some(ShardRoute { shard: route.shard, attempts }),
                 responder,
             };
@@ -1218,8 +1285,8 @@ fn divert_routed(
         }
     }
     // Bounded backoff, growing with the attempt count: this thread has
-    // no engine (only AP work can still reach it), so sleeping here
-    // costs survivors nothing while spacing out repeated failovers.
+    // no engine, so sleeping here costs survivors nothing while spacing
+    // out repeated failovers.
     let backoff = 1u64 << route.attempts.min(3);
     std::thread::sleep(std::time::Duration::from_millis(backoff));
 }
@@ -1234,7 +1301,7 @@ fn divert_program(
 ) {
     match route {
         Some(route) => divert_routed(tenant, program, route, responder, shared),
-        None => divert(tenant, Job::MvpProgram(program), responder, shared),
+        None => divert(tenant, EngineJob::Program(program), responder, shared),
     }
 }
 
@@ -1300,35 +1367,6 @@ fn execute_unit(unit: Unit, engine: &mut Option<Engine>, shared: &Shared, worker
             let jobs = 1;
             run_solo(tenant, batch, jobs, responder, engine, shared, worker);
         }
-        Unit::ApFeedMany { tenant, session, chunks, responder } => {
-            match shared.sessions.checkout_ap(session, tenant) {
-                Ok(mut state) => {
-                    // Lanes grow on demand to the chunk count (capped at
-                    // submission); the batch is billed as one AP job via
-                    // the monotonic billing watermark.
-                    let reports = state.processor.feed_many(&chunks);
-                    let (symbols, energy, busy) = state.take_unaccounted();
-                    shared.account_ap(tenant, symbols, energy, busy);
-                    shared.sessions.put_back(session, StreamSession::Ap(state));
-                    responder.fulfil(Ok(JobOutput::ApFeedMany(reports)));
-                }
-                Err(e) => responder.fulfil(Err(e)),
-            }
-        }
-        Unit::ApFinishMany { tenant, session, responder } => {
-            match shared.sessions.checkout_ap(session, tenant) {
-                Ok(mut state) => {
-                    let runs = state.processor.finish_all();
-                    let (symbols, energy, busy) = state.take_unaccounted();
-                    shared.account_ap(tenant, symbols, energy, busy);
-                    let results: Vec<ApMatches> =
-                        runs.iter().map(|run| ap_matches(&state, run)).collect();
-                    shared.sessions.put_back(session, StreamSession::Ap(state));
-                    responder.fulfil(Ok(JobOutput::ApFinishMany(results)));
-                }
-                Err(e) => responder.fulfil(Err(e)),
-            }
-        }
     }
 }
 
@@ -1357,7 +1395,7 @@ fn run_solo(
     worker: usize,
 ) {
     let Some(mvp) = engine.as_mut() else {
-        divert(tenant, Job::MvpBatch(batch), responder, shared);
+        divert(tenant, EngineJob::Batch(batch), responder, shared);
         return;
     };
     match mvp.run_batch(&batch) {
@@ -1369,7 +1407,7 @@ fn run_solo(
         }
         Err(e) if is_engine_fatal(&e) => {
             retire_engine(engine, shared, worker);
-            divert(tenant, Job::MvpBatch(batch), responder, shared);
+            divert(tenant, EngineJob::Batch(batch), responder, shared);
         }
         Err(e) => responder.fulfil(Err(e.into())),
     }
@@ -1424,5 +1462,28 @@ impl ApSession {
         self.accounted_energy = billing.energy;
         self.accounted_latency = billing.latency;
         (symbols, energy, busy)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `shutdown` consumes the service, so only the crate can submit
+    /// after the close: AP jobs are refused exactly like queued ones.
+    #[test]
+    fn ap_jobs_are_refused_once_the_service_closed() {
+        let mut service =
+            Service::start(ServeConfig::default().with_workers(1).with_mvp_geometry(8, 2, 32));
+        let session = service.open_session(1, &["ab"]).expect("compiles");
+        service.close_and_join(false);
+        for job in [
+            Job::ApFeedMany { session, chunks: vec![b"ab".to_vec()] },
+            Job::ApFinishMany { session },
+        ] {
+            assert!(matches!(service.submit(1, job.clone()), Err(ServeError::ShuttingDown)));
+            assert!(matches!(service.try_submit(1, job), Err(ServeError::ShuttingDown)));
+        }
+        assert!(service.tenant_usage(1).is_none(), "a refused AP job bills nothing");
     }
 }

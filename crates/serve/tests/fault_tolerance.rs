@@ -193,7 +193,7 @@ fn dead_pool_fails_fast_and_keeps_streaming() {
     let later = service.submit(3, Job::MvpProgram(query(1))).expect("running").wait();
     assert!(matches!(later, Err(ServeError::NoHealthyEngine)));
 
-    // The worker thread is still alive and serves AP sessions.
+    // AP sessions never touch the engines: they keep streaming.
     let session = service.open_session(3, &["abc"]).expect("compiles");
     let run = service
         .submit(3, Job::ApFeedMany { session, chunks: vec![b"abc".to_vec()] })

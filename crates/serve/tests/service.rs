@@ -3,8 +3,11 @@
 
 use memcim_ap::ApError;
 use memcim_bits::BitVec;
+use memcim_crossbar::{BankedCrossbar, CrossbarBackend, CrossbarError, OpLedger, ScoutingKind};
 use memcim_mvp::{BatchRequest, Instruction, MvpSimulator};
-use memcim_serve::{Job, JobOutput, ServeConfig, ServeError, Service, MAX_LANES};
+use memcim_serve::{BoxedBackend, Job, JobOutput, ServeConfig, ServeError, Service, MAX_LANES};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn two_worker_config() -> ServeConfig {
     ServeConfig::default().with_workers(2).with_mvp_geometry(8, 4, 32)
@@ -263,5 +266,142 @@ fn over_cap_lane_feeds_are_refused_typed_and_charge_nothing() {
     assert_eq!(runs.len(), 1, "no lanes were grown by the refused feed");
     assert_eq!(runs[0].matches, vec![(2, 0)]);
     assert_eq!(service.tenant_usage(3).expect("billed").ap_symbols, 3);
+    service.shutdown();
+}
+
+#[test]
+fn ap_jobs_return_already_resolved_tickets() {
+    let service = Service::start(two_worker_config());
+    let session = service.open_session(4, &["ab"]).expect("compiles");
+    let feed = || Job::ApFeedMany { session, chunks: vec![b"xab".to_vec()] };
+    let finish = || Job::ApFinishMany { session };
+    for ticket in [
+        service.submit(4, feed()),
+        service.try_submit(4, feed()),
+        service.submit(4, finish()),
+        service.try_submit(4, finish()),
+        // A failing AP job resolves at submission too, with its error.
+        service.submit(4, Job::ApFinishMany { session: 999 }),
+    ] {
+        assert!(ticket.expect("admitted").is_ready(), "AP jobs run on the submitting thread");
+    }
+    assert_eq!(service.pending(), 0, "nothing was queued");
+    assert_eq!(service.tenant_usage(4).expect("billed").ap_jobs, 4);
+    service.shutdown();
+}
+
+/// A substrate whose `program_row` parks until released — the
+/// deterministic way to hold the only worker busy while the queue
+/// fills.
+struct GateBackend {
+    inner: BankedCrossbar,
+    entered: Arc<AtomicUsize>,
+    release: Arc<AtomicBool>,
+}
+
+impl CrossbarBackend for GateBackend {
+    fn rows(&self) -> usize {
+        self.inner.rows()
+    }
+
+    fn cols(&self) -> usize {
+        self.inner.cols()
+    }
+
+    fn program_row(&mut self, row: usize, values: &BitVec) -> Result<u64, CrossbarError> {
+        self.entered.fetch_add(1, Ordering::SeqCst);
+        while !self.release.load(Ordering::SeqCst) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        self.inner.program_row(row, values)
+    }
+
+    fn read_row(&mut self, row: usize) -> Result<BitVec, CrossbarError> {
+        self.inner.read_row(row)
+    }
+
+    fn scouting(&mut self, kind: ScoutingKind, rows: &[usize]) -> Result<BitVec, CrossbarError> {
+        self.inner.scouting(kind, rows)
+    }
+
+    fn scouting_write(
+        &mut self,
+        kind: ScoutingKind,
+        rows: &[usize],
+        dest: usize,
+    ) -> Result<BitVec, CrossbarError> {
+        self.inner.scouting_write(kind, rows, dest)
+    }
+
+    fn ledger_parts(&self) -> Vec<OpLedger> {
+        self.inner.ledger_parts()
+    }
+}
+
+/// Opens the gate when dropped, so a failing assertion unwinds instead
+/// of joining a worker parked behind the gate forever.
+struct OpenOnDrop(Arc<AtomicBool>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+/// With the only worker parked on a gated engine and the depth-1 queue
+/// full, engine work is refused with `QueueFull` — but AP feeds and
+/// finishes never queue, so they complete on the submitting thread.
+#[test]
+fn ap_jobs_complete_while_the_only_worker_is_parked_and_the_queue_is_full() {
+    let entered = Arc::new(AtomicUsize::new(0));
+    let release = Arc::new(AtomicBool::new(false));
+    let config = {
+        let entered = Arc::clone(&entered);
+        let release = Arc::clone(&release);
+        ServeConfig::default()
+            .with_workers(1)
+            .with_queue_depth(1)
+            .with_max_burst(1)
+            .with_mvp_geometry(8, 2, 32)
+            .with_engine_factory(move |_| -> BoxedBackend {
+                Box::new(GateBackend {
+                    inner: BankedCrossbar::rram(8, 2, 32),
+                    entered: Arc::clone(&entered),
+                    release: Arc::clone(&release),
+                })
+            })
+    };
+    let width = config.mvp_width();
+    let service = Service::start(config);
+    let gate = OpenOnDrop(release);
+    let program = || Job::MvpProgram(query_program(width, 0));
+    let parked = service.submit(1, program()).expect("queues");
+    while entered.load(Ordering::SeqCst) == 0 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let queued = service.submit(1, program()).expect("fills the depth-1 queue");
+    assert!(matches!(service.try_submit(1, program()), Err(ServeError::QueueFull { depth: 1 })));
+
+    let session = service.open_session(2, &["ab"]).expect("compiles on this thread");
+    let feed = || Job::ApFeedMany { session, chunks: vec![b"xab".to_vec(), b"ab".to_vec()] };
+    let fed = service.try_submit(2, feed()).expect("no QueueFull").wait().expect("feeds");
+    assert_eq!(fed.into_ap_feed_many().expect("feed").len(), 2);
+    service.submit(2, feed()).expect("no blocking on the full queue").wait().expect("feeds");
+    let runs = service
+        .try_submit(2, Job::ApFinishMany { session })
+        .expect("no QueueFull")
+        .wait()
+        .expect("finishes")
+        .into_ap_finish_many()
+        .expect("finish");
+    assert_eq!(runs[0].matches, vec![(2, 0), (5, 0)]);
+    assert_eq!(runs[1].matches, vec![(1, 0), (3, 0)]);
+    assert_eq!(service.tenant_usage(2).expect("billed").ap_symbols, 10);
+    assert_eq!(service.pending(), 1, "the engine job is still queued behind the gate");
+
+    drop(gate);
+    for ticket in [parked, queued] {
+        assert!(ticket.wait().expect("runs once released").into_mvp().is_some());
+    }
     service.shutdown();
 }
