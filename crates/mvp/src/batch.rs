@@ -157,6 +157,7 @@ impl<B: CrossbarBackend> MvpSimulator<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Violation;
 
     fn query(shift: usize, width: usize) -> Vec<Instruction> {
         vec![
@@ -253,6 +254,9 @@ mod tests {
         let batch = BatchRequest::new()
             .with_program(vec![Instruction::Read { row: 99 }])
             .with_program(query(0, 32));
-        assert!(matches!(mvp.run_batch(&batch), Err(MvpError::RowOutOfRange { row: 99, .. })));
+        assert!(matches!(
+            mvp.run_batch(&batch),
+            Err(MvpError::Invalid(Violation::RowOutOfRange { row: 99, .. }))
+        ));
     }
 }

@@ -706,7 +706,8 @@ mod tests {
         let acc = CorrelationAccumulator::new(24).expect("streams");
         let window = vec![BitVec::new(32); 24];
         let plan = acc.feed_plan(&window, 64).expect("plan");
-        let top = plan.iter().flat_map(Instruction::touched_rows).max().expect("nonempty");
-        assert!(top < rows_needed(24), "row {top} escapes {}", rows_needed(24));
+        for instr in &plan {
+            assert_eq!(instr.check(rows_needed(24), 64), Ok(()), "{instr:?}");
+        }
     }
 }

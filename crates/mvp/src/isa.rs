@@ -1,5 +1,6 @@
 //! The MVP macro-instruction set.
 
+use crate::Violation;
 use memcim_bits::BitVec;
 
 /// A macro-instruction sent by the host core to the MVP (Fig. 2b: each
@@ -50,18 +51,56 @@ pub enum Instruction {
 }
 
 impl Instruction {
-    /// Rows this instruction touches (for dependency/diagnostic tooling).
-    pub fn touched_rows(&self) -> Vec<usize> {
+    /// Checks this instruction against a `rows × width` array: the six
+    /// MVP admission rules, written once here for the simulator, the
+    /// static verifier and the serve gate. The first broken rule is
+    /// reported, in this order: rows in range (sources before the
+    /// destination), store width, then `Or`/`And` arity, destination
+    /// alias and repeated sources, or `Xor` operand equality then
+    /// destination alias.
+    ///
+    /// # Errors
+    ///
+    /// The first [`Violation`] the instruction commits.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use memcim_mvp::{Instruction, Violation};
+    ///
+    /// let xor = Instruction::Xor { a: 3, b: 3, dst: 4 };
+    /// assert_eq!(xor.check(8, 64), Err(Violation::XorOperandsEqual { row: 3 }));
+    /// assert_eq!(xor.check(4, 64), Err(Violation::RowOutOfRange { row: 4, rows: 4 }));
+    /// ```
+    pub fn check(&self, rows: usize, width: usize) -> Result<(), Violation> {
+        let in_range = |&row: &usize| require(row < rows, Violation::RowOutOfRange { row, rows });
         match self {
-            Instruction::Store { row, .. } | Instruction::Read { row } => vec![*row],
-            Instruction::Or { srcs, dst } | Instruction::And { srcs, dst } => {
-                let mut v = srcs.clone();
-                v.push(*dst);
-                v
+            Instruction::Store { row, data } => {
+                in_range(row)?;
+                require(data.len() == width, Violation::StoreWidth { got: data.len(), width })
             }
-            Instruction::Xor { a, b, dst } => vec![*a, *b, *dst],
+            Instruction::Or { srcs, dst } | Instruction::And { srcs, dst } => {
+                srcs.iter().chain([dst]).try_for_each(in_range)?;
+                require(srcs.len() >= 2, Violation::ScoutingArity { got: srcs.len() })?;
+                require(!srcs.contains(dst), Violation::DestAliasesSource { dst: *dst })?;
+                srcs.iter()
+                    .enumerate()
+                    .find_map(|(i, r)| srcs[..i].contains(r).then_some(*r))
+                    .map_or(Ok(()), |row| Err(Violation::DuplicateSources { row }))
+            }
+            Instruction::Xor { a, b, dst } => {
+                [a, b, dst].into_iter().try_for_each(in_range)?;
+                require(a != b, Violation::XorOperandsEqual { row: *a })?;
+                require(dst != a && dst != b, Violation::DestAliasesSource { dst: *dst })
+            }
+            Instruction::Read { row } => in_range(row),
         }
     }
+}
+
+/// `Ok` when the rule holds, else the violation it names.
+fn require(rule_holds: bool, broken: Violation) -> Result<(), Violation> {
+    rule_holds.then_some(()).ok_or(broken)
 }
 
 #[cfg(test)]
@@ -69,12 +108,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn touched_rows_cover_all_operands() {
-        let i = Instruction::And { srcs: vec![1, 2, 3], dst: 9 };
-        assert_eq!(i.touched_rows(), vec![1, 2, 3, 9]);
-        let x = Instruction::Xor { a: 0, b: 5, dst: 6 };
-        assert_eq!(x.touched_rows(), vec![0, 5, 6]);
-        let r = Instruction::Read { row: 4 };
-        assert_eq!(r.touched_rows(), vec![4]);
+    fn check_reports_the_first_out_of_range_operand() {
+        let rows = 8;
+        let and = Instruction::And { srcs: vec![1, 9, 10], dst: 11 };
+        assert_eq!(and.check(rows, 4), Err(Violation::RowOutOfRange { row: 9, rows }));
+        let and = Instruction::And { srcs: vec![1, 2], dst: 11 };
+        assert_eq!(and.check(rows, 4), Err(Violation::RowOutOfRange { row: 11, rows }));
+        let xor = Instruction::Xor { a: 0, b: 12, dst: 9 };
+        assert_eq!(xor.check(rows, 4), Err(Violation::RowOutOfRange { row: 12, rows }));
+        assert_eq!(Instruction::Read { row: 4 }.check(rows, 4), Ok(()));
     }
 }

@@ -73,7 +73,7 @@ pub mod workloads;
 
 pub use arch::{evaluate, ArchComparison, Metrics, MissRates, SystemConfig};
 pub use batch::{BatchReport, BatchRequest};
-pub use error::MvpError;
+pub use error::{MvpError, Violation};
 pub use isa::Instruction;
 pub use sharded::ShardMap;
 pub use simulator::MvpSimulator;

@@ -110,31 +110,25 @@ impl<B: CrossbarBackend> MvpSimulator<B> {
     ///
     /// # Errors
     ///
-    /// Returns [`MvpError::RowOutOfRange`] / [`MvpError::InvalidOperands`]
-    /// for malformed instructions and propagates crossbar failures.
+    /// Returns [`MvpError::Invalid`] for the first instruction that
+    /// fails [`Instruction::check`] against this array, and propagates
+    /// crossbar failures.
     pub fn run_program(&mut self, program: &[Instruction]) -> Result<Vec<BitVec>, MvpError> {
+        let (rows, width) = (self.rows(), self.width());
         let mut outputs = Vec::new();
         for instr in program {
-            self.check_rows(instr)?;
+            instr.check(rows, width).map_err(MvpError::Invalid)?;
             match instr {
                 Instruction::Store { row, data } => {
                     self.xbar.program_row(*row, data)?;
                 }
                 Instruction::Or { srcs, dst } => {
-                    self.validate_sources(srcs, *dst)?;
                     self.xbar.scouting_write(ScoutingKind::Or, srcs, *dst)?;
                 }
                 Instruction::And { srcs, dst } => {
-                    self.validate_sources(srcs, *dst)?;
                     self.xbar.scouting_write(ScoutingKind::And, srcs, *dst)?;
                 }
                 Instruction::Xor { a, b, dst } => {
-                    if a == b {
-                        return Err(MvpError::InvalidOperands {
-                            constraint: "xor operands must be distinct rows",
-                        });
-                    }
-                    self.validate_sources(&[*a, *b], *dst)?;
                     self.xbar.scouting_write(ScoutingKind::Xor, &[*a, *b], *dst)?;
                 }
                 Instruction::Read { row } => {
@@ -144,34 +138,12 @@ impl<B: CrossbarBackend> MvpSimulator<B> {
         }
         Ok(outputs)
     }
-
-    fn check_rows(&self, instr: &Instruction) -> Result<(), MvpError> {
-        for row in instr.touched_rows() {
-            if row >= self.xbar.rows() {
-                return Err(MvpError::RowOutOfRange { row, rows: self.xbar.rows() });
-            }
-        }
-        Ok(())
-    }
-
-    fn validate_sources(&self, srcs: &[usize], dst: usize) -> Result<(), MvpError> {
-        if srcs.len() < 2 {
-            return Err(MvpError::InvalidOperands {
-                constraint: "scouting needs at least two source rows",
-            });
-        }
-        if srcs.contains(&dst) {
-            return Err(MvpError::InvalidOperands {
-                constraint: "destination must differ from the sources",
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Violation;
 
     fn store(row: usize, bits: &[usize]) -> Instruction {
         Instruction::Store { row, data: BitVec::from_indices(128, bits) }
@@ -234,23 +206,32 @@ mod tests {
 
     #[test]
     fn malformed_programs_are_rejected() {
-        let mut mvp = MvpSimulator::new(8, 64);
-        assert!(matches!(
-            mvp.run_program(&[Instruction::Read { row: 99 }]),
-            Err(MvpError::RowOutOfRange { row: 99, .. })
-        ));
-        assert!(matches!(
-            mvp.run_program(&[Instruction::Or { srcs: vec![0], dst: 2 }]),
-            Err(MvpError::InvalidOperands { .. })
-        ));
-        assert!(matches!(
-            mvp.run_program(&[Instruction::And { srcs: vec![0, 1], dst: 1 }]),
-            Err(MvpError::InvalidOperands { .. })
-        ));
-        assert!(matches!(
-            mvp.run_program(&[Instruction::Xor { a: 3, b: 3, dst: 4 }]),
-            Err(MvpError::InvalidOperands { .. })
-        ));
+        let cases = [
+            (Instruction::Read { row: 99 }, Violation::RowOutOfRange { row: 99, rows: 8 }),
+            (
+                Instruction::Store { row: 0, data: BitVec::new(63) },
+                Violation::StoreWidth { got: 63, width: 64 },
+            ),
+            (Instruction::Or { srcs: vec![0], dst: 2 }, Violation::ScoutingArity { got: 1 }),
+            (
+                Instruction::And { srcs: vec![0, 1], dst: 1 },
+                Violation::DestAliasesSource { dst: 1 },
+            ),
+            (Instruction::Xor { a: 3, b: 3, dst: 4 }, Violation::XorOperandsEqual { row: 3 }),
+            (
+                Instruction::Or { srcs: vec![0, 1, 0], dst: 2 },
+                Violation::DuplicateSources { row: 0 },
+            ),
+        ];
+        for (instr, violation) in cases {
+            let mut mvp = MvpSimulator::new(8, 64);
+            assert_eq!(
+                mvp.run_program(std::slice::from_ref(&instr)),
+                Err(MvpError::Invalid(violation)),
+                "{instr:?}"
+            );
+            assert_eq!(mvp.ledger(), OpLedger::default(), "{instr:?} reached the array");
+        }
     }
 
     #[test]

@@ -186,12 +186,13 @@ impl From<ApError> for ServeError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memcim_mvp::Violation;
 
     #[test]
     fn messages_are_specific() {
         assert!(ServeError::QueueFull { depth: 8 }.to_string().contains('8'));
         assert!(ServeError::UnknownSession { session: 42 }.to_string().contains("42"));
-        let e: ServeError = MvpError::RowOutOfRange { row: 9, rows: 4 }.into();
+        let e: ServeError = MvpError::Invalid(Violation::RowOutOfRange { row: 9, rows: 4 }).into();
         assert!(e.to_string().contains("row 9"));
         assert!(ServeError::RateLimited { tenant: 3 }.to_string().contains("tenant 3"));
         let quota = ServeError::QuotaExceeded { tenant: 5, limit: 100 };
@@ -219,8 +220,9 @@ mod tests {
     #[test]
     fn sources_chain() {
         use std::error::Error as _;
-        let e: ServeError = MvpError::InvalidOperands { constraint: "x" }.into();
-        assert!(e.source().is_some());
+        let e: ServeError = MvpError::Invalid(Violation::ScoutingArity { got: 1 }).into();
+        let mvp = e.source().expect("the MVP error");
+        assert!(mvp.source().is_some(), "the violation chains under it");
         assert!(ServeError::ShuttingDown.source().is_none());
     }
 }

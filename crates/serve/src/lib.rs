@@ -59,13 +59,13 @@
 //!   while queued jobs execute and open AP sessions stream to
 //!   completion, so a restart strands no ticket and bills exactly what
 //!   completed.
-//! * **Admission-time verification** — every MVP program is statically
-//!   verified against the engine geometry before it is queued
-//!   ([`ServeConfig::verify_program`], on by default): a
-//!   provably-invalid program is refused with the typed
-//!   [`ServeError::InvalidProgram`] — on the wire, an `InvalidProgram`
-//!   error frame — before anything is billed or queued, while lint-only
-//!   findings never block. Tenants may additionally carry a
+//! * **Admission-time verification** — every MVP program is checked
+//!   against the engine geometry before it is queued
+//!   ([`ServeConfig::verify_program`], which calls
+//!   [`Instruction::check`](memcim_mvp::Instruction::check)): an invalid
+//!   program is refused with the typed [`ServeError::InvalidProgram`] —
+//!   on the wire, an `InvalidProgram` error frame — before anything is
+//!   billed or queued; lints are never run here. Tenants may additionally carry a
 //!   per-submission *static energy budget*
 //!   ([`net::TenantPolicy::with_energy_budget`]) checked against the
 //!   verifier's cost bound.

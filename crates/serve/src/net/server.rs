@@ -7,9 +7,9 @@
 //! verb is the contract this module exists for:
 //!
 //! 1. **auth** — the connection must have sent `Hello`;
-//! 2. **verify** — every `Submit` program is statically verified
-//!    against the engine geometry ([`ServeConfig::verify_program`]);
-//!    a provably-invalid program is refused with a typed
+//! 2. **verify** — every `Submit` program is checked against the
+//!    engine geometry ([`ServeConfig::verify_program`]);
+//!    an invalid program is refused with a typed
 //!    [`ErrorCode::InvalidProgram`] frame, and a tenant with an energy
 //!    budget has the submission's static cost bound checked — both
 //!    *before* anything is billed or queued;

@@ -16,6 +16,7 @@ use memcim_bits::BitVec;
 use memcim_crossbar::{BankedCrossbar, CrossbarBackend, EccCrossbar, HammingCode, OpLedger};
 use memcim_mvp::{correlation, BatchRequest, Instruction, MvpError, MvpSimulator, ShardMap};
 use memcim_units::{Joules, Seconds};
+use memcim_verify::Code;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -59,13 +60,6 @@ pub struct ServeConfig {
     pub mvp_spare_rows: usize,
     /// Stuck-cell count at which a row is retired onto a spare.
     pub mvp_fault_threshold: usize,
-    /// Statically verify every MVP program at submission against the
-    /// engine geometry (`memcim_verify::verify_program`), refusing
-    /// provably-invalid programs with [`ServeError::InvalidProgram`]
-    /// *before* they are queued or billed. On by default; turn off to
-    /// let bad programs reach the engines and fail there (e.g. to
-    /// exercise runtime error isolation).
-    pub verify_programs: bool,
     /// Hardware backend for AP sessions.
     pub ap_backend: ApBackend,
     /// Overrides engine construction per worker index — fault-injection
@@ -91,7 +85,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("mvp_ecc", &self.mvp_ecc)
             .field("mvp_spare_rows", &self.mvp_spare_rows)
             .field("mvp_fault_threshold", &self.mvp_fault_threshold)
-            .field("verify_programs", &self.verify_programs)
             .field("ap_backend", &self.ap_backend)
             .field("engine_factory", &self.engine_factory.as_ref().map(|_| "<custom>"))
             .field("placement", &self.placement)
@@ -111,7 +104,6 @@ impl Default for ServeConfig {
             mvp_ecc: false,
             mvp_spare_rows: 0,
             mvp_fault_threshold: 1,
-            verify_programs: true,
             ap_backend: ApBackend::rram(),
             engine_factory: None,
             placement: None,
@@ -196,41 +188,31 @@ impl ServeConfig {
         self
     }
 
-    /// Enables or disables static program verification at submission
-    /// (see the [`verify_programs`](Self::verify_programs) field).
-    #[must_use]
-    pub fn with_program_verification(mut self, verify: bool) -> Self {
-        self.verify_programs = verify;
-        self
-    }
-
     /// The logical vector width every MVP job must match.
     pub fn mvp_width(&self) -> usize {
         self.mvp_banks * self.mvp_bank_cols
     }
 
-    /// Statically verifies one MVP program against this configuration's
-    /// engine geometry, converting the first Error-severity diagnostic
-    /// into the typed refusal the admission gate answers with. A no-op
-    /// when [`verify_programs`](Self::verify_programs) is off.
+    /// Checks one MVP program against this configuration's engine
+    /// geometry with [`Instruction::check`], the engines' own admission
+    /// rules, so a program refused here would fail at an engine and one
+    /// admitted here does not fail its shape checks there. Every MVP
+    /// program is gated this way before it is queued or billed.
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidProgram`] carrying the diagnostic's stable
-    /// code, instruction index and message.
+    /// [`ServeError::InvalidProgram`] for the first failing instruction,
+    /// carrying its stable diagnostic code (`memcim_verify::Code`),
+    /// index and message.
     pub fn verify_program(&self, program: &[Instruction]) -> Result<(), ServeError> {
-        if !self.verify_programs {
-            return Ok(());
-        }
-        let diagnostics = memcim_verify::verify_program(program, self.mvp_rows, self.mvp_width());
-        match memcim_verify::first_error(&diagnostics) {
-            Some(d) => Err(ServeError::InvalidProgram {
-                code: d.code.as_str().to_string(),
-                index: d.index,
-                message: d.message.clone(),
-            }),
-            None => Ok(()),
-        }
+        let (rows, width) = (self.mvp_rows, self.mvp_width());
+        program.iter().enumerate().try_for_each(|(index, instr)| {
+            instr.check(rows, width).map_err(|v| ServeError::InvalidProgram {
+                code: Code::from(&v).as_str().to_string(),
+                index,
+                message: v.to_string(),
+            })
+        })
     }
 
     /// Builds one worker's substrate per the configuration (or the
@@ -427,16 +409,12 @@ impl Shared {
     /// cache: a program this tenant already had admitted skips
     /// re-verification (confirmed by full program equality, so a hit is
     /// exactly as safe as a fresh run). Only successful verifications
-    /// are cached; with verification disabled nothing is cached or
-    /// counted.
+    /// are cached.
     fn verify_program_cached(
         &self,
         tenant: TenantId,
         program: &[Instruction],
     ) -> Result<(), ServeError> {
-        if !self.config.verify_programs {
-            return Ok(());
-        }
         if sync::lock(&self.verify_cache).contains(tenant, program) {
             self.mvp_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(());

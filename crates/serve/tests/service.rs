@@ -4,7 +4,7 @@
 use memcim_ap::ApError;
 use memcim_bits::BitVec;
 use memcim_crossbar::{BankedCrossbar, CrossbarBackend, CrossbarError, OpLedger, ScoutingKind};
-use memcim_mvp::{BatchRequest, Instruction, MvpSimulator};
+use memcim_mvp::{BatchRequest, Instruction, MvpError, MvpSimulator};
 use memcim_serve::{BoxedBackend, Job, JobOutput, ServeConfig, ServeError, Service, MAX_LANES};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -75,22 +75,78 @@ fn tenant_accounting_is_complete_and_visible_before_tickets_resolve() {
 
 #[test]
 fn a_bad_job_does_not_poison_its_burst_neighbours() {
-    // Verification off: this test is about *runtime* error isolation,
-    // so the bad program must reach the engine instead of being
-    // refused at submission.
-    let config = two_worker_config().with_workers(1).with_program_verification(false);
+    // This test is about *runtime* error isolation: the bad program is
+    // well-formed, so it passes admission, and fails only at the engine,
+    // whose substrate refuses reads of one row with an error that is
+    // not fault-fatal (the engine stays in the pool).
+    let config = two_worker_config().with_workers(1).with_engine_factory(|_| -> BoxedBackend {
+        Box::new(PoisonedRowBackend(BankedCrossbar::rram(8, 4, 32)))
+    });
     let width = config.mvp_width();
     let service = Service::start(config);
     // Same tenant, same burst window: good, bad, good. Whether or not
     // they coalesce, the bad one must fail alone.
     let good1 = service.submit(7, Job::MvpProgram(query_program(width, 0))).unwrap();
-    let bad = service.submit(7, Job::MvpProgram(vec![Instruction::Read { row: 999 }])).unwrap();
+    let bad = service.submit(7, Job::MvpProgram(vec![Instruction::Read { row: POISONED_ROW }]));
     let good2 = service.submit(7, Job::MvpProgram(query_program(width, 3))).unwrap();
     assert!(good1.wait().is_ok());
-    assert!(matches!(bad.wait(), Err(ServeError::Mvp(_))));
+    assert!(matches!(
+        bad.expect("admitted").wait(),
+        Err(ServeError::Mvp(MvpError::Crossbar(CrossbarError::OutOfBounds {
+            row: POISONED_ROW,
+            ..
+        })))
+    ));
     let out = good2.wait().expect("unaffected").into_mvp().expect("mvp");
     assert_eq!(out.outputs.len(), 1);
     service.shutdown();
+}
+
+/// The row [`PoisonedRowBackend`] refuses to read.
+const POISONED_ROW: usize = 7;
+
+/// A banked substrate whose reads of [`POISONED_ROW`] fail with
+/// `OutOfBounds`, a malformed-request error rather than a fault-fatal
+/// one.
+struct PoisonedRowBackend(BankedCrossbar);
+
+impl CrossbarBackend for PoisonedRowBackend {
+    fn rows(&self) -> usize {
+        self.0.rows()
+    }
+
+    fn cols(&self) -> usize {
+        self.0.cols()
+    }
+
+    fn program_row(&mut self, row: usize, values: &BitVec) -> Result<u64, CrossbarError> {
+        self.0.program_row(row, values)
+    }
+
+    fn read_row(&mut self, row: usize) -> Result<BitVec, CrossbarError> {
+        if row == POISONED_ROW {
+            let (rows, cols) = (self.rows(), self.cols());
+            return Err(CrossbarError::OutOfBounds { row, col: 0, rows, cols });
+        }
+        self.0.read_row(row)
+    }
+
+    fn scouting(&mut self, kind: ScoutingKind, rows: &[usize]) -> Result<BitVec, CrossbarError> {
+        self.0.scouting(kind, rows)
+    }
+
+    fn scouting_write(
+        &mut self,
+        kind: ScoutingKind,
+        rows: &[usize],
+        dest: usize,
+    ) -> Result<BitVec, CrossbarError> {
+        self.0.scouting_write(kind, rows, dest)
+    }
+
+    fn ledger_parts(&self) -> Vec<OpLedger> {
+        self.0.ledger_parts()
+    }
 }
 
 #[test]

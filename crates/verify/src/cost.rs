@@ -10,9 +10,9 @@
 //! counts, their energies and latencies — is exact.
 //!
 //! The invariant `bound ≥ executed ledger` is pinned differentially
-//! against `MvpSimulator` for fuzzed programs on both monolithic and
-//! banked substrates (see the crate's tests and
-//! `tests/verify_static.rs` at the workspace root).
+//! against `MvpSimulator` by the seeded 60-case loop
+//! `cost::tests::fuzzed_valid_programs_never_exceed_their_bound`, over
+//! fuzzed valid programs on both monolithic and banked substrates.
 
 use memcim_crossbar::{CellTechnology, OpLedger};
 use memcim_mvp::Instruction;

@@ -8,10 +8,11 @@
 //!
 //! * [`program::verify_program`] — an abstract interpreter that tracks
 //!   per-row state against a crossbar geometry and reports typed
-//!   [`Diagnostic`]s: the Error-severity subset mirrors the
-//!   simulator's dynamic rejection conditions exactly (so the serve
-//!   layer can refuse a doomed program at admission time, before it
-//!   occupies queue or engine capacity), and the Lint subset flags
+//!   [`Diagnostic`]s: the Error-severity subset calls
+//!   [`Instruction::check`](memcim_mvp::Instruction::check), the
+//!   simulator's own admission rules (so the serve layer can refuse a
+//!   doomed program at admission time, before it occupies queue or
+//!   engine capacity), and the Lint subset flags
 //!   legal-but-suspect shapes (reads of never-written rows, dead
 //!   stores, output-free programs).
 //! * [`cost::CostModel`] — a static [`OpLedger`] bound (operation

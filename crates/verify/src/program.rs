@@ -5,10 +5,11 @@
 //! a crossbar geometry, and reports every problem it can prove without
 //! executing anything.
 //!
-//! The Error-severity checks mirror the dynamic admission checks of
-//! `MvpSimulator::run_program` *exactly* — same conditions, same
-//! per-instruction order — which gives the two guarantees the serve
-//! layer's admission gate and the agreement proptests rely on:
+//! The Error-severity checks call [`Instruction::check`], the function
+//! `MvpSimulator::run_program` applies before every instruction, and
+//! map its [`Violation`] to a [`Code`], so static and dynamic admission
+//! cannot drift apart. The agreement proptests pin the two guarantees
+//! the serve layer's admission gate relies on:
 //!
 //! * a program with no [`Severity::Error`] diagnostic executes on a
 //!   fresh, fault-free simulator of the same geometry without an error;
@@ -21,8 +22,7 @@
 //! reported at [`Severity::Lint`].
 
 use core::fmt;
-use memcim_crossbar::CrossbarError;
-use memcim_mvp::{Instruction, MvpError};
+use memcim_mvp::{Instruction, MvpError, Violation};
 
 /// How serious a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,28 +35,28 @@ pub enum Severity {
 
 /// Stable machine-readable diagnostic codes.
 ///
-/// The `E-*` codes correspond one-to-one to the simulator's dynamic
-/// rejection conditions; the `L-*` codes are static-only lints.
+/// The `E-*` codes correspond one-to-one to the [`Violation`]s of
+/// [`Instruction::check`]; the `L-*` codes are static-only lints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Code {
     /// An instruction references a row outside the array
-    /// (runtime: [`MvpError::RowOutOfRange`]).
+    /// ([`Violation::RowOutOfRange`]).
     RowOutOfRange,
     /// A `Store`'s data width differs from the array width
-    /// (runtime: [`CrossbarError::WidthMismatch`]).
+    /// ([`Violation::StoreWidth`]).
     StoreWidthMismatch,
     /// A scouting operation names fewer than two source rows
-    /// (runtime: [`MvpError::InvalidOperands`]).
+    /// ([`Violation::ScoutingArity`]).
     ScoutingArity,
     /// A scouting destination appears among its sources
-    /// (runtime: [`MvpError::InvalidOperands`]).
+    /// ([`Violation::DestAliasesSource`]).
     DestAliasesSource,
     /// Both `Xor` operands are the same row
-    /// (runtime: [`MvpError::InvalidOperands`]).
+    /// ([`Violation::XorOperandsEqual`]).
     XorOperandsEqual,
     /// A scouting source row is listed twice
-    /// (runtime: [`CrossbarError::InvalidRowSelection`]).
+    /// ([`Violation::DuplicateSources`]).
     DuplicateSources,
     /// A row is read (or used as a scouting source) before any store —
     /// it reads as all-zero.
@@ -98,28 +98,26 @@ impl Code {
     }
 
     /// The code a runtime rejection corresponds to, if it is one the
-    /// verifier predicts.
-    ///
-    /// `InvalidOperands` is disambiguated by the simulator's constraint
-    /// strings (constants in `simulator.rs`); `BadInput` and the
-    /// physical crossbar failures (endurance, spares) are not static
-    /// program properties, so they map to `None`.
+    /// verifier predicts: exactly the [`MvpError::Invalid`] rejections.
+    /// `BadInput` and the physical crossbar failures (endurance, spares)
+    /// are not static program properties, so they map to `None`.
     pub fn of_runtime(err: &MvpError) -> Option<Code> {
         match err {
-            MvpError::RowOutOfRange { .. } => Some(Code::RowOutOfRange),
-            MvpError::InvalidOperands { constraint } => match *constraint {
-                "scouting needs at least two source rows" => Some(Code::ScoutingArity),
-                "destination must differ from the sources" => Some(Code::DestAliasesSource),
-                "xor operands must be distinct rows" => Some(Code::XorOperandsEqual),
-                _ => None,
-            },
-            MvpError::Crossbar(CrossbarError::WidthMismatch { .. }) => {
-                Some(Code::StoreWidthMismatch)
-            }
-            MvpError::Crossbar(CrossbarError::InvalidRowSelection { .. }) => {
-                Some(Code::DuplicateSources)
-            }
+            MvpError::Invalid(v) => Some(v.into()),
             _ => None,
+        }
+    }
+}
+
+impl From<&Violation> for Code {
+    fn from(v: &Violation) -> Self {
+        match v {
+            Violation::RowOutOfRange { .. } => Code::RowOutOfRange,
+            Violation::StoreWidth { .. } => Code::StoreWidthMismatch,
+            Violation::ScoutingArity { .. } => Code::ScoutingArity,
+            Violation::DestAliasesSource { .. } => Code::DestAliasesSource,
+            Violation::XorOperandsEqual { .. } => Code::XorOperandsEqual,
+            Violation::DuplicateSources { .. } => Code::DuplicateSources,
         }
     }
 }
@@ -180,85 +178,20 @@ pub fn verify_program(program: &[Instruction], rows: usize, width: usize) -> Vec
     let mut has_output = false;
 
     for (index, instr) in program.iter().enumerate() {
-        // Mirror of `check_rows`: bounds on every touched row first.
-        if let Some(row) = instr.touched_rows().into_iter().find(|&r| r >= rows) {
-            diags.push(Diagnostic {
-                code: Code::RowOutOfRange,
-                index,
-                message: format!("row {row} outside the {rows}-row array"),
-            });
+        if let Err(violation) = instr.check(rows, width) {
+            let message = violation.to_string();
+            diags.push(Diagnostic { code: (&violation).into(), index, message });
             continue;
         }
         match instr {
-            Instruction::Store { row, data } => {
-                if data.len() != width {
-                    diags.push(Diagnostic {
-                        code: Code::StoreWidthMismatch,
-                        index,
-                        message: format!(
-                            "stored data is {} bits wide, the array {width}",
-                            data.len()
-                        ),
-                    });
-                    continue;
-                }
-                write_row(&mut state, &mut diags, *row, index);
-            }
+            Instruction::Store { row, .. } => write_row(&mut state, &mut diags, *row, index),
             Instruction::Or { srcs, dst } | Instruction::And { srcs, dst } => {
-                // Mirror of `validate_sources` then `validate_selection`.
-                if srcs.len() < 2 {
-                    diags.push(Diagnostic {
-                        code: Code::ScoutingArity,
-                        index,
-                        message: format!(
-                            "scouting needs at least two source rows, got {}",
-                            srcs.len()
-                        ),
-                    });
-                    continue;
-                }
-                if srcs.contains(dst) {
-                    diags.push(Diagnostic {
-                        code: Code::DestAliasesSource,
-                        index,
-                        message: format!("destination row {dst} is also a source"),
-                    });
-                    continue;
-                }
-                if let Some(dup) =
-                    srcs.iter().enumerate().find_map(|(i, r)| srcs[..i].contains(r).then_some(*r))
-                {
-                    diags.push(Diagnostic {
-                        code: Code::DuplicateSources,
-                        index,
-                        message: format!("source row {dup} is listed more than once"),
-                    });
-                    continue;
-                }
                 for &src in srcs {
                     use_row(&mut state, &mut diags, src, index);
                 }
                 write_row(&mut state, &mut diags, *dst, index);
             }
             Instruction::Xor { a, b, dst } => {
-                // The simulator checks operand distinctness before
-                // `validate_sources` — keep the same precedence.
-                if a == b {
-                    diags.push(Diagnostic {
-                        code: Code::XorOperandsEqual,
-                        index,
-                        message: format!("both xor operands are row {a}"),
-                    });
-                    continue;
-                }
-                if dst == a || dst == b {
-                    diags.push(Diagnostic {
-                        code: Code::DestAliasesSource,
-                        index,
-                        message: format!("destination row {dst} is also a source"),
-                    });
-                    continue;
-                }
                 use_row(&mut state, &mut diags, *a, index);
                 use_row(&mut state, &mut diags, *b, index);
                 write_row(&mut state, &mut diags, *dst, index);
@@ -359,7 +292,7 @@ mod tests {
 
     #[test]
     fn row_bounds_take_precedence_like_the_simulator() {
-        // Bad row AND bad width: the simulator's check_rows fires first.
+        // Bad row AND bad width: `Instruction::check` tests bounds first.
         let program = vec![store(99, 3)];
         let diags = verify_program(&program, 8, 8);
         assert_eq!(first_error(&diags).expect("error").code, Code::RowOutOfRange);
@@ -402,18 +335,21 @@ mod tests {
 
     #[test]
     fn runtime_error_mapping_covers_the_admission_conditions() {
-        assert_eq!(
-            Code::of_runtime(&MvpError::RowOutOfRange { row: 9, rows: 8 }),
-            Some(Code::RowOutOfRange)
-        );
-        assert_eq!(
-            Code::of_runtime(&MvpError::Crossbar(CrossbarError::WidthMismatch {
-                got: 3,
-                expected: 4
-            })),
-            Some(Code::StoreWidthMismatch)
-        );
+        let cases = [
+            (Violation::RowOutOfRange { row: 9, rows: 8 }, Code::RowOutOfRange),
+            (Violation::StoreWidth { got: 3, width: 4 }, Code::StoreWidthMismatch),
+            (Violation::ScoutingArity { got: 1 }, Code::ScoutingArity),
+            (Violation::DestAliasesSource { dst: 2 }, Code::DestAliasesSource),
+            (Violation::XorOperandsEqual { row: 1 }, Code::XorOperandsEqual),
+            (Violation::DuplicateSources { row: 0 }, Code::DuplicateSources),
+        ];
+        for (violation, code) in cases {
+            assert_eq!(Code::of_runtime(&MvpError::Invalid(violation)), Some(code), "{violation}");
+            assert_eq!(code.severity(), Severity::Error);
+        }
         assert_eq!(Code::of_runtime(&MvpError::BadInput { reason: "x".into() }), None);
+        let worn = memcim_crossbar::CrossbarError::ExhaustedSpares { row: 0, spares: 1 };
+        assert_eq!(Code::of_runtime(&MvpError::Crossbar(worn)), None);
     }
 
     #[test]
