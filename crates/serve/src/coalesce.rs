@@ -2,15 +2,15 @@
 //!
 //! Only engine work reaches the queue: AP session jobs run on the
 //! submitting thread (`Service::submit`), so a burst holds MVP programs
-//! and batches alone, as [`EngineJob`]s. Compatible jobs are merged so
-//! the engine does one [`BatchRequest`] run instead of many: all
+//! and batches alone, as [`EngineJob`]s. Every unit runs as one
+//! [`BatchRequest`] on one engine, so compatible jobs are merged: all
 //! single-program submissions of one tenant *and one shard route* that
-//! land in the same scheduling burst ride in one coalesced burst (one
-//! ledger delta, accounted once to that tenant). The shard is part of
-//! the merge key on purpose: two sub-queries of one scatter-gather touch
-//! different shards and must never share a burst ledger, or the
-//! gather's `merge_parallel` over per-shard deltas would double-count.
-//! Pre-assembled batches execute as their own unit in arrival order.
+//! land in the same scheduling burst share a unit (one ledger delta,
+//! accounted once to that tenant). The shard is part of the merge key
+//! on purpose: two sub-queries of one scatter-gather touch different
+//! shards and must never share a burst ledger, or the gather's
+//! `merge_parallel` over per-shard deltas would double-count.
+//! A pre-assembled batch is a unit of its own, in arrival order.
 
 use crate::job::Responder;
 use crate::TenantId;
@@ -49,20 +49,34 @@ pub(crate) struct Envelope {
     pub(crate) responder: Responder,
 }
 
-/// One engine execution unit produced by [`coalesce`].
+impl Envelope {
+    /// The shard half of the merge key (`None` for unsharded jobs).
+    fn shard(&self) -> Option<usize> {
+        self.route.map(|r| r.shard)
+    }
+}
+
+/// One engine execution unit produced by [`coalesce`]: either
+/// single-program jobs of one tenant and one shard key, or one batch
+/// alone. Executed as one `BatchRequest`, delta accounted once.
 #[derive(Debug)]
-pub(crate) enum Unit {
-    /// Coalesced single-program jobs of one tenant and one shard key:
-    /// executed as one `BatchRequest`, delta accounted once.
-    MvpBurst {
-        tenant: TenantId,
-        /// The common shard of every program in this burst (`None` for
-        /// unsharded bursts) — the second half of the merge key.
-        shard: Option<usize>,
-        programs: Vec<(Vec<Instruction>, Option<ShardRoute>, Responder)>,
-    },
-    /// A client-assembled batch, executed as submitted.
-    MvpSolo { tenant: TenantId, batch: BatchRequest, responder: Responder },
+pub(crate) struct Unit {
+    pub(crate) tenant: TenantId,
+    pub(crate) jobs: Vec<Envelope>,
+}
+
+impl Unit {
+    /// `true` when `envelope` may join this unit: both are single
+    /// programs of the same tenant and shard.
+    fn admits(&self, envelope: &Envelope) -> bool {
+        let program = |e: &Envelope| matches!(e.job, EngineJob::Program(_));
+        self.tenant == envelope.tenant
+            && program(envelope)
+            && self
+                .jobs
+                .first()
+                .is_some_and(|first| program(first) && first.shard() == envelope.shard())
+    }
 }
 
 /// Partitions a drained burst into execution units, merging each
@@ -76,28 +90,10 @@ pub(crate) enum Unit {
 pub(crate) fn coalesce(burst: impl IntoIterator<Item = Envelope>) -> Vec<Unit> {
     let burst = burst.into_iter();
     let mut units: Vec<Unit> = Vec::with_capacity(burst.size_hint().0);
-    for Envelope { tenant, job, route, responder } in burst {
-        match job {
-            EngineJob::Program(program) => {
-                let key = route.map(|r| r.shard);
-                let existing = units.iter_mut().find_map(|unit| match unit {
-                    Unit::MvpBurst { tenant: t, shard, programs }
-                        if *t == tenant && *shard == key =>
-                    {
-                        Some(programs)
-                    }
-                    _ => None,
-                });
-                match existing {
-                    Some(programs) => programs.push((program, route, responder)),
-                    None => units.push(Unit::MvpBurst {
-                        tenant,
-                        shard: key,
-                        programs: vec![(program, route, responder)],
-                    }),
-                }
-            }
-            EngineJob::Batch(batch) => units.push(Unit::MvpSolo { tenant, batch, responder }),
+    for envelope in burst {
+        match units.iter_mut().find(|unit| unit.admits(&envelope)) {
+            Some(unit) => unit.jobs.push(envelope),
+            None => units.push(Unit { tenant: envelope.tenant, jobs: vec![envelope] }),
         }
     }
     units
@@ -122,6 +118,31 @@ mod tests {
         vec![Instruction::Read { row }]
     }
 
+    /// The single programs a unit coalesced, in arrival order (`None`
+    /// for a batch job).
+    fn programs(unit: &Unit) -> Vec<Option<&Vec<Instruction>>> {
+        unit.jobs
+            .iter()
+            .map(|e| match &e.job {
+                EngineJob::Program(program) => Some(program),
+                EngineJob::Batch(_) => None,
+            })
+            .collect()
+    }
+
+    /// The unit's shard key, read off its first job.
+    fn shard(unit: &Unit) -> Option<usize> {
+        unit.jobs[0].shard()
+    }
+
+    /// The unit's lone batch, if it is a batch unit.
+    fn batch(unit: &Unit) -> Option<&BatchRequest> {
+        match unit.jobs.as_slice() {
+            [Envelope { job: EngineJob::Batch(batch), .. }] => Some(batch),
+            _ => None,
+        }
+    }
+
     #[test]
     fn same_tenant_programs_merge_into_one_burst() {
         let units = coalesce(vec![
@@ -130,17 +151,11 @@ mod tests {
             envelope(1, EngineJob::Program(program(2))),
         ]);
         assert_eq!(units.len(), 2);
-        match &units[0] {
-            Unit::MvpBurst { tenant: 1, shard: None, programs } => {
-                assert_eq!(programs.len(), 2);
-                assert_eq!(programs[0].0, program(0));
-                assert_eq!(programs[1].0, program(2));
-            }
-            other => panic!("expected tenant 1 burst, got {other:?}"),
-        }
-        assert!(
-            matches!(&units[1], Unit::MvpBurst { tenant: 2, programs, .. } if programs.len() == 1)
-        );
+        assert_eq!((units[0].tenant, shard(&units[0])), (1, None), "tenant 1 burst");
+        assert_eq!(programs(&units[0]), vec![Some(&program(0)), Some(&program(2))]);
+        assert_eq!(units[1].tenant, 2);
+        assert_eq!(units[1].jobs.len(), 1);
+        assert!(batch(&units[1]).is_none());
     }
 
     #[test]
@@ -155,17 +170,11 @@ mod tests {
             routed(1, 0, EngineJob::Program(program(3))),
         ]);
         assert_eq!(units.len(), 3);
-        match &units[0] {
-            Unit::MvpBurst { tenant: 1, shard: Some(0), programs } => {
-                assert_eq!(programs.len(), 2);
-                assert_eq!(programs[1].0, program(3));
-            }
-            other => panic!("expected shard 0 burst, got {other:?}"),
-        }
-        assert!(matches!(&units[1], Unit::MvpBurst { shard: Some(1), programs, .. }
-            if programs.len() == 1));
-        assert!(matches!(&units[2], Unit::MvpBurst { shard: None, programs, .. }
-            if programs.len() == 1));
+        assert_eq!((units[0].tenant, shard(&units[0])), (1, Some(0)), "shard 0 burst");
+        assert_eq!(units[0].jobs.len(), 2);
+        assert_eq!(programs(&units[0])[1], Some(&program(3)));
+        assert_eq!((shard(&units[1]), units[1].jobs.len()), (Some(1), 1));
+        assert_eq!((shard(&units[2]), units[2].jobs.len()), (None, 1));
     }
 
     #[test]
@@ -179,9 +188,9 @@ mod tests {
             envelope(1, EngineJob::Program(program(2))),
         ]);
         assert_eq!(units.len(), 3);
-        assert!(matches!(&units[0], Unit::MvpSolo { batch, .. } if batch.len() == 1));
-        assert!(matches!(&units[1], Unit::MvpBurst { tenant: 1, programs, .. }
-            if programs.len() == 2));
-        assert!(matches!(&units[2], Unit::MvpSolo { batch, .. } if batch.is_empty()));
+        assert!(batch(&units[0]).is_some_and(|batch| batch.len() == 1));
+        assert_eq!(units[1].tenant, 1);
+        assert_eq!(programs(&units[1]), vec![Some(&program(1)), Some(&program(2))]);
+        assert!(batch(&units[2]).is_some_and(BatchRequest::is_empty));
     }
 }

@@ -1288,8 +1288,14 @@ impl fmt::Display for FrameReadError {
 
 impl std::error::Error for FrameReadError {}
 
+/// The most [`read_frame`] allocates ahead of the bytes that arrived,
+/// and the largest buffer it offers one `read`.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Reads one length-prefixed frame body (opcode + payload) off `stream`,
-/// refusing bodies larger than `max` without reading them.
+/// refusing bodies larger than `max` without reading them. The body is
+/// read incrementally, so the allocation tracks the bytes received,
+/// not the declared length.
 ///
 /// # Errors
 ///
@@ -1315,10 +1321,20 @@ pub fn read_frame(stream: &mut impl Read, max: usize) -> Result<Vec<u8>, FrameRe
     if declared > max {
         return Err(FrameReadError::TooLarge { declared, max });
     }
-    let mut body = vec![0u8; declared];
+    // The body grows only as bytes arrive: each step at most doubles
+    // what arrived (one chunk at first), never past `declared`, so a
+    // peer that declares a large body and stalls pins no more than
+    // twice what it sent. No read is offered more than one chunk.
+    let mut body = Vec::new();
     let mut filled = 0;
     while filled < declared {
-        match stream.read(&mut body[filled..]) {
+        if filled == body.len() {
+            let len = (2 * filled).max(READ_CHUNK).min(declared);
+            body.reserve_exact(len - filled);
+            body.resize(len, 0);
+        }
+        let end = body.len().min(filled + READ_CHUNK);
+        match stream.read(&mut body[filled..end]) {
             Ok(0) => return Err(FrameReadError::Truncated),
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -1651,6 +1667,51 @@ mod tests {
         assert!(matches!(read_frame(&mut cut, 16), Err(FrameReadError::Truncated)));
         let mut zero = std::io::Cursor::new(vec![0, 0, 0, 0]);
         assert!(matches!(read_frame(&mut zero, 16), Err(FrameReadError::Truncated)));
+    }
+
+    /// A peer that hands out `bytes` in reads of at most `step` bytes,
+    /// then closes, recording the largest buffer it is offered.
+    struct TricklingPeer {
+        bytes: Vec<u8>,
+        at: usize,
+        step: usize,
+        largest_offer: usize,
+    }
+
+    impl TricklingPeer {
+        fn new(bytes: Vec<u8>, step: usize) -> Self {
+            Self { bytes, at: 0, step, largest_offer: 0 }
+        }
+    }
+
+    impl Read for TricklingPeer {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_offer = self.largest_offer.max(buf.len());
+            let n = buf.len().min(self.step).min(self.bytes.len() - self.at);
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frame_bodies_are_read_incrementally() {
+        const MIB: usize = 1 << 20;
+        // Declaring 1 MiB and sending 10 bytes must not make the reader
+        // allocate (or offer a read) the whole declared body.
+        let mut stalled = (MIB as u32).to_be_bytes().to_vec();
+        stalled.extend_from_slice(&[7; 10]);
+        let mut peer = TricklingPeer::new(stalled, usize::MAX);
+        assert!(matches!(read_frame(&mut peer, 4 * MIB), Err(FrameReadError::Truncated)));
+        assert!(peer.largest_offer <= READ_CHUNK, "offered {} bytes", peer.largest_offer);
+        // A body spanning several chunks, trickled in odd-sized reads,
+        // still arrives intact.
+        let body: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &body).expect("writes");
+        let mut peer = TricklingPeer::new(framed, 4099);
+        assert_eq!(read_frame(&mut peer, MIB).expect("reads"), body);
+        assert!(peer.largest_offer <= READ_CHUNK, "offered {} bytes", peer.largest_offer);
     }
 
     /// A sink that records every `write` call it receives.

@@ -19,22 +19,37 @@
 //! popped by its worker and re-routed through the catalog rather than
 //! stranded.
 //!
-//! Capacity bounds the *total* of all lanes. `requeue` and `requeue_to`
-//! bypass the bound for items a worker already accepted, but still
-//! refuse once the router is closed (pinned by the requeue-vs-close
-//! race test below).
+//! There is one enqueue, [`WorkRouter::push`]: a lane (the shared one or
+//! a worker's mailbox) and a [`WhenFull`] mode. Capacity bounds the
+//! *total* of all lanes; a producer either waits for space or is
+//! refused, and a re-route of an item a worker already accepted
+//! bypasses the bound. Every mode refuses once the router is closed
+//! (pinned by the requeue-vs-close race test below).
 
 use crate::sync;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// Why a non-blocking push was refused; the item is handed back.
+/// Why a push was refused; the item is handed back.
 #[derive(Debug)]
 pub(crate) enum PushRefused<T> {
     /// The router is at capacity (backpressure signal).
     Full(T),
     /// The router has been closed.
     Closed(T),
+}
+
+/// What [`WorkRouter::push`] does when the lanes are at capacity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WhenFull {
+    /// Block until space appears (the backpressure path).
+    Wait,
+    /// Refuse with [`PushRefused::Full`].
+    Refuse,
+    /// Ignore the bound: the item was admitted once and is being
+    /// re-routed, and blocking here could deadlock a worker against
+    /// producers.
+    Bypass,
 }
 
 #[derive(Debug)]
@@ -91,92 +106,53 @@ impl<T> WorkRouter<T> {
         sync::lock(&self.state).closed
     }
 
-    /// Enqueues on the shared lane, blocking on backpressure. Returns
-    /// the item if the router closed before space appeared.
-    pub(crate) fn push(&self, item: T) -> Result<(), T> {
-        let mut state = sync::lock(&self.state);
-        while state.len() >= self.capacity && !state.closed {
-            state = sync::wait(&self.not_full, state);
-        }
-        if state.closed {
-            return Err(item);
-        }
-        state.shared.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues on the shared lane without blocking.
+    /// Enqueues `item` into `worker`'s mailbox, or onto the shared lane
+    /// for `None`, handling a full router per `when_full`.
     ///
     /// # Errors
     ///
-    /// [`PushRefused::Full`] at capacity, [`PushRefused::Closed`] after
-    /// [`close`](Self::close); the item is returned either way.
-    pub(crate) fn try_push(&self, item: T) -> Result<(), PushRefused<T>> {
-        let mut state = sync::lock(&self.state);
-        if state.closed {
-            return Err(PushRefused::Closed(item));
-        }
-        if state.len() >= self.capacity {
-            return Err(PushRefused::Full(item));
-        }
-        state.shared.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues into `worker`'s mailbox, blocking on backpressure —
-    /// the submit path for routed (sharded) jobs. Returns the item if
-    /// the router closed first.
+    /// [`PushRefused::Full`] at capacity under [`WhenFull::Refuse`],
+    /// [`PushRefused::Closed`] after [`close`](Self::close) in every
+    /// mode (so shutdown cannot be held open by a re-route loop); the
+    /// item is returned either way.
     ///
     /// # Panics
     ///
     /// Panics if `worker` is out of range.
-    pub(crate) fn push_to(&self, worker: usize, item: T) -> Result<(), T> {
+    pub(crate) fn push(
+        &self,
+        worker: Option<usize>,
+        when_full: WhenFull,
+        item: T,
+    ) -> Result<(), PushRefused<T>> {
         let mut state = sync::lock(&self.state);
-        while state.len() >= self.capacity && !state.closed {
+        loop {
+            if state.closed {
+                return Err(PushRefused::Closed(item));
+            }
+            if state.len() < self.capacity || when_full == WhenFull::Bypass {
+                break;
+            }
+            if when_full == WhenFull::Refuse {
+                return Err(PushRefused::Full(item));
+            }
             state = sync::wait(&self.not_full, state);
         }
-        if state.closed {
-            return Err(item);
+        match worker {
+            None => {
+                state.shared.push_back(item);
+                drop(state);
+                self.not_empty.notify_one();
+            }
+            Some(worker) => {
+                state.mailboxes[worker].push_back(item);
+                drop(state);
+                // Targeted delivery must wake the owner specifically;
+                // the lane discipline cannot know which sleeper that
+                // is, so wake all.
+                self.not_empty.notify_all();
+            }
         }
-        state.mailboxes[worker].push_back(item);
-        drop(state);
-        // Targeted delivery must wake the owner specifically; the lane
-        // discipline cannot know which sleeper that is, so wake all.
-        self.not_empty.notify_all();
-        Ok(())
-    }
-
-    /// Re-enqueues into `worker`'s mailbox an item a consumer already
-    /// accepted but could not complete — the failover hop after an
-    /// engine retirement. Bypasses the capacity bound (the item was
-    /// admitted once; blocking here could deadlock a worker against
-    /// producers) but still refuses once closed, so shutdown cannot be
-    /// held open by a re-route loop.
-    pub(crate) fn requeue_to(&self, worker: usize, item: T) -> Result<(), T> {
-        let mut state = sync::lock(&self.state);
-        if state.closed {
-            return Err(item);
-        }
-        state.mailboxes[worker].push_back(item);
-        drop(state);
-        self.not_empty.notify_all();
-        Ok(())
-    }
-
-    /// Re-enqueues an unrouted item on the shared lane, same contract
-    /// as [`requeue_to`](Self::requeue_to).
-    pub(crate) fn requeue(&self, item: T) -> Result<(), T> {
-        let mut state = sync::lock(&self.state);
-        if state.closed {
-            return Err(item);
-        }
-        state.shared.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
         Ok(())
     }
 
@@ -236,10 +212,10 @@ mod tests {
     #[test]
     fn blocking_push_waits_for_space() {
         let r = Arc::new(WorkRouter::new(1, 1));
-        r.push(0u32).expect("open");
+        r.push(None, WhenFull::Wait, 0u32).expect("open");
         let producer = {
             let r = Arc::clone(&r);
-            thread::spawn(move || r.push(1).is_ok())
+            thread::spawn(move || r.push(None, WhenFull::Wait, 1).is_ok())
         };
         thread::sleep(std::time::Duration::from_millis(10));
         let mut sink = Vec::new();
@@ -252,10 +228,10 @@ mod tests {
     #[test]
     fn mailbox_drains_before_the_shared_lane() {
         let r = WorkRouter::new(8, 2);
-        r.push("shared-a").expect("open");
-        r.push_to(1, "mine").expect("open");
-        r.push("shared-b").expect("open");
-        r.push("shared-c").expect("open");
+        r.push(None, WhenFull::Wait, "shared-a").expect("open");
+        r.push(Some(1), WhenFull::Wait, "mine").expect("open");
+        r.push(None, WhenFull::Wait, "shared-b").expect("open");
+        r.push(None, WhenFull::Wait, "shared-c").expect("open");
         let mut sink = Vec::new();
         assert!(r.pop_burst(1, 3, &mut sink), "a burst takes at most `max` items");
         assert_eq!(sink, vec!["mine", "shared-a", "shared-b"], "mailbox first, then FIFO");
@@ -266,7 +242,7 @@ mod tests {
     #[test]
     fn workers_do_not_see_each_others_mailboxes() {
         let r = WorkRouter::new(8, 3);
-        r.push_to(2, 42u32).expect("open");
+        r.push(Some(2), WhenFull::Wait, 42u32).expect("open");
         r.close();
         let mut sink = Vec::new();
         // Workers 0 and 1 observe a closed, (for them) empty router.
@@ -282,21 +258,21 @@ mod tests {
     #[test]
     fn capacity_bounds_the_total_across_lanes() {
         let r = WorkRouter::new(2, 2);
-        r.try_push(0u8).expect("space");
-        r.push_to(1, 1).expect("space");
-        assert!(matches!(r.try_push(2), Err(PushRefused::Full(2))));
-        // Requeues bypass the bound.
-        r.requeue_to(0, 3).expect("admitted once, lands");
-        r.requeue(4).expect("admitted once, lands");
+        r.push(None, WhenFull::Refuse, 0u8).expect("space");
+        r.push(Some(1), WhenFull::Wait, 1).expect("space");
+        assert!(matches!(r.push(None, WhenFull::Refuse, 2), Err(PushRefused::Full(2))));
+        // Re-routes bypass the bound.
+        r.push(Some(0), WhenFull::Bypass, 3).expect("admitted once, lands");
+        r.push(None, WhenFull::Bypass, 4).expect("admitted once, lands");
         assert_eq!(r.len(), 4);
         assert!(!r.is_closed());
         r.close();
         assert!(r.is_closed());
-        assert_eq!(r.requeue_to(0, 5), Err(5));
-        assert!(matches!(r.try_push(6), Err(PushRefused::Closed(6))));
+        assert!(matches!(r.push(Some(0), WhenFull::Bypass, 5), Err(PushRefused::Closed(5))));
+        assert!(matches!(r.push(None, WhenFull::Refuse, 6), Err(PushRefused::Closed(6))));
         // Blocking pushes hand the item back once closed, too.
-        assert_eq!(r.push(7), Err(7));
-        assert_eq!(r.push_to(1, 8), Err(8));
+        assert!(matches!(r.push(None, WhenFull::Wait, 7), Err(PushRefused::Closed(7))));
+        assert!(matches!(r.push(Some(1), WhenFull::Wait, 8), Err(PushRefused::Closed(8))));
     }
 
     #[test]
@@ -320,7 +296,7 @@ mod tests {
             })
         };
         thread::sleep(std::time::Duration::from_millis(10));
-        r.push_to(1, 7).expect("open");
+        r.push(Some(1), WhenFull::Wait, 7).expect("open");
         thread::sleep(std::time::Duration::from_millis(10));
         r.close();
         assert_eq!(owner.join().expect("joins"), vec![7]);
@@ -328,8 +304,8 @@ mod tests {
     }
 
     /// Mirror of the queue's requeue-vs-close regression: a targeted
-    /// requeue racing close must land (and be drained by the owner) or
-    /// be handed back — never silently stranded.
+    /// requeue (a bypassing push) racing close must land (and be drained
+    /// by the owner) or be handed back — never silently stranded.
     #[test]
     fn requeue_to_racing_close_lands_or_returns_every_item() {
         for round in 0..50u32 {
@@ -348,9 +324,9 @@ mod tests {
                     let mut landed = 0usize;
                     let mut returned = 0usize;
                     for i in 0..100u32 {
-                        match r.requeue_to(1, i) {
+                        match r.push(Some(1), WhenFull::Bypass, i) {
                             Ok(()) => landed += 1,
-                            Err(item) => {
+                            Err(PushRefused::Full(item) | PushRefused::Closed(item)) => {
                                 assert_eq!(item, i, "the refused item comes back intact");
                                 returned += 1;
                             }

@@ -2,9 +2,9 @@
 //! per-tenant accounting, shutdown.
 
 use crate::coalesce::{coalesce, EngineJob, Envelope, ShardRoute, Unit};
-use crate::job::{ticket_pair, Responder, ShardedTicket};
+use crate::job::{ticket_pair, ShardedTicket};
 use crate::placement::{Catalog, PlacementConfig};
-use crate::router::{PushRefused, WorkRouter};
+use crate::router::{PushRefused, WhenFull, WorkRouter};
 use crate::session::{ApOpenInfo, ApSession, CorrSession, SessionTable, StreamSession};
 use crate::sync;
 use crate::{
@@ -474,14 +474,6 @@ impl Shared {
     }
 }
 
-/// What the submission gate made of a job.
-enum Admitted {
-    /// An AP session job, already run on the submitting thread.
-    Ran(Ticket),
-    /// Engine work, to be queued for the workers.
-    Queue(EngineJob),
-}
-
 /// A concurrent multi-tenant query service over the banked engines.
 ///
 /// `Service::start` spawns a pool of worker threads, each owning one
@@ -660,8 +652,8 @@ impl Service {
         self.shared.mvp_cache_hits.load(Ordering::Relaxed)
     }
 
-    /// MVP program verifications that actually ran (zero while
-    /// verification is disabled).
+    /// MVP program verifications that actually ran: every admission the
+    /// verify cache could not serve.
     pub fn mvp_cache_misses(&self) -> u64 {
         self.shared.mvp_cache_misses.load(Ordering::Relaxed)
     }
@@ -691,26 +683,42 @@ impl Service {
         self.is_draining() && matches!(job, Job::MvpProgram(_) | Job::MvpBatch(_))
     }
 
-    /// The gate both submit paths share: refuses new MVP work while
+    /// The path both submit verbs share: refuses new MVP work while
     /// draining and whatever [`check_job`](Shared::check_job) refuses,
-    /// then runs an AP session job to completion on the calling thread.
-    /// Engine work comes back to be queued.
-    fn admit(&self, tenant: TenantId, job: Job) -> Result<Admitted, ServeError> {
+    /// runs an AP session job to completion on the calling thread, and
+    /// queues engine work on the shared lane, handling a full queue per
+    /// `when_full`.
+    fn submit_with(
+        &self,
+        tenant: TenantId,
+        job: Job,
+        when_full: WhenFull,
+    ) -> Result<Ticket, ServeError> {
         if self.drain_refuses(&job) {
             return Err(ServeError::ShuttingDown);
         }
         self.shared.check_job(tenant, &job)?;
-        let (session, chunks) = match job {
-            Job::MvpProgram(program) => return Ok(Admitted::Queue(EngineJob::Program(program))),
-            Job::MvpBatch(batch) => return Ok(Admitted::Queue(EngineJob::Batch(batch))),
-            Job::ApFeedMany { session, chunks } => (session, Some(chunks)),
-            Job::ApFinishMany { session } => (session, None),
+        let job = match job {
+            Job::MvpProgram(program) => EngineJob::Program(program),
+            Job::MvpBatch(batch) => EngineJob::Batch(batch),
+            // AP jobs run here, but not on a closed service.
+            _ if self.shared.queue.is_closed() => return Err(ServeError::ShuttingDown),
+            Job::ApFeedMany { session, chunks } => {
+                return Ok(Ticket::resolved(self.shared.run_ap_job(tenant, session, Some(&chunks))))
+            }
+            Job::ApFinishMany { session } => {
+                return Ok(Ticket::resolved(self.shared.run_ap_job(tenant, session, None)))
+            }
         };
-        if self.shared.queue.is_closed() {
-            return Err(ServeError::ShuttingDown);
+        let (ticket, responder) = ticket_pair();
+        let envelope = Envelope { tenant, job, route: None, responder };
+        match self.shared.queue.push(None, when_full, envelope) {
+            Ok(()) => Ok(ticket),
+            Err(PushRefused::Full(_)) => {
+                Err(ServeError::QueueFull { depth: self.shared.config.queue_depth })
+            }
+            Err(PushRefused::Closed(_)) => Err(ServeError::ShuttingDown),
         }
-        let output = self.shared.run_ap_job(tenant, session, chunks.as_deref());
-        Ok(Admitted::Ran(Ticket::resolved(output)))
     }
 
     /// Submits a job for `tenant`. Engine jobs queue, blocking while the
@@ -732,16 +740,7 @@ impl Service {
     /// way). An AP job's own failure, such as an unknown session, comes
     /// back through its ticket.
     pub fn submit(&self, tenant: TenantId, job: Job) -> Result<Ticket, ServeError> {
-        let job = match self.admit(tenant, job)? {
-            Admitted::Ran(ticket) => return Ok(ticket),
-            Admitted::Queue(job) => job,
-        };
-        let (ticket, responder) = ticket_pair();
-        self.shared
-            .queue
-            .push(Envelope { tenant, job, route: None, responder })
-            .map_err(|_| ServeError::ShuttingDown)?;
-        Ok(ticket)
+        self.submit_with(tenant, job, WhenFull::Wait)
     }
 
     /// Submits without blocking. AP session jobs run on the calling
@@ -755,18 +754,7 @@ impl Service {
     /// closing or [draining](Self::begin_drain) (for new MVP work), and
     /// the submission refusals of [`submit`](Self::submit).
     pub fn try_submit(&self, tenant: TenantId, job: Job) -> Result<Ticket, ServeError> {
-        let job = match self.admit(tenant, job)? {
-            Admitted::Ran(ticket) => return Ok(ticket),
-            Admitted::Queue(job) => job,
-        };
-        let (ticket, responder) = ticket_pair();
-        match self.shared.queue.try_push(Envelope { tenant, job, route: None, responder }) {
-            Ok(()) => Ok(ticket),
-            Err(PushRefused::Full(_)) => {
-                Err(ServeError::QueueFull { depth: self.shared.config.queue_depth })
-            }
-            Err(PushRefused::Closed(_)) => Err(ServeError::ShuttingDown),
-        }
+        self.submit_with(tenant, job, WhenFull::Refuse)
     }
 
     /// Scatter-gather submission: one shard-local program per entry of
@@ -817,59 +805,41 @@ impl Service {
             }
             self.shared.verify_program_cached(tenant, program)?;
         }
-        Ok(self.scatter_routed(tenant, subqueries, catalog))
+        Ok(self.scatter(tenant, subqueries))
     }
 
     /// Fans validated shard-local programs out to one live replica per
     /// shard — the enqueue half of a scatter, shared by external
     /// scatters ([`submit_sharded`](Self::submit_sharded)) and the
     /// internal feeds of streaming correlation sessions (which must
-    /// keep passing while the service drains).
-    fn scatter_routed(
+    /// keep passing while the service drains). With no catalog
+    /// configured the sub-queries go unrouted onto the shared lane.
+    fn scatter(
         &self,
         tenant: TenantId,
         subqueries: Vec<(usize, Vec<Instruction>)>,
-        catalog: &Catalog,
     ) -> ShardedTicket {
+        let catalog = self.shared.catalog.as_ref();
         let mut parts = Vec::with_capacity(subqueries.len());
         for (shard, program) in subqueries {
             let (ticket, responder) = ticket_pair();
             parts.push((shard, ticket));
-            match catalog.route(shard, 0) {
+            let (worker, route) = match catalog.map(|catalog| catalog.route(shard, 0)) {
+                None => (None, None),
+                Some(Some(worker)) => (Some(worker), Some(ShardRoute { shard, attempts: 0 })),
                 // Fail fast: the dead shard resolves its own ticket
                 // while the rest of the scatter proceeds.
-                None => responder.fulfil(Err(ServeError::ShardUnavailable { shard })),
-                Some(worker) => {
-                    let envelope = Envelope {
-                        tenant,
-                        job: EngineJob::Program(program),
-                        route: Some(ShardRoute { shard, attempts: 0 }),
-                        responder,
-                    };
-                    if let Err(envelope) = self.shared.queue.push_to(worker, envelope) {
-                        envelope.responder.fulfil(Err(ServeError::ShuttingDown));
-                    }
+                Some(None) => {
+                    responder.fulfil(Err(ServeError::ShardUnavailable { shard }));
+                    continue;
                 }
-            }
+            };
+            let envelope = Envelope { tenant, job: EngineJob::Program(program), route, responder };
+            // A refused envelope (the service closed) is dropped, which
+            // fails its ticket with `ShuttingDown`.
+            let _ = self.shared.queue.push(worker, WhenFull::Wait, envelope);
         }
         ShardedTicket::new(parts)
-    }
-
-    /// Enqueues one engine sub-program of an open streaming session on
-    /// the shared (unrouted) lane, bypassing the drain gate: feeds of
-    /// open sessions keep passing while the service drains, exactly
-    /// like AP feeds.
-    fn push_streaming_program(
-        &self,
-        tenant: TenantId,
-        program: Vec<Instruction>,
-    ) -> Result<Ticket, ServeError> {
-        let (ticket, responder) = ticket_pair();
-        self.shared
-            .queue
-            .push(Envelope { tenant, job: EngineJob::Program(program), route: None, responder })
-            .map_err(|_| ServeError::ShuttingDown)?;
-        Ok(ticket)
     }
 
     /// Enters drain mode: new MVP submissions, sharded scatters and
@@ -1041,43 +1011,21 @@ impl Service {
     ) -> Result<(), ServeError> {
         let config = &self.shared.config;
         let width = config.mvp_width();
-        let streams = state.accumulator.streams();
-        let (ledger, slices) = match &self.shared.catalog {
-            None => {
-                let plan = state.accumulator.feed_plan(window, width)?;
-                config.verify_program(&plan)?;
-                let output =
-                    self.push_streaming_program(tenant, plan)?.wait()?.into_mvp().ok_or_else(
-                        || ServeError::Internal {
-                            message: "a correlation feed resolved to a non-MVP output".into(),
-                        },
-                    )?;
-                let outputs = output.outputs.into_iter().next().unwrap_or_default();
-                (output.burst.ledger, vec![(0..streams, outputs)])
-            }
-            Some(catalog) => {
-                let map = ShardMap::new(streams, catalog.shards())?;
-                let mut subqueries = Vec::with_capacity(map.shards());
-                for shard in 0..map.shards() {
-                    let plan =
-                        state.accumulator.shard_feed_plan(window, map.range(shard), width)?;
-                    config.verify_program(&plan)?;
-                    subqueries.push((shard, plan));
-                }
-                let gathered = self.scatter_routed(tenant, subqueries, catalog).wait()?;
-                let slices = gathered
-                    .partials
-                    .into_iter()
-                    .map(|partial| (map.range(partial.shard), partial.outputs))
-                    .collect();
-                (gathered.ledger, slices)
-            }
-        };
-        for (range, outputs) in slices {
-            state.accumulator.apply_reads(range, &outputs)?;
+        // An unsharded service scatters one shard over every stream.
+        let shards = self.shared.catalog.as_ref().map_or(1, Catalog::shards);
+        let map = ShardMap::new(state.accumulator.streams(), shards)?;
+        let mut subqueries = Vec::with_capacity(map.shards());
+        for shard in 0..map.shards() {
+            let plan = state.accumulator.shard_feed_plan(window, map.range(shard), width)?;
+            config.verify_program(&plan)?;
+            subqueries.push((shard, plan));
         }
-        state.energy += ledger.energy();
-        state.busy += ledger.busy_time();
+        let gathered = self.scatter(tenant, subqueries).wait()?;
+        for partial in gathered.partials {
+            state.accumulator.apply_reads(map.range(partial.shard), &partial.outputs)?;
+        }
+        state.energy += gathered.ledger.energy();
+        state.busy += gathered.ledger.busy_time();
         state.accumulator.note_window(window.first().map_or(0, memcim_bits::BitVec::len));
         let events = state.take_unaccounted_events();
         self.shared.account_corr(tenant, events);
@@ -1199,41 +1147,35 @@ fn retire_engine(engine: &mut Option<Engine>, shared: &Shared, worker: usize) {
     }
 }
 
-/// Re-routes one MVP job whose assigned engine is gone: back onto the
-/// queue while healthy engines remain, otherwise an explicit failure —
-/// a ticket is never stranded.
-fn divert(tenant: TenantId, job: EngineJob, responder: Responder, shared: &Shared) {
-    if shared.live_engines.load(Ordering::SeqCst) == 0 {
-        responder.fulfil(Err(ServeError::NoHealthyEngine));
-        return;
-    }
-    if let Err(envelope) = shared.queue.requeue(Envelope { tenant, job, route: None, responder }) {
-        // The queue closed while this job was in flight: same outcome
-        // as any job still queued at shutdown.
-        envelope.responder.fulfil(Err(ServeError::ShuttingDown));
-    }
-    // A worker without an engine must not hot-loop pop→requeue against
-    // survivors that are busy executing: back off long enough for a
-    // healthy worker to return to the queue. (`pop_burst` only blocks
-    // on an *empty* queue, so a busy survivor picks the job up on its
-    // next drain regardless of which thread a notify lands on.)
-    std::thread::sleep(std::time::Duration::from_millis(1));
-}
-
-/// Fails over one sharded sub-query whose assigned engine is gone:
+/// Re-routes one engine job whose assigned engine is gone, so a ticket
+/// is never stranded and never bounces forever. An unrouted job goes
+/// back onto the shared lane while healthy engines remain, otherwise it
+/// fails with [`ServeError::NoHealthyEngine`]. A sharded sub-query is
 /// re-routed through the catalog onto the next live replica with
-/// bounded exponential backoff, or failed with the typed
+/// bounded exponential backoff, or fails with the typed
 /// [`ServeError::ShardUnavailable`] once every replica of its shard is
-/// dead — a ticket is never stranded and never bounces forever.
-fn divert_routed(
-    tenant: TenantId,
-    program: Vec<Instruction>,
-    route: ShardRoute,
-    responder: Responder,
-    shared: &Shared,
-) {
+/// dead.
+fn divert(mut envelope: Envelope, shared: &Shared) {
+    let Some(route) = envelope.route else {
+        if shared.live_engines.load(Ordering::SeqCst) == 0 {
+            envelope.responder.fulfil(Err(ServeError::NoHealthyEngine));
+            return;
+        }
+        // A refusal means the queue closed while this job was in
+        // flight: the refused envelope is dropped, which fails its
+        // ticket with `ShuttingDown`, as for any job queued at shutdown.
+        let _ = shared.queue.push(None, WhenFull::Bypass, envelope);
+        // A worker without an engine must not hot-loop pop→requeue
+        // against survivors that are busy executing: back off long
+        // enough for a healthy worker to return to the queue.
+        // (`pop_burst` only blocks on an *empty* queue, so a busy
+        // survivor picks the job up on its next drain regardless of
+        // which thread a notify lands on.)
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        return;
+    };
     let Some(catalog) = &shared.catalog else {
-        responder.fulfil(Err(ServeError::Internal {
+        envelope.responder.fulfil(Err(ServeError::Internal {
             message: "a routed job reached a service with no catalog".into(),
         }));
         return;
@@ -1245,21 +1187,14 @@ fn divert_routed(
     // that keeps a logic bug from looping a ticket forever.
     let max_attempts = (shared.config.workers as u32).saturating_mul(2).saturating_add(8);
     if attempts > max_attempts {
-        responder.fulfil(Err(ServeError::ShardUnavailable { shard: route.shard }));
+        envelope.responder.fulfil(Err(ServeError::ShardUnavailable { shard: route.shard }));
         return;
     }
     match catalog.route(route.shard, attempts) {
-        None => responder.fulfil(Err(ServeError::ShardUnavailable { shard: route.shard })),
+        None => envelope.responder.fulfil(Err(ServeError::ShardUnavailable { shard: route.shard })),
         Some(worker) => {
-            let envelope = Envelope {
-                tenant,
-                job: EngineJob::Program(program),
-                route: Some(ShardRoute { shard: route.shard, attempts }),
-                responder,
-            };
-            if let Err(envelope) = shared.queue.requeue_to(worker, envelope) {
-                envelope.responder.fulfil(Err(ServeError::ShuttingDown));
-            }
+            envelope.route = Some(ShardRoute { shard: route.shard, attempts });
+            let _ = shared.queue.push(Some(worker), WhenFull::Bypass, envelope);
         }
     }
     // Bounded backoff, growing with the attempt count: this thread has
@@ -1269,81 +1204,76 @@ fn divert_routed(
     std::thread::sleep(std::time::Duration::from_millis(backoff));
 }
 
-/// Dispatches a diverted single program through the route-aware path.
-fn divert_program(
-    tenant: TenantId,
-    program: Vec<Instruction>,
-    route: Option<ShardRoute>,
-    responder: Responder,
-    shared: &Shared,
-) {
-    match route {
-        Some(route) => divert_routed(tenant, program, route, responder, shared),
-        None => divert(tenant, EngineJob::Program(program), responder, shared),
-    }
-}
-
+/// Runs one unit's programs as one `BatchRequest` on this worker's
+/// engine, billing the tenant once and handing each job its own outputs
+/// and the shared [`BurstReport`]. The programs move out of the
+/// envelopes; only the failure paths rebuild them. A fault-fatal error
+/// retires the engine and diverts every job; any other error re-runs
+/// each job alone when the unit coalesced several, so one bad program
+/// fails only its own ticket.
 fn execute_unit(unit: Unit, engine: &mut Option<Engine>, shared: &Shared, worker: usize) {
-    match unit {
-        Unit::MvpBurst { tenant, shard: _, programs } => {
-            let Some(mvp) = engine.as_mut() else {
-                // This worker's engine is gone but its mailbox still
-                // receives routed jobs that raced the retirement: fail
-                // each over through the catalog (or requeue unrouted
-                // jobs onto the shared lane).
-                for (program, route, responder) in programs {
-                    divert_program(tenant, program, route, responder, shared);
-                }
-                return;
-            };
-            let mut batch = BatchRequest::new();
-            let mut waiters = Vec::with_capacity(programs.len());
-            for (program, route, responder) in programs {
+    let Unit { tenant, jobs } = unit;
+    let Some(mvp) = engine.as_mut() else {
+        // This worker's engine is gone but its mailbox still receives
+        // routed jobs that raced the retirement: fail each over.
+        jobs.into_iter().for_each(|job| divert(job, shared));
+        return;
+    };
+    let mut batch = BatchRequest::new();
+    let mut submitted_batch = false;
+    let mut waiters = Vec::with_capacity(jobs.len());
+    for Envelope { job, route, responder, .. } in jobs {
+        match job {
+            EngineJob::Program(program) => {
                 batch.push(program);
-                waiters.push((route, responder));
             }
-            match mvp.run_batch(&batch) {
-                Ok(report) => {
-                    let burst = BurstReport {
-                        jobs: waiters.len(),
-                        programs: batch.len(),
-                        ledger: report.ledger,
-                    };
-                    shared.account_mvp(tenant, &report.ledger, waiters.len() as u64);
-                    for ((_route, responder), outputs) in waiters.into_iter().zip(report.outputs) {
-                        responder.fulfil(Ok(JobOutput::Mvp(MvpOutput {
-                            outputs: vec![outputs],
-                            burst,
-                        })));
-                    }
-                }
-                // The substrate died mid-burst: retire this engine from
-                // the pool and requeue every job of the burst (none was
-                // fulfilled) onto the survivors — routed jobs through
-                // the catalog, unrouted ones onto the shared lane.
-                Err(e) if is_engine_fatal(&e) => {
-                    retire_engine(engine, shared, worker);
-                    for (program, (route, responder)) in
-                        batch.programs().iter().cloned().zip(waiters)
-                    {
-                        divert_program(tenant, program, route, responder, shared);
-                    }
-                }
-                // One bad program poisons a coalesced run (run_batch
-                // stops at the first failure), so isolate: re-run every
-                // job alone and report its own outcome.
-                Err(_) => {
-                    for (program, (route, responder)) in
-                        batch.programs().iter().cloned().zip(waiters)
-                    {
-                        run_solo_program(tenant, program, route, responder, engine, shared, worker);
-                    }
-                }
+            // The coalescer keeps a submitted batch alone in its unit.
+            EngineJob::Batch(submitted) => {
+                batch = submitted;
+                submitted_batch = true;
             }
         }
-        Unit::MvpSolo { tenant, batch, responder } => {
-            let jobs = 1;
-            run_solo(tenant, batch, jobs, responder, engine, shared, worker);
+        waiters.push((route, responder));
+    }
+    let error = match mvp.run_batch(&batch) {
+        Ok(report) => {
+            let jobs = waiters.len();
+            let burst = BurstReport { jobs, programs: batch.len(), ledger: report.ledger };
+            shared.account_mvp(tenant, &report.ledger, jobs as u64);
+            let per_job = if submitted_batch { batch.len() } else { 1 };
+            let mut outputs = report.outputs.into_iter();
+            for (_, responder) in waiters {
+                let outputs = outputs.by_ref().take(per_job).collect();
+                responder.fulfil(Ok(JobOutput::Mvp(MvpOutput { outputs, burst })));
+            }
+            return;
+        }
+        Err(error) => error,
+    };
+    let fatal = is_engine_fatal(&error);
+    if fatal {
+        retire_engine(engine, shared, worker);
+    } else if waiters.len() == 1 {
+        if let Some((_, responder)) = waiters.pop() {
+            responder.fulfil(Err(error.into()));
+        }
+        return;
+    }
+    let jobs: Vec<EngineJob> = if submitted_batch {
+        vec![EngineJob::Batch(batch)]
+    } else {
+        batch.programs().iter().cloned().map(EngineJob::Program).collect()
+    };
+    for (job, (route, responder)) in jobs.into_iter().zip(waiters) {
+        let envelope = Envelope { tenant, job, route, responder };
+        if fatal {
+            // The substrate died mid-run: no job was fulfilled, so each
+            // moves on to the survivors.
+            divert(envelope, shared);
+        } else {
+            // One bad program poisons a coalesced run (run_batch stops
+            // at the first failure), so isolate: each job runs alone.
+            execute_unit(Unit { tenant, jobs: vec![envelope] }, engine, shared, worker);
         }
     }
 }
@@ -1360,65 +1290,6 @@ fn ap_matches(state: &ApSession, run: &memcim_ap::ApRun) -> ApMatches {
             .collect(),
         symbols: run.symbols,
         report: run.report,
-    }
-}
-
-fn run_solo(
-    tenant: TenantId,
-    batch: BatchRequest,
-    jobs: u64,
-    responder: Responder,
-    engine: &mut Option<Engine>,
-    shared: &Shared,
-    worker: usize,
-) {
-    let Some(mvp) = engine.as_mut() else {
-        divert(tenant, EngineJob::Batch(batch), responder, shared);
-        return;
-    };
-    match mvp.run_batch(&batch) {
-        Ok(report) => {
-            let burst =
-                BurstReport { jobs: jobs as usize, programs: batch.len(), ledger: report.ledger };
-            shared.account_mvp(tenant, &report.ledger, jobs);
-            responder.fulfil(Ok(JobOutput::Mvp(MvpOutput { outputs: report.outputs, burst })));
-        }
-        Err(e) if is_engine_fatal(&e) => {
-            retire_engine(engine, shared, worker);
-            divert(tenant, EngineJob::Batch(batch), responder, shared);
-        }
-        Err(e) => responder.fulfil(Err(e.into())),
-    }
-}
-
-/// Runs one program alone, keeping its shard route intact so a fatal
-/// engine error mid-run still fails over through the catalog.
-fn run_solo_program(
-    tenant: TenantId,
-    program: Vec<Instruction>,
-    route: Option<ShardRoute>,
-    responder: Responder,
-    engine: &mut Option<Engine>,
-    shared: &Shared,
-    worker: usize,
-) {
-    let Some(mvp) = engine.as_mut() else {
-        divert_program(tenant, program, route, responder, shared);
-        return;
-    };
-    let batch = BatchRequest::new().with_program(program);
-    match mvp.run_batch(&batch) {
-        Ok(report) => {
-            let burst = BurstReport { jobs: 1, programs: batch.len(), ledger: report.ledger };
-            shared.account_mvp(tenant, &report.ledger, 1);
-            responder.fulfil(Ok(JobOutput::Mvp(MvpOutput { outputs: report.outputs, burst })));
-        }
-        Err(e) if is_engine_fatal(&e) => {
-            retire_engine(engine, shared, worker);
-            let program = batch.programs()[0].clone();
-            divert_program(tenant, program, route, responder, shared);
-        }
-        Err(e) => responder.fulfil(Err(e.into())),
     }
 }
 

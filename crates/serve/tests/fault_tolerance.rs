@@ -7,7 +7,7 @@ use memcim_bits::BitVec;
 use memcim_crossbar::{
     BankedCrossbar, CrossbarBackend, CrossbarError, OpLedger, RemapEntry, ScoutingKind,
 };
-use memcim_mvp::Instruction;
+use memcim_mvp::{BatchRequest, Instruction};
 use memcim_serve::{BoxedBackend, Job, ServeConfig, ServeError, Service};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -164,6 +164,58 @@ fn engine_death_mid_burst_strands_no_ticket() {
         assert!(u.mvp.energy().as_joules() > 0.0, "tenant {tenant} paid real joules");
         assert!(u.mvp.reads() >= u.mvp_jobs, "each query reads at least once");
     }
+}
+
+/// A batch whose engine dies mid-run is diverted whole: it reruns on
+/// the survivor as one job, every program's outputs match the
+/// reference, and the tenant is billed one job per batch.
+#[test]
+fn batches_survive_engine_death() {
+    let config = ServeConfig::default()
+        .with_workers(2)
+        .with_queue_depth(32)
+        .with_max_burst(4)
+        .with_mvp_geometry(ROWS, BANKS, BANK_COLS)
+        .with_engine_factory(|worker| -> BoxedBackend {
+            let inner = BankedCrossbar::rram(ROWS, BANKS, BANK_COLS);
+            if worker == 0 {
+                // Dies inside its first or second batch.
+                Box::new(DyingBackend::new(inner, 6))
+            } else {
+                Box::new(inner)
+            }
+        });
+    let service = Service::start(config);
+    const TENANT: u64 = 5;
+    let mut batches = 0u64;
+    for wave in 0..200 {
+        let tickets: Vec<_> = (0..4)
+            .map(|i| {
+                let batch = (0..3).fold(BatchRequest::new(), |b, k| b.with_program(query(i + k)));
+                batches += 1;
+                service.submit(TENANT, Job::MvpBatch(batch)).expect("running")
+            })
+            .collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let out = ticket.wait().expect("no batch may fail").into_mvp().expect("mvp");
+            assert_eq!(out.outputs.len(), 3, "one output list per program");
+            for (k, outputs) in out.outputs.iter().enumerate() {
+                assert_eq!(outputs[0].ones().collect::<Vec<_>>(), expected(i + k));
+            }
+        }
+        if service.retired_engines() == 1 {
+            break;
+        }
+        assert!(wave < 199, "worker 0 never popped a batch in 200 waves");
+    }
+    assert_eq!(service.live_engines(), 1, "exactly the dying engine retired");
+    let usage = service.shutdown();
+    assert_eq!(usage.len(), 1);
+    assert_eq!(usage[0].1.mvp_jobs, batches, "each batch billed as one job");
+    // One `Read` per program, sensed on every bank: a run the dying
+    // engine abandoned is never billed.
+    let reads_per_batch = (3 * BANKS) as u64;
+    assert_eq!(usage[0].1.mvp.reads(), reads_per_batch * batches, "only completed runs billed");
 }
 
 /// When the whole pool is dead, MVP jobs fail fast with

@@ -80,7 +80,7 @@ fn a_bad_job_does_not_poison_its_burst_neighbours() {
     // whose substrate refuses reads of one row with an error that is
     // not fault-fatal (the engine stays in the pool).
     let config = two_worker_config().with_workers(1).with_engine_factory(|_| -> BoxedBackend {
-        Box::new(PoisonedRowBackend(BankedCrossbar::rram(8, 4, 32)))
+        Box::new(PoisonedRowBackend::new(BankedCrossbar::rram(8, 4, 32), Arc::default()))
     });
     let width = config.mvp_width();
     let service = Service::start(config);
@@ -107,32 +107,48 @@ const POISONED_ROW: usize = 7;
 
 /// A banked substrate whose reads of [`POISONED_ROW`] fail with
 /// `OutOfBounds`, a malformed-request error rather than a fault-fatal
-/// one.
-struct PoisonedRowBackend(BankedCrossbar);
+/// one. Every operation it is asked for, failed or not, bumps `ops`.
+struct PoisonedRowBackend {
+    inner: BankedCrossbar,
+    ops: Arc<AtomicUsize>,
+}
+
+impl PoisonedRowBackend {
+    fn new(inner: BankedCrossbar, ops: Arc<AtomicUsize>) -> Self {
+        Self { inner, ops }
+    }
+
+    fn count(&self) {
+        self.ops.fetch_add(1, Ordering::SeqCst);
+    }
+}
 
 impl CrossbarBackend for PoisonedRowBackend {
     fn rows(&self) -> usize {
-        self.0.rows()
+        self.inner.rows()
     }
 
     fn cols(&self) -> usize {
-        self.0.cols()
+        self.inner.cols()
     }
 
     fn program_row(&mut self, row: usize, values: &BitVec) -> Result<u64, CrossbarError> {
-        self.0.program_row(row, values)
+        self.count();
+        self.inner.program_row(row, values)
     }
 
     fn read_row(&mut self, row: usize) -> Result<BitVec, CrossbarError> {
+        self.count();
         if row == POISONED_ROW {
             let (rows, cols) = (self.rows(), self.cols());
             return Err(CrossbarError::OutOfBounds { row, col: 0, rows, cols });
         }
-        self.0.read_row(row)
+        self.inner.read_row(row)
     }
 
     fn scouting(&mut self, kind: ScoutingKind, rows: &[usize]) -> Result<BitVec, CrossbarError> {
-        self.0.scouting(kind, rows)
+        self.count();
+        self.inner.scouting(kind, rows)
     }
 
     fn scouting_write(
@@ -141,12 +157,43 @@ impl CrossbarBackend for PoisonedRowBackend {
         rows: &[usize],
         dest: usize,
     ) -> Result<BitVec, CrossbarError> {
-        self.0.scouting_write(kind, rows, dest)
+        self.count();
+        self.inner.scouting_write(kind, rows, dest)
     }
 
     fn ledger_parts(&self) -> Vec<OpLedger> {
-        self.0.ledger_parts()
+        self.inner.ledger_parts()
     }
+}
+
+#[test]
+fn a_failing_lone_program_runs_once() {
+    // A unit of one job has no neighbours to isolate it from, so a
+    // non-fatal engine error is its answer: no second run.
+    let ops = Arc::new(AtomicUsize::new(0));
+    let backend_ops = Arc::clone(&ops);
+    let config =
+        two_worker_config().with_workers(1).with_engine_factory(move |_| -> BoxedBackend {
+            Box::new(PoisonedRowBackend::new(
+                BankedCrossbar::rram(8, 4, 32),
+                Arc::clone(&backend_ops),
+            ))
+        });
+    let service = Service::start(config);
+    let bad = service
+        .submit(7, Job::MvpProgram(vec![Instruction::Read { row: POISONED_ROW }]))
+        .expect("admitted")
+        .wait();
+    assert!(matches!(
+        bad,
+        Err(ServeError::Mvp(MvpError::Crossbar(CrossbarError::OutOfBounds {
+            row: POISONED_ROW,
+            ..
+        })))
+    ));
+    assert_eq!(ops.load(Ordering::SeqCst), 1, "the engine executed the lone program once");
+    assert!(service.tenant_usage(7).is_none(), "a failed job bills nothing");
+    service.shutdown();
 }
 
 #[test]
