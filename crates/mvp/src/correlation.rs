@@ -14,10 +14,14 @@
 //! integrate physically. The column-parallel part is pure scouting
 //! logic: the instantaneous activity count `A(t)` is built as
 //! ⌈log₂(N+1)⌉ bit planes by a ripple-carry population count across the
-//! stream rows (XOR/AND steps, one stream at a time), then each
-//! stream's contribution is masked out with one scouting `AND` per
-//! plane and read back, so the host only pops counters — it never sees
-//! the raw time series twice.
+//! stream rows (XOR/AND steps, one stream at a time). The ripple is
+//! width-aware: after `k` streams the count fits `planes_for(k)` planes,
+//! so a stream only ripples through those and a carry is formed only
+//! where the sum can reach the next plane. Then each stream's
+//! contribution is masked out with one scouting `AND` per plane and read
+//! back, so the host only pops counters — it never sees the raw time
+//! series twice. The instruction sequence depends only on the stream
+//! count, the scored range and the engine width, never on window bits.
 //!
 //! Correlated streams co-activate more often than independence allows,
 //! so their scores exceed the uncorrelated expectation; thresholding
@@ -46,11 +50,14 @@ pub fn planes_for(streams: usize) -> usize {
     (usize::BITS - streams.leading_zeros()) as usize
 }
 
-/// Crossbar rows a correlation feed program needs: one stream-staging
-/// row, two ping-pong banks of activity planes, two carry rows and one
-/// mask destination.
+/// Crossbar rows a correlation feed program needs:
+///
+/// - row 0 stages one stream's window;
+/// - rows `1..1 + 2·planes` hold two rows per activity plane: one holds
+///   the plane's value, the other takes its next update or a mask;
+/// - the last two rows alternate as ripple carries.
 pub fn rows_needed(streams: usize) -> usize {
-    4 + 2 * planes_for(streams)
+    3 + 2 * planes_for(streams)
 }
 
 /// Parameters of a synthetic event corpus with planted correlated
@@ -382,8 +389,17 @@ impl CorrelationAccumulator {
     /// [`ShardMap`](crate::ShardMap) over the streams reproduces the
     /// monolithic scores exactly.
     ///
-    /// The program uses [`rows_needed`]`(streams)` rows and emits
-    /// `range.len() × planes` `Read`s, in `(stream, plane)` order.
+    /// Phase 1 keeps two rows per activity plane and writes each
+    /// update into the plane's other row. Stream 0 is stored straight
+    /// into plane 0, stream `k` ripples through the `planes_for(k)` live
+    /// planes, and a carry out of the top live plane is ANDed straight
+    /// into the new plane's row. Phase 2 masks each scored stream with
+    /// one `AND` per plane into that plane's idle row and reads it. For
+    /// 24 streams the monolithic plan is 447 instructions.
+    ///
+    /// The program uses [`rows_needed`]`(streams)` rows, writes every
+    /// row before reading it (stale engine contents never leak in), and
+    /// emits `range.len() × planes` `Read`s, in `(stream, plane)` order.
     ///
     /// # Errors
     ///
@@ -405,41 +421,53 @@ impl CorrelationAccumulator {
             });
         }
         let planes = self.planes;
-        let acc = |bank: usize, b: usize| 1 + bank * planes + b;
+        // Plane `b` owns the two rows `plane(0, b)` and `plane(1, b)`;
+        // `cur[b]` names the one holding its value. An update writes the
+        // other row, which still holds a recent value of the same plane,
+        // so the write flips few cells: energy is paid per flipped cell.
+        let plane = |row: usize, b: usize| 1 + row * planes + b;
         let r_x = 0;
         let carries = [1 + 2 * planes, 2 + 2 * planes];
-        let r_mask = 3 + 2 * planes;
+        let mut cur = vec![0; planes];
         let mut program = Vec::new();
-        // Phase 1: ripple-carry popcount of stream activity into
-        // ping-pong plane banks, one stream row at a time.
-        for b in 0..planes {
-            program.push(Instruction::Store { row: acc(0, b), data: BitVec::new(width) });
-        }
-        let mut cur = 0;
-        for stream in window {
-            program.push(Instruction::Store {
-                row: r_x,
-                data: crate::sharded::slice_to_width(stream, 0..w, width)?,
-            });
-            let mut carry = r_x;
-            for b in 0..planes {
-                program.push(Instruction::Xor { a: acc(cur, b), b: carry, dst: acc(1 - cur, b) });
-                program
-                    .push(Instruction::And { srcs: vec![acc(cur, b), carry], dst: carries[b % 2] });
-                carry = carries[b % 2];
+        // Phase 1: ripple-carry popcount of stream activity. After `k`
+        // streams the count is at most `k`, so adding stream `k` touches
+        // only the `planes_for(k)` live planes, and a carry is formed
+        // only where the sum can reach the next plane.
+        for (k, stream) in window.iter().enumerate() {
+            let data = crate::sharded::slice_to_width(stream, 0..w, width)?;
+            if k == 0 {
+                program.push(Instruction::Store { row: plane(0, 0), data });
+                continue;
             }
-            cur = 1 - cur;
+            program.push(Instruction::Store { row: r_x, data });
+            let (live, next) = (planes_for(k), planes_for(k + 1));
+            let mut carry = r_x;
+            for b in 0..live {
+                let old = plane(cur[b], b);
+                cur[b] = 1 - cur[b];
+                program.push(Instruction::Xor { a: old, b: carry, dst: plane(cur[b], b) });
+                if b + 1 < next {
+                    // A carry out of the top live plane starts a new plane.
+                    let dst = if b + 1 == live { plane(0, b + 1) } else { carries[b % 2] };
+                    program.push(Instruction::And { srcs: vec![old, carry], dst });
+                    carry = dst;
+                }
+            }
         }
         // Phase 2: mask each scored stream against every activity plane
-        // and read the co-activation columns back.
+        // into that plane's idle row and read the co-activation columns
+        // back. High planes are mostly zero, so consecutive masks of one
+        // plane often match and rewriting them flips few cells.
         for i in range {
             program.push(Instruction::Store {
                 row: r_x,
                 data: crate::sharded::slice_to_width(&window[i], 0..w, width)?,
             });
-            for b in 0..planes {
-                program.push(Instruction::And { srcs: vec![r_x, acc(cur, b)], dst: r_mask });
-                program.push(Instruction::Read { row: r_mask });
+            for (b, &c) in cur.iter().enumerate() {
+                let mask = plane(1 - c, b);
+                program.push(Instruction::And { srcs: vec![r_x, plane(c, b)], dst: mask });
+                program.push(Instruction::Read { row: mask });
             }
         }
         Ok(program)
@@ -701,7 +729,7 @@ mod tests {
         assert_eq!(planes_for(4), 3);
         assert_eq!(planes_for(24), 5);
         assert_eq!(planes_for(255), 8);
-        assert_eq!(rows_needed(24), 14);
+        assert_eq!(rows_needed(24), 13);
         // The plan never escapes its declared row budget.
         let acc = CorrelationAccumulator::new(24).expect("streams");
         let window = vec![BitVec::new(32); 24];
@@ -709,5 +737,40 @@ mod tests {
         for instr in &plan {
             assert_eq!(instr.check(rows_needed(24), 64), Ok(()), "{instr:?}");
         }
+    }
+
+    #[test]
+    fn feed_plan_shape_is_pinned_and_data_independent() {
+        // The plan with every Store payload blanked: what remains is the
+        // instruction sequence the window bits must not influence.
+        fn shape(plan: &[Instruction]) -> Vec<Instruction> {
+            plan.iter()
+                .map(|instr| match instr {
+                    Instruction::Store { row, .. } => {
+                        Instruction::Store { row: *row, data: BitVec::new(0) }
+                    }
+                    other => other.clone(),
+                })
+                .collect()
+        }
+        let (_, streams) = corpus();
+        let acc = CorrelationAccumulator::new(24).expect("streams");
+        let window = streams.window(0..64).expect("slice");
+        let plan = acc.feed_plan(&window, 64).expect("plan");
+        let count = |f: fn(&Instruction) -> bool| plan.iter().filter(|i| f(i)).count();
+        assert_eq!(plan.len(), 447);
+        assert_eq!(count(|i| matches!(i, Instruction::Store { .. })), 48);
+        assert_eq!(count(|i| matches!(i, Instruction::Xor { .. })), 89);
+        assert_eq!(count(|i| matches!(i, Instruction::And { .. })), 190);
+        assert_eq!(count(|i| matches!(i, Instruction::Read { .. })), 120);
+        let shard = acc.shard_feed_plan(&window, 0..12, 64).expect("shard plan");
+        assert_eq!(shard.len(), 315);
+
+        let other = streams.window(300..364).expect("slice");
+        assert_ne!(window, other, "the two windows differ");
+        let again = acc.feed_plan(&other, 64).expect("plan");
+        assert_eq!(shape(&plan), shape(&again));
+        let shard_again = acc.shard_feed_plan(&other, 0..12, 64).expect("shard plan");
+        assert_eq!(shape(&shard), shape(&shard_again));
     }
 }

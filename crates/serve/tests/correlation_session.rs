@@ -6,8 +6,9 @@
 //! every tenant is billed exactly the stream-slots it completed, once.
 
 use memcim_bits::BitVec;
-use memcim_mvp::correlation::correlation_reference;
-use memcim_serve::{ServeConfig, Service};
+use memcim_mvp::correlation::{correlation_reference, rows_needed};
+use memcim_mvp::MvpError;
+use memcim_serve::{ServeConfig, ServeError, Service};
 use proptest::prelude::*;
 
 const ROWS: usize = 16;
@@ -127,4 +128,42 @@ proptest! {
         prop_assert_eq!(bill.corr_events, 2 * (streams * steps) as u64, "both rounds billed");
         service.shutdown();
     }
+}
+
+/// `open_corr_session` admits a stream count only if its feed plans fit
+/// the worker engines and, on a sharded service, every shard gets at
+/// least one stream. Both refusals are typed and name the geometry; an
+/// engine of exactly `rows_needed(streams)` rows is enough to feed and
+/// finish with the reference answer.
+#[test]
+fn open_corr_session_gates_the_engine_geometry() {
+    const STREAMS: usize = 12;
+    let refusal = |result: Result<_, ServeError>| match result {
+        Err(ServeError::Mvp(MvpError::BadInput { reason })) => reason,
+        other => panic!("expected a typed BadInput refusal, got {other:?}"),
+    };
+
+    let rows = rows_needed(STREAMS);
+    let exact =
+        Service::start(ServeConfig::default().with_workers(2).with_mvp_geometry(rows, 2, 16));
+    let reason = refusal(exact.open_corr_session(1, 16, 0));
+    assert!(rows_needed(16) > rows);
+    assert!(reason.contains("rows"), "the refusal names the rows: {reason}");
+    assert_eq!(exact.session_count(), 0, "a refused open leaves no session");
+
+    let data: Vec<BitVec> =
+        (0..STREAMS).map(|i| (0..32).map(|t| (t * 7 + i * 3) % 5 < 2).collect()).collect();
+    let session = exact.open_corr_session(1, STREAMS, 0).expect("fits exactly");
+    exact.corr_feed(1, session, &data).expect("feeds");
+    let outcome = exact.corr_finish(1, session).expect("finishes");
+    assert_eq!(outcome.scores, correlation_reference(&data).expect("well-formed corpus"));
+    exact.shutdown();
+
+    let sharded = Service::start(
+        ServeConfig::default().with_workers(4).with_mvp_geometry(ROWS, 2, 16).with_placement(4, 1),
+    );
+    let reason = refusal(sharded.open_corr_session(1, 3, 0));
+    assert!(reason.contains("shards"), "the refusal names the shards: {reason}");
+    sharded.open_corr_session(1, 4, 0).expect("one stream per shard is enough");
+    sharded.shutdown();
 }

@@ -9,7 +9,8 @@
 use memcim_mvp::correlation::{
     correlation_reference, rows_needed, CorrelationAccumulator, CorrelationConfig, EventStreams,
 };
-use memcim_mvp::{MvpError, MvpSimulator, ShardMap};
+use memcim_mvp::{Instruction, MvpError, MvpSimulator, ShardMap};
+use proptest::prelude::*;
 
 const SEED: u64 = 2018;
 
@@ -190,7 +191,7 @@ fn a_too_small_engine_is_refused_with_a_typed_error() {
         CorrelationConfig { streams: 24, steps: 32, rate: 0.25, strength: 0.0, groups: vec![] };
     let events = EventStreams::synthesize(&cfg, SEED).expect("synthesizes");
     let mut acc = CorrelationAccumulator::new(24).expect("enough streams");
-    // 24 streams need 14 rows; offer 8.
+    // 24 streams need 13 rows; offer 8.
     let mut mvp = MvpSimulator::new(8, 32);
     let window = events.window(0..32).expect("range");
     match acc.feed_mvp(&mut mvp, &window) {
@@ -201,4 +202,69 @@ fn a_too_small_engine_is_refused_with_a_typed_error() {
     }
     assert_eq!(acc.events(), 0, "the refused feed accumulated nothing");
     assert_eq!(acc.scores().iter().sum::<u64>(), 0);
+}
+
+/// Runs `plan` on a fresh engine and on one whose every row was first
+/// filled with unrelated bits; a self-contained plan writes each row it
+/// reads, so both runs must return the same reads.
+fn reads_ignore_stale_rows(plan: &[Instruction], rows: usize, width: usize, seed: u64) -> bool {
+    let fresh = MvpSimulator::new(rows, width).run_program(plan).expect("plan runs");
+    let noise =
+        CorrelationConfig { streams: rows, steps: width, rate: 0.5, strength: 0.0, groups: vec![] };
+    let fill: Vec<Instruction> = EventStreams::synthesize(&noise, seed)
+        .expect("synthesizes")
+        .data()
+        .iter()
+        .enumerate()
+        .map(|(row, data)| Instruction::Store { row, data: data.clone() })
+        .collect();
+    let mut stale = MvpSimulator::new(rows, width);
+    stale.run_program(&fill).expect("fill runs");
+    stale.run_program(plan).expect("plan runs") == fresh
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The feed plan's plane schedule changes shape whenever the stream
+    /// count crosses a power of two (2, 4, 8, 16, 32): a new activity
+    /// plane opens and the carries reroute. Across those crossings,
+    /// every window width and every shard count, the monolithic, banked
+    /// and per-shard scores equal the software reference, every plan
+    /// verifies clean inside `rows_needed(streams)` rows, emits one
+    /// read per (stream, plane), and returns the same reads on an engine
+    /// holding stale data in every row.
+    #[test]
+    fn feed_plans_match_reference_across_plane_boundaries(
+        streams in 2usize..=40,
+        width in 1usize..=96,
+        shards in 1usize..=4,
+        rate in 0.05f64..0.95,
+        seed in any::<u64>(),
+    ) {
+        let cfg = CorrelationConfig { streams, steps: width, rate, strength: 0.0, groups: vec![] };
+        let events = EventStreams::synthesize(&cfg, seed).expect("synthesizes");
+        let reference = correlation_reference(events.data()).expect("well-formed corpus");
+        prop_assert_eq!(&monolithic_scores(&events, width), &reference, "monolithic");
+        prop_assert_eq!(&banked_scores(&events, width), &reference, "banked");
+        let shards = shards.min(streams);
+        prop_assert_eq!(&sharded_scores(&events, width, shards), &reference, "sharded×{}", shards);
+
+        let rows = rows_needed(streams);
+        let acc = CorrelationAccumulator::new(streams).expect("enough streams");
+        let map = ShardMap::new(streams, shards).expect("valid geometry");
+        for range in std::iter::once(0..streams).chain(map.ranges()) {
+            let plan = acc.shard_feed_plan(events.data(), range.clone(), width).expect("plan");
+            let diagnostics = memcim_verify::verify_program(&plan, rows, width);
+            prop_assert!(
+                memcim_verify::first_error(&diagnostics).is_none(),
+                "range {:?} must verify clean in {} rows",
+                range,
+                rows
+            );
+            let reads = plan.iter().filter(|i| matches!(i, Instruction::Read { .. })).count();
+            prop_assert_eq!(reads, range.len() * acc.planes());
+            prop_assert!(reads_ignore_stale_rows(&plan, rows, width, !seed), "range {:?}", range);
+        }
+    }
 }

@@ -169,7 +169,7 @@ fn concurrent_clients_over_loopback_tcp() {
 fn correlation_streams_over_loopback_tcp() {
     use memcim_mvp::correlation::{correlation_reference, CorrelationConfig, EventStreams};
 
-    const STREAMS: usize = 12; // rows_needed(12) = 12 ≤ ROWS
+    const STREAMS: usize = 12; // rows_needed(12) = 11 ≤ ROWS
     const STEPS: usize = 384;
     const WINDOW: usize = 128; // ≤ WIDTH
     const CORR_TENANTS: u64 = 4;

@@ -259,7 +259,7 @@ mod chaos {
         use memcim::serve::ServeError;
         use memcim_mvp::correlation::{correlation_reference, CorrelationConfig, EventStreams};
 
-        const STREAMS: usize = 12; // rows_needed(12) = 12 ≤ ROWS
+        const STREAMS: usize = 12; // rows_needed(12) = 11 ≤ ROWS
         const STEPS: usize = 768;
         const WINDOW: usize = 128; // ≤ WIDTH, six windows per stream
 
