@@ -258,12 +258,13 @@ fn run_workloads(quick: bool) -> Vec<ConfigResult> {
     // The same four bitmap query plans, served through `memcim-serve`:
     // each iteration submits a fixed closed-loop burst of jobs round-
     // robin over 8 tenants and waits for every ticket, so units/s is
-    // end-to-end queries per second through the queue, the coalescer,
-    // the per-worker banked engines and the tenant ledger accounting.
+    // end-to-end queries per second through the queue, the per-worker
+    // banked engines and the tenant ledger accounting; each job runs as
+    // its own `BatchRequest`.
     // Worker counts 1/4/8 record the throughput-scaling trajectory.
     // The serving workload is deliberately many *small* queries (a
     // 2048-record table in both modes, unlike the big-scan configs
-    // above): the layer under test is the queue/coalescer/ticket
+    // above): the layer under test is the queue/executor/ticket
     // machinery under heavy request traffic, not one giant scan. Worker
     // scaling needs cores — the report records `host_cores` so a flat
     // trio on a single-CPU container reads as what it is.

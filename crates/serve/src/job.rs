@@ -24,16 +24,18 @@ pub const MAX_LANES: usize = 64;
 ///
 /// Jobs are **independent**: each must load whatever rows it reads
 /// (engine row state is not promised across job boundaries — jobs may
-/// be reordered by coalescing and may execute on different workers'
-/// engines). Within one job, instructions run in order as usual.
+/// execute on different workers' engines, in any order across
+/// workers). Within one job, instructions run in order as usual.
+/// Every MVP job executes as one [`BatchRequest`], exactly once per
+/// engine attempt.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum Job {
-    /// A single MVP macro-instruction program. Programs of one tenant
-    /// arriving in the same scheduling burst are coalesced into one
-    /// [`BatchRequest`] execution.
+    /// A single MVP macro-instruction program, executed as a
+    /// one-program [`BatchRequest`].
     MvpProgram(Vec<Instruction>),
-    /// A pre-assembled batch of MVP programs, executed as one unit.
+    /// A pre-assembled batch of MVP programs, executed back to back on
+    /// one engine as one unit.
     MvpBatch(BatchRequest),
     /// Streams one chunk into **each** stream lane of an AP session in
     /// a single job: `chunks[i]` goes to lane `i`. Lanes are
@@ -57,16 +59,14 @@ pub enum Job {
     },
 }
 
-/// What one coalesced MVP burst cost; shared by every job that rode in
-/// it (the per-tenant ledger accounts it exactly once).
+/// What one MVP job's batch cost on the engine that ran it; the
+/// tenant's ledger is billed exactly this delta, once.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstReport {
-    /// Jobs coalesced into the burst.
-    pub jobs: usize,
-    /// Programs executed across those jobs.
+    /// Programs the job's batch executed.
     pub programs: usize,
-    /// The burst's aggregate ledger delta (banked semantics: energy and
-    /// counts sum over banks, busy time is the slowest bank).
+    /// The batch's ledger delta (banked semantics: energy and counts
+    /// sum over banks, busy time is the slowest bank).
     pub ledger: OpLedger,
 }
 
@@ -77,7 +77,7 @@ pub struct MvpOutput {
     /// program, in program order (a [`Job::MvpProgram`] has exactly one
     /// entry).
     pub outputs: Vec<Vec<BitVec>>,
-    /// The coalesced burst this job executed in.
+    /// What this job, and only this job, cost.
     pub burst: BurstReport,
 }
 

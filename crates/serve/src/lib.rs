@@ -29,13 +29,11 @@
 //!   watermark. AP and correlation sessions share one table; a verb
 //!   against the wrong kind is refused typed
 //!   ([`ServeError::WrongSessionKind`]).
-//! * **Coalescing** — single-program MVP jobs of one tenant that land in
-//!   the same scheduling burst execute as one `BatchRequest` (one ledger
-//!   delta, accounted once); see [`BurstReport`].
 //! * **Accounting** — every job is billed to its [`TenantId`] before its
 //!   [`Ticket`] resolves: [`Service::tenant_usage`] returns the client's
 //!   accumulated [`OpLedger`](memcim_crossbar::OpLedger) (serial merge
-//!   of burst deltas) and AP stream costs.
+//!   of per-job deltas, each reported back in the job's
+//!   [`BurstReport`]) and AP stream costs.
 //! * **Fault tolerance** — engines can run ECC-protected and with spare
 //!   rows ([`ServeConfig::with_ecc`] / [`ServeConfig::with_spare_rows`]);
 //!   a worker whose substrate reports a fault-fatal error (uncorrectable
@@ -131,7 +129,6 @@
 
 #![deny(missing_docs)]
 
-mod coalesce;
 mod error;
 mod job;
 pub mod net;

@@ -384,22 +384,13 @@ fn dispatch(
             if let Err(e) = admission.admit(tenant, jobs, Instant::now()) {
                 return error_frame(&e);
             }
-            let job = if programs.len() == 1 {
-                // A single program rides the coalescer with its burst.
-                Job::MvpProgram(programs.into_iter().next().unwrap_or_default())
-            } else {
-                let mut batch = BatchRequest::new();
-                for program in programs {
-                    batch.push(program);
-                }
-                Job::MvpBatch(batch)
-            };
-            match submit_and_wait(service, tenant, job) {
+            let batch = programs.into_iter().fold(BatchRequest::new(), BatchRequest::with_program);
+            match submit_and_wait(service, tenant, Job::MvpBatch(batch)) {
                 Err(e) => error_frame(&e),
                 Ok(output) => match output.into_mvp() {
                     Some(result) => Response::Mvp(WireMvpResult {
                         outputs: result.outputs,
-                        jobs: result.burst.jobs as u64,
+                        jobs: 1,
                         programs: result.burst.programs as u64,
                         energy: result.burst.ledger.energy(),
                         busy: result.burst.ledger.busy_time(),

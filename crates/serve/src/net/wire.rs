@@ -593,11 +593,11 @@ pub enum Request {
         /// The tenant's secret token.
         token: String,
     },
-    /// Submits MVP macro-instruction programs: a single program enters
-    /// the coalescer like an in-process [`Job::MvpProgram`]; several
-    /// execute as one pre-assembled batch.
+    /// Submits MVP macro-instruction programs, executed as one
+    /// pre-assembled batch like an in-process [`Job::MvpBatch`] — one
+    /// job, however many programs.
     ///
-    /// [`Job::MvpProgram`]: crate::Job::MvpProgram
+    /// [`Job::MvpBatch`]: crate::Job::MvpBatch
     Submit {
         /// The programs; must be non-empty.
         programs: Vec<Vec<Instruction>>,
@@ -800,7 +800,7 @@ impl Request {
 // --- Responses --------------------------------------------------------
 
 /// The wire-visible result of a `Submit`: program outputs plus the
-/// burst-level cost summary (counts and physical totals; the full
+/// submission's cost summary (counts and physical totals; the full
 /// [`OpLedger`] breakdown stays server-side in the tenant's bill).
 ///
 /// [`OpLedger`]: memcim_crossbar::OpLedger
@@ -809,13 +809,15 @@ pub struct WireMvpResult {
     /// `outputs[i]` holds the `Read` results of the `i`-th submitted
     /// program, in program order.
     pub outputs: Vec<Vec<BitVec>>,
-    /// Jobs coalesced into the burst this submission rode in.
+    /// Jobs the submission ran as. Always 1 from this server: every
+    /// `Submit` is one batch job. The field keeps the frame layout.
     pub jobs: u64,
-    /// Programs executed across the burst.
+    /// Programs the submission executed.
     pub programs: u64,
-    /// The burst's dynamic energy.
+    /// The submission's dynamic energy, exactly what the tenant was
+    /// billed for it.
     pub energy: Joules,
-    /// The burst's engine busy time.
+    /// The submission's engine busy time.
     pub busy: Seconds,
 }
 

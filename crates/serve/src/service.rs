@@ -1,8 +1,7 @@
 //! The service front door: configuration, submission, worker pool,
 //! per-tenant accounting, shutdown.
 
-use crate::coalesce::{coalesce, EngineJob, Envelope, ShardRoute, Unit};
-use crate::job::{ticket_pair, ShardedTicket};
+use crate::job::{ticket_pair, Responder, ShardedTicket};
 use crate::placement::{Catalog, PlacementConfig};
 use crate::router::{PushRefused, WhenFull, WorkRouter};
 use crate::session::{ApOpenInfo, ApSession, CorrSession, SessionTable, StreamSession};
@@ -31,7 +30,7 @@ pub type EngineFactory = Arc<dyn Fn(usize) -> BoxedBackend + Send + Sync>;
 
 type Engine = MvpSimulator<BoxedBackend>;
 
-/// Sizing of the service: worker pool, queue, coalescing window and the
+/// Sizing of the service: worker pool, queue, burst size and the
 /// per-worker MVP engine geometry.
 #[derive(Clone)]
 pub struct ServeConfig {
@@ -41,8 +40,8 @@ pub struct ServeConfig {
     /// `try_submit` refuses once this many engine jobs are pending. AP
     /// session jobs never queue.
     pub queue_depth: usize,
-    /// Maximum jobs a worker drains per scheduling burst (the
-    /// coalescing window).
+    /// Maximum jobs a worker takes off the queue per visit. Each job
+    /// still executes on its own.
     pub max_burst: usize,
     /// Rows of each worker's MVP engine.
     pub mvp_rows: usize,
@@ -126,7 +125,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the coalescing window (jobs drained per burst).
+    /// Sets how many jobs a worker drains per queue visit.
     #[must_use]
     pub fn with_max_burst(mut self, max_burst: usize) -> Self {
         self.max_burst = max_burst;
@@ -264,9 +263,9 @@ impl ServeConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TenantUsage {
     /// MVP activity: the serial sum ([`OpLedger::merge_serial`]) of the
-    /// tenant's burst deltas — each delta itself aggregates banks in
-    /// parallel, but a client's successive bursts occupy engine time
-    /// back to back.
+    /// tenant's per-job ledger deltas — each delta itself aggregates
+    /// banks in parallel, but a client's successive jobs occupy engine
+    /// time back to back.
     pub mvp: OpLedger,
     /// MVP jobs completed.
     pub mvp_jobs: u64,
@@ -382,11 +381,11 @@ impl VerifyCache {
 impl Shared {
     /// Accounting happens *before* tickets resolve, so a client that
     /// waits on a ticket always observes its own job in the usage map.
-    fn account_mvp(&self, tenant: TenantId, delta: &OpLedger, jobs: u64) {
+    fn account_mvp(&self, tenant: TenantId, delta: &OpLedger) {
         let mut map = sync::lock(&self.tenants);
         let usage = map.entry(tenant).or_default();
         usage.mvp.merge_serial(delta);
-        usage.mvp_jobs += jobs;
+        usage.mvp_jobs += 1;
     }
 
     fn account_ap(&self, tenant: TenantId, symbols: u64, energy: Joules, busy: Seconds) {
@@ -480,9 +479,9 @@ impl Shared {
 /// banked [`MvpSimulator`] and serving MVP and correlation work; clients
 /// [`submit`](Service::submit) jobs through a bounded queue (blocking
 /// backpressure; `try_submit` for the non-blocking variant) and wait on
-/// the returned [`Ticket`]. Workers drain the queue in bursts,
-/// coalescing each tenant's single-program MVP jobs into one
-/// [`BatchRequest`] execution. AP session jobs never queue: they run on
+/// the returned [`Ticket`]. Every engine job is one [`BatchRequest`]
+/// (a single program is a one-program batch) that a worker runs exactly
+/// once on its engine. AP session jobs never queue: they run on
 /// the submitting thread, through per-session [`MultiStreamProcessor`]s
 /// checked out of a shared session table. Every completed job is billed
 /// to its tenant ([`tenant_usage`](Service::tenant_usage)) before its
@@ -533,7 +532,7 @@ impl Service {
             return Err(invalid("queue depth must be non-zero"));
         }
         if config.max_burst == 0 {
-            return Err(invalid("burst window must be non-zero"));
+            return Err(invalid("burst size must be non-zero"));
         }
         if config.mvp_rows == 0 || config.mvp_banks == 0 || config.mvp_bank_cols == 0 {
             return Err(invalid("MVP geometry must be non-zero"));
@@ -698,9 +697,9 @@ impl Service {
             return Err(ServeError::ShuttingDown);
         }
         self.shared.check_job(tenant, &job)?;
-        let job = match job {
-            Job::MvpProgram(program) => EngineJob::Program(program),
-            Job::MvpBatch(batch) => EngineJob::Batch(batch),
+        let batch = match job {
+            Job::MvpProgram(program) => BatchRequest::new().with_program(program),
+            Job::MvpBatch(batch) => batch,
             // AP jobs run here, but not on a closed service.
             _ if self.shared.queue.is_closed() => return Err(ServeError::ShuttingDown),
             Job::ApFeedMany { session, chunks } => {
@@ -711,7 +710,7 @@ impl Service {
             }
         };
         let (ticket, responder) = ticket_pair();
-        let envelope = Envelope { tenant, job, route: None, responder };
+        let envelope = Envelope { tenant, batch, route: None, responder };
         match self.shared.queue.push(None, when_full, envelope) {
             Ok(()) => Ok(ticket),
             Err(PushRefused::Full(_)) => {
@@ -834,7 +833,8 @@ impl Service {
                     continue;
                 }
             };
-            let envelope = Envelope { tenant, job: EngineJob::Program(program), route, responder };
+            let batch = BatchRequest::new().with_program(program);
+            let envelope = Envelope { tenant, batch, route, responder };
             // A refused envelope (the service closed) is dropped, which
             // fails its ticket with `ShuttingDown`.
             let _ = self.shared.queue.push(worker, WhenFull::Wait, envelope);
@@ -1118,13 +1118,37 @@ impl Drop for Service {
     }
 }
 
+/// Where a sharded sub-query is in its failover journey: which shard
+/// it serves and how many placement attempts it has consumed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ShardRoute {
+    /// The shard whose records this sub-query touches.
+    shard: usize,
+    /// Placement attempts so far (0 on first submit; each re-route
+    /// after an engine retirement increments it).
+    attempts: u32,
+}
+
+/// One queued engine job — the only work the workers execute: the
+/// tenant's programs as one [`BatchRequest`], its optional shard route
+/// and the worker-side ticket half.
+#[derive(Debug)]
+struct Envelope {
+    tenant: TenantId,
+    batch: BatchRequest,
+    /// `Some` for scatter-gather sub-queries (always delivered via a
+    /// worker mailbox); `None` for ordinary shared-lane jobs.
+    route: Option<ShardRoute>,
+    responder: Responder,
+}
+
 fn worker_loop(shared: &Shared, worker: usize) {
     let config = &shared.config;
     let mut engine: Option<Engine> = Some(MvpSimulator::with_backend(config.build_backend(worker)));
     let mut drained = Vec::with_capacity(config.max_burst);
     while shared.queue.pop_burst(worker, config.max_burst, &mut drained) {
-        for unit in coalesce(drained.drain(..)) {
-            execute_unit(unit, &mut engine, shared, worker);
+        for envelope in drained.drain(..) {
+            execute(envelope, &mut engine, shared, worker);
         }
     }
 }
@@ -1204,77 +1228,30 @@ fn divert(mut envelope: Envelope, shared: &Shared) {
     std::thread::sleep(std::time::Duration::from_millis(backoff));
 }
 
-/// Runs one unit's programs as one `BatchRequest` on this worker's
-/// engine, billing the tenant once and handing each job its own outputs
-/// and the shared [`BurstReport`]. The programs move out of the
-/// envelopes; only the failure paths rebuild them. A fault-fatal error
-/// retires the engine and diverts every job; any other error re-runs
-/// each job alone when the unit coalesced several, so one bad program
-/// fails only its own ticket.
-fn execute_unit(unit: Unit, engine: &mut Option<Engine>, shared: &Shared, worker: usize) {
-    let Unit { tenant, jobs } = unit;
+/// Runs one envelope's batch on this worker's engine, exactly once.
+/// Success bills the tenant and fulfils the ticket with the batch's
+/// outputs and ledger. A fault-fatal error retires the engine and
+/// diverts the envelope, unchanged, to the survivors; any other error
+/// is the job's own answer.
+fn execute(envelope: Envelope, engine: &mut Option<Engine>, shared: &Shared, worker: usize) {
     let Some(mvp) = engine.as_mut() else {
         // This worker's engine is gone but its mailbox still receives
-        // routed jobs that raced the retirement: fail each over.
-        jobs.into_iter().for_each(|job| divert(job, shared));
+        // routed jobs that raced the retirement: fail this one over.
+        divert(envelope, shared);
         return;
     };
-    let mut batch = BatchRequest::new();
-    let mut submitted_batch = false;
-    let mut waiters = Vec::with_capacity(jobs.len());
-    for Envelope { job, route, responder, .. } in jobs {
-        match job {
-            EngineJob::Program(program) => {
-                batch.push(program);
-            }
-            // The coalescer keeps a submitted batch alone in its unit.
-            EngineJob::Batch(submitted) => {
-                batch = submitted;
-                submitted_batch = true;
-            }
-        }
-        waiters.push((route, responder));
-    }
-    let error = match mvp.run_batch(&batch) {
+    match mvp.run_batch(&envelope.batch) {
         Ok(report) => {
-            let jobs = waiters.len();
-            let burst = BurstReport { jobs, programs: batch.len(), ledger: report.ledger };
-            shared.account_mvp(tenant, &report.ledger, jobs as u64);
-            let per_job = if submitted_batch { batch.len() } else { 1 };
-            let mut outputs = report.outputs.into_iter();
-            for (_, responder) in waiters {
-                let outputs = outputs.by_ref().take(per_job).collect();
-                responder.fulfil(Ok(JobOutput::Mvp(MvpOutput { outputs, burst })));
-            }
-            return;
+            shared.account_mvp(envelope.tenant, &report.ledger);
+            let burst = BurstReport { programs: envelope.batch.len(), ledger: report.ledger };
+            let output = MvpOutput { outputs: report.outputs, burst };
+            envelope.responder.fulfil(Ok(JobOutput::Mvp(output)));
         }
-        Err(error) => error,
-    };
-    let fatal = is_engine_fatal(&error);
-    if fatal {
-        retire_engine(engine, shared, worker);
-    } else if waiters.len() == 1 {
-        if let Some((_, responder)) = waiters.pop() {
-            responder.fulfil(Err(error.into()));
-        }
-        return;
-    }
-    let jobs: Vec<EngineJob> = if submitted_batch {
-        vec![EngineJob::Batch(batch)]
-    } else {
-        batch.programs().iter().cloned().map(EngineJob::Program).collect()
-    };
-    for (job, (route, responder)) in jobs.into_iter().zip(waiters) {
-        let envelope = Envelope { tenant, job, route, responder };
-        if fatal {
-            // The substrate died mid-run: no job was fulfilled, so each
-            // moves on to the survivors.
+        Err(error) if is_engine_fatal(&error) => {
+            retire_engine(engine, shared, worker);
             divert(envelope, shared);
-        } else {
-            // One bad program poisons a coalesced run (run_batch stops
-            // at the first failure), so isolate: each job runs alone.
-            execute_unit(Unit { tenant, jobs: vec![envelope] }, engine, shared, worker);
         }
+        Err(error) => envelope.responder.fulfil(Err(error.into())),
     }
 }
 

@@ -1,5 +1,6 @@
-//! End-to-end service behavior: correctness of served results, burst
-//! coalescing invariants, error isolation, tenant isolation, shutdown.
+//! End-to-end service behavior: correctness of served results,
+//! exactly-once execution and per-job billing, error isolation, tenant
+//! isolation, shutdown.
 
 use memcim_ap::ApError;
 use memcim_bits::BitVec;
@@ -56,21 +57,41 @@ fn tenant_accounting_is_complete_and_visible_before_tickets_resolve() {
     let tickets: Vec<_> = (0..JOBS)
         .map(|i| service.submit(42, Job::MvpProgram(query_program(width, i as usize))).unwrap())
         .collect();
+    let mut reported = OpLedger::default();
     for ticket in tickets {
-        ticket.wait().expect("runs");
+        let out = ticket.wait().expect("runs").into_mvp().expect("mvp job");
         // Accounting precedes ticket resolution: the tenant is always
         // visible in the usage map by the time a ticket resolves.
         assert!(service.tenant_usage(42).is_some());
+        assert_eq!(out.burst.programs, 1);
+        reported.merge_serial(&out.burst.ledger);
     }
     let usage = service.tenant_usage(42).expect("tenant ran");
     assert_eq!(usage.mvp_jobs, JOBS);
     // Every program does one OR + one AND scouting op per bank (4
-    // banks), regardless of how the jobs were coalesced into bursts.
+    // banks), whichever worker ran it.
     assert_eq!(usage.mvp.scouting_ops(), JOBS * 2 * 4);
     assert!(usage.mvp.energy().as_joules() > 0.0);
     assert!(usage.total_busy().as_seconds() > 0.0);
+    // Each job reports its own cost and nothing else: the per-job
+    // ledgers sum to the tenant's bill.
+    assert_eq!(op_counts(&reported), op_counts(&usage.mvp));
+    let billed = usage.mvp.energy().as_joules();
+    assert!((reported.energy().as_joules() - billed).abs() <= 1e-12 * billed, "energy");
     let snapshot = service.shutdown();
     assert_eq!(snapshot, vec![(42, usage)]);
+}
+
+/// The exact operation counts of a ledger: reads, scouting ops, row
+/// programs, bits programmed and corrected errors.
+fn op_counts(ledger: &OpLedger) -> [u64; 5] {
+    [
+        ledger.reads(),
+        ledger.scouting_ops(),
+        ledger.programs(),
+        ledger.bits_programmed(),
+        ledger.corrected_errors(),
+    ]
 }
 
 #[test]
@@ -79,27 +100,72 @@ fn a_bad_job_does_not_poison_its_burst_neighbours() {
     // well-formed, so it passes admission, and fails only at the engine,
     // whose substrate refuses reads of one row with an error that is
     // not fault-fatal (the engine stays in the pool).
-    let config = two_worker_config().with_workers(1).with_engine_factory(|_| -> BoxedBackend {
-        Box::new(PoisonedRowBackend::new(BankedCrossbar::rram(8, 4, 32), Arc::default()))
-    });
+    let ops = Arc::new(AtomicUsize::new(0));
+    let entered = Arc::new(AtomicUsize::new(0));
+    let release = Arc::new(AtomicBool::new(false));
+    let config = {
+        let (ops, entered, release) =
+            (Arc::clone(&ops), Arc::clone(&entered), Arc::clone(&release));
+        two_worker_config().with_workers(1).with_engine_factory(move |_| -> BoxedBackend {
+            Box::new(GateBackend {
+                inner: PoisonedRowBackend::new(BankedCrossbar::rram(8, 4, 32), Arc::clone(&ops)),
+                entered: Arc::clone(&entered),
+                release: Arc::clone(&release),
+            })
+        })
+    };
     let width = config.mvp_width();
     let service = Service::start(config);
-    // Same tenant, same burst window: good, bad, good. Whether or not
-    // they coalesce, the bad one must fail alone.
-    let good1 = service.submit(7, Job::MvpProgram(query_program(width, 0))).unwrap();
-    let bad = service.submit(7, Job::MvpProgram(vec![Instruction::Read { row: POISONED_ROW }]));
-    let good2 = service.submit(7, Job::MvpProgram(query_program(width, 3))).unwrap();
-    assert!(good1.wait().is_ok());
+    let gate = OpenOnDrop(release);
+    // Hold the only worker on a gated first job, so that good, bad and
+    // good of one tenant queue up and are drained as one burst.
+    let programs = [
+        query_program(width, 9),
+        query_program(width, 0),
+        vec![Instruction::Read { row: POISONED_ROW }],
+        query_program(width, 3),
+    ];
+    let held = service.submit(1, Job::MvpProgram(programs[0].clone())).unwrap();
+    while entered.load(Ordering::SeqCst) == 0 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let good1 = service.submit(7, Job::MvpProgram(programs[1].clone())).unwrap();
+    let bad = service.submit(7, Job::MvpProgram(programs[2].clone())).expect("admitted");
+    let good2 = service.submit(7, Job::MvpProgram(programs[3].clone())).unwrap();
+    assert_eq!(service.pending(), 3, "the trio waits behind the gate");
+    drop(gate);
+
+    assert!(held.wait().is_ok());
+    let good1 = good1.wait().expect("unaffected").into_mvp().expect("mvp");
     assert!(matches!(
-        bad.expect("admitted").wait(),
+        bad.wait(),
         Err(ServeError::Mvp(MvpError::Crossbar(CrossbarError::OutOfBounds {
             row: POISONED_ROW,
             ..
         })))
     ));
-    let out = good2.wait().expect("unaffected").into_mvp().expect("mvp");
-    assert_eq!(out.outputs.len(), 1);
+    let good2 = good2.wait().expect("unaffected").into_mvp().expect("mvp");
+    assert_eq!((good1.outputs.len(), good2.outputs.len()), (1, 1));
+    // Exactly once: the engine saw each program's solo cost one time.
+    let solo: usize = programs.iter().map(|program| solo_ops(program)).sum();
+    assert_eq!(ops.load(Ordering::SeqCst), solo, "every program executed once");
+    // The failed job bills nothing: tenant 7 paid for good1 and good2.
+    let usage = service.tenant_usage(7).expect("billed");
+    assert_eq!(usage.mvp_jobs, 2);
+    let mut paid = good1.burst.ledger;
+    paid.merge_serial(&good2.burst.ledger);
+    assert_eq!(op_counts(&usage.mvp), op_counts(&paid));
     service.shutdown();
+}
+
+/// Backend operations `program` costs run alone on a fresh engine,
+/// counted by a [`PoisonedRowBackend`] (a failing program counts up to
+/// its failure).
+fn solo_ops(program: &[Instruction]) -> usize {
+    let ops = Arc::new(AtomicUsize::new(0));
+    let backend = PoisonedRowBackend::new(BankedCrossbar::rram(8, 4, 32), Arc::clone(&ops));
+    let _ = MvpSimulator::with_backend(backend).run_program(program);
+    ops.load(Ordering::SeqCst)
 }
 
 /// The row [`PoisonedRowBackend`] refuses to read.
@@ -197,6 +263,42 @@ fn a_failing_lone_program_runs_once() {
 }
 
 #[test]
+fn a_failing_batch_fails_whole_and_runs_once() {
+    // A client batch is one job: the bad program fails the whole ticket,
+    // the program before it ran once and is not re-run, the one after
+    // it never runs, and nothing is billed.
+    let ops = Arc::new(AtomicUsize::new(0));
+    let backend_ops = Arc::clone(&ops);
+    let config =
+        two_worker_config().with_workers(1).with_engine_factory(move |_| -> BoxedBackend {
+            Box::new(PoisonedRowBackend::new(
+                BankedCrossbar::rram(8, 4, 32),
+                Arc::clone(&backend_ops),
+            ))
+        });
+    let width = config.mvp_width();
+    let service = Service::start(config);
+    let programs = [
+        query_program(width, 1),
+        vec![Instruction::Read { row: POISONED_ROW }],
+        query_program(width, 2),
+    ];
+    let batch = programs.iter().cloned().fold(BatchRequest::new(), BatchRequest::with_program);
+    let failed = service.submit(7, Job::MvpBatch(batch)).expect("admitted").wait();
+    assert!(matches!(
+        failed,
+        Err(ServeError::Mvp(MvpError::Crossbar(CrossbarError::OutOfBounds {
+            row: POISONED_ROW,
+            ..
+        })))
+    ));
+    let ran = solo_ops(&programs[0]) + solo_ops(&programs[1]);
+    assert_eq!(ops.load(Ordering::SeqCst), ran, "the batch ran once, up to its failure");
+    assert!(service.tenant_usage(7).is_none(), "a failed batch bills nothing");
+    service.shutdown();
+}
+
+#[test]
 fn invalid_programs_are_refused_at_submission_not_execution() {
     let config = two_worker_config();
     let width = config.mvp_width();
@@ -241,7 +343,6 @@ fn pre_assembled_batches_run_as_one_unit() {
     let out = service.submit(1, Job::MvpBatch(batch)).unwrap().wait().unwrap().into_mvp().unwrap();
     assert_eq!(out.outputs.len(), 2, "one entry per program of the batch");
     assert_eq!(out.burst.programs, 2);
-    assert_eq!(out.burst.jobs, 1);
     service.shutdown();
 }
 
@@ -396,13 +497,13 @@ fn ap_jobs_return_already_resolved_tickets() {
 /// A substrate whose `program_row` parks until released — the
 /// deterministic way to hold the only worker busy while the queue
 /// fills.
-struct GateBackend {
-    inner: BankedCrossbar,
+struct GateBackend<B> {
+    inner: B,
     entered: Arc<AtomicUsize>,
     release: Arc<AtomicBool>,
 }
 
-impl CrossbarBackend for GateBackend {
+impl<B: CrossbarBackend> CrossbarBackend for GateBackend<B> {
     fn rows(&self) -> usize {
         self.inner.rows()
     }

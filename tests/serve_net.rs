@@ -9,7 +9,7 @@
 //! The in-process twin of this test is `serve_stress.rs`; this one goes
 //! through the socket.
 
-use memcim::serve::net::{ErrorCode, NetClient, NetConfig, NetServer, TenantPolicy};
+use memcim::serve::net::{ErrorCode, NetClient, NetConfig, NetServer, TenantPolicy, WireMvpResult};
 use memcim::serve::{ServeConfig, Service};
 use memcim::RegexAccelerator;
 use memcim_bits::BitVec;
@@ -61,6 +61,19 @@ fn ap_input(tenant: u64) -> Vec<u8> {
     input
 }
 
+/// Submits `programs` as one `Submit` and checks its answer against
+/// the bill: one job, one program count per submitted program, and
+/// exactly the energy the tenant's `Usage.mvp_energy` grew by.
+fn submit_billed(client: &mut NetClient, programs: &[Vec<Instruction>]) -> WireMvpResult {
+    let before = client.usage().expect("usage before").mvp_energy.as_joules();
+    let result = client.submit_mvp(programs).expect("serves");
+    let after = client.usage().expect("usage after").mvp_energy.as_joules();
+    assert_eq!((result.jobs, result.programs), (1, programs.len() as u64));
+    let energy = result.energy.as_joules();
+    assert!((energy - (after - before)).abs() <= 1e-12 * after, "answer {energy} J ≠ bill");
+    result
+}
+
 /// Concurrent clients, each on its own real TCP connection, every
 /// result checked against single-threaded references, bills fetched
 /// over the wire.
@@ -97,7 +110,7 @@ fn concurrent_clients_over_loopback_tcp() {
                 let mut fed = 0usize;
                 for iteration in 0..JOBS_PER_TENANT {
                     let program = mvp_program(tenant, iteration);
-                    let result = client.submit_mvp(std::slice::from_ref(&program)).expect("serves");
+                    let result = submit_billed(&mut client, std::slice::from_ref(&program));
                     let mut reference = MvpSimulator::banked(ROWS, BANKS, BANK_COLS);
                     let expected = reference.run_program(&program).expect("reference");
                     assert_eq!(result.outputs, vec![expected], "tenant {tenant} job {iteration}");
@@ -133,6 +146,14 @@ fn concurrent_clients_over_loopback_tcp() {
                 } else {
                     assert_eq!(usage.ap_jobs, 0);
                 }
+
+                // A multi-program Submit is one job as well, answered
+                // with its own cost.
+                let three: Vec<_> =
+                    (0..3).map(|i| mvp_program(tenant, JOBS_PER_TENANT + i)).collect();
+                let result = submit_billed(&mut client, &three);
+                assert_eq!(result.outputs.len(), 3);
+                assert!(result.energy.as_joules() > 0.0);
             });
         }
     });
