@@ -212,15 +212,15 @@ fn run_workloads(quick: bool) -> Vec<ConfigResult> {
 
     // --- Streaming correlation detection --------------------------------
     // N event streams × T steps through the in-memory popcount/mask
-    // kernel (arXiv:1706.00511 as an MVP workload) on a banked engine,
-    // one 256-step window at a time; each unit is one event
-    // stream-slot. The timed path is pinned bit-for-bit against the
-    // software reference every iteration, so the number reports the
-    // *correct* kernel, not a drifted one.
+    // kernel (arXiv:1706.00511 as an MVP workload) on a banked engine
+    // with a served engine's rows, so the feed plan uses its pair stage
+    // and resident streams, one 256-step window at a time; each unit is
+    // one event stream-slot. The timed path is pinned bit-for-bit
+    // against the software reference every iteration, so the number
+    // reports the *correct* kernel, not a drifted one.
     {
         use memcim_mvp::correlation::{
-            correlation_reference, rows_needed, CorrelationAccumulator, CorrelationConfig,
-            EventStreams,
+            correlation_reference, CorrelationAccumulator, CorrelationConfig, EventStreams,
         };
         let steps = if quick { 256 } else { 768 };
         let cfg = CorrelationConfig {
@@ -233,7 +233,8 @@ fn run_workloads(quick: bool) -> Vec<ConfigResult> {
         let events = EventStreams::synthesize(&cfg, SEED).expect("corpus synthesizes");
         let reference = correlation_reference(events.data()).expect("well-formed corpus");
         let window = 256usize;
-        let mut engine = MvpSimulator::banked(rows_needed(cfg.streams), 4, window / 4);
+        let rows = ServeConfig::default().mvp_rows;
+        let mut engine = MvpSimulator::banked(rows, 4, window / 4);
         results.push(measure(
             "correlation_detect",
             "event",

@@ -20,8 +20,17 @@
 //! where the sum can reach the next plane. Then each stream's
 //! contribution is masked out with one scouting `AND` per plane and read
 //! back, so the host only pops counters — it never sees the raw time
-//! series twice. The instruction sequence depends only on the stream
-//! count, the scored range and the engine width, never on window bits.
+//! series twice.
+//!
+//! The plan is row-aware. [`rows_needed`] is the minimum, and on it the
+//! plan is the plain ripple above. Spare rows make it cheaper with the
+//! same XOR/AND/OR gates: two of them add a half-adder pair stage, so
+//! streams enter the popcount two at a time and share one ripple, and
+//! every further one holds a scored stream resident, so that stream is
+//! stored once per window instead of once per phase. A served 32-row
+//! engine runs a 24-stream window in 386 instructions instead of 447.
+//! The instruction sequence depends only on the stream count, the
+//! scored range, the engine width and its rows, never on window bits.
 //!
 //! Correlated streams co-activate more often than independence allows,
 //! so their scores exceed the uncorrelated expectation; thresholding
@@ -50,12 +59,15 @@ pub fn planes_for(streams: usize) -> usize {
     (usize::BITS - streams.leading_zeros()) as usize
 }
 
-/// Crossbar rows a correlation feed program needs:
+/// Fewest crossbar rows a correlation feed program needs:
 ///
 /// - row 0 stages one stream's window;
 /// - rows `1..1 + 2·planes` hold two rows per activity plane: one holds
 ///   the plane's value, the other takes its next update or a mask;
 /// - the last two rows alternate as ripple carries.
+///
+/// A plan for more rows puts them after these
+/// ([`CorrelationAccumulator::shard_feed_plan_with_rows`]).
 pub fn rows_needed(streams: usize) -> usize {
     3 + 2 * planes_for(streams)
 }
@@ -370,9 +382,7 @@ impl CorrelationAccumulator {
         self.events = 0;
     }
 
-    /// The monolithic feed program for one window: population-count
-    /// phase over all streams, then mask-and-read phase for all
-    /// streams. Equivalent to
+    /// The minimum-row feed program for one window over every stream:
     /// [`shard_feed_plan`](Self::shard_feed_plan) over the full range.
     ///
     /// # Errors
@@ -383,23 +393,11 @@ impl CorrelationAccumulator {
         self.shard_feed_plan(window, 0..self.streams, width)
     }
 
-    /// The shard-local feed program: rebuilds the *global* activity
-    /// planes from the full window, but masks and reads only the
-    /// streams in `range`. Applying every shard of a
-    /// [`ShardMap`](crate::ShardMap) over the streams reproduces the
-    /// monolithic scores exactly.
-    ///
-    /// Phase 1 keeps two rows per activity plane and writes each
-    /// update into the plane's other row. Stream 0 is stored straight
-    /// into plane 0, stream `k` ripples through the `planes_for(k)` live
-    /// planes, and a carry out of the top live plane is ANDed straight
-    /// into the new plane's row. Phase 2 masks each scored stream with
-    /// one `AND` per plane into that plane's idle row and reads it. For
-    /// 24 streams the monolithic plan is 447 instructions.
-    ///
-    /// The program uses [`rows_needed`]`(streams)` rows, writes every
-    /// row before reading it (stale engine contents never leak in), and
-    /// emits `range.len() × planes` `Read`s, in `(stream, plane)` order.
+    /// The minimum-row shard-local feed program:
+    /// [`shard_feed_plan_with_rows`](Self::shard_feed_plan_with_rows)
+    /// on exactly [`rows_needed`]`(streams)` rows, so it runs on any
+    /// engine that fits the streams. For 24 streams the monolithic plan
+    /// is 447 instructions.
     ///
     /// # Errors
     ///
@@ -411,6 +409,63 @@ impl CorrelationAccumulator {
         range: Range<usize>,
         width: usize,
     ) -> Result<Vec<Instruction>, MvpError> {
+        self.shard_feed_plan_with_rows(window, range, width, rows_needed(self.streams))
+    }
+
+    /// The shard-local feed program for an engine of `rows` rows:
+    /// rebuilds the *global* activity planes from the full window, but
+    /// masks and reads only the streams in `range`. Applying every
+    /// shard of a [`ShardMap`](crate::ShardMap) over the streams
+    /// reproduces the monolithic scores exactly.
+    ///
+    /// Phase 1 keeps two rows per activity plane and writes each
+    /// update into the plane's other row. Stream 0 is stored straight
+    /// into plane 0, stream `k` ripples through the `planes_for(k)` live
+    /// planes, and a carry out of the top live plane is ANDed straight
+    /// into the new plane's row. Phase 2 masks each scored stream with
+    /// one `AND` per plane into that plane's idle row and reads it.
+    ///
+    /// Rows beyond [`rows_needed`]`(streams)` make the plan cheaper:
+    ///
+    /// - **Pair stage** (≥ 2 spare rows): a second staging row and a
+    ///   pair-sum row let streams be added two at a time through a half
+    ///   adder. `s = a⊕b`, `P0' = P0⊕s`, `k0 = P0∧s`, `c = a∧b`, and
+    ///   `d = c∨k0` is the whole carry into plane 1 (`c` implies
+    ///   `s = 0`, so `c` and `k0` are disjoint). `d` then ripples up from
+    ///   plane 1, so two streams share one ripple.
+    /// - **Resident streams**: every further spare row holds one scored
+    ///   stream, stored once in phase 1 and masked in phase 2 without a
+    ///   second store. A resident stream 0 serves as plane 0's first
+    ///   value.
+    ///
+    /// On 32 rows the 24-stream monolithic plan is 386 instructions
+    /// (447 on the 13-row minimum). On the minimum, or one row more,
+    /// the plan is the plain ripple above.
+    ///
+    /// The program uses at most `rows` rows, writes every row before
+    /// reading it (stale engine contents never leak in), and emits
+    /// `range.len() × planes` `Read`s, in `(stream, plane)` order. Its
+    /// instruction sequence depends only on the stream count, `range`,
+    /// `width` and `rows`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MvpError::BadInput`] when `rows` is below
+    /// [`rows_needed`]`(streams)`, the window is empty, ragged, wider
+    /// than `width`, or `range` escapes the streams.
+    pub fn shard_feed_plan_with_rows(
+        &self,
+        window: &[BitVec],
+        range: Range<usize>,
+        width: usize,
+        rows: usize,
+    ) -> Result<Vec<Instruction>, MvpError> {
+        let min_rows = rows_needed(self.streams);
+        if rows < min_rows {
+            return Err(MvpError::BadInput {
+                reason: format!("{} streams need {min_rows} rows, engine has {rows}", self.streams),
+            });
+        }
         let w = self.check_window(window, width)?;
         if range.start >= range.end || range.end > self.streams {
             return Err(MvpError::BadInput {
@@ -420,39 +475,45 @@ impl CorrelationAccumulator {
                 ),
             });
         }
-        let planes = self.planes;
-        // Plane `b` owns the two rows `plane(0, b)` and `plane(1, b)`;
-        // `cur[b]` names the one holding its value. An update writes the
-        // other row, which still holds a recent value of the same plane,
-        // so the write flips few cells: energy is paid per flipped cell.
-        let plane = |row: usize, b: usize| 1 + row * planes + b;
+        // Rows `0..min_rows` are the minimum layout: staging row `r_x`,
+        // two rows per plane, two carries. The pair stage's second
+        // staging row `r_y` and pair-sum row `r_s` follow, then one
+        // resident row per scored stream, as far as the rows go.
         let r_x = 0;
-        let carries = [1 + 2 * planes, 2 + 2 * planes];
-        let mut cur = vec![0; planes];
-        let mut program = Vec::new();
-        // Phase 1: ripple-carry popcount of stream activity. After `k`
-        // streams the count is at most `k`, so adding stream `k` touches
-        // only the `planes_for(k)` live planes, and a carry is formed
-        // only where the sum can reach the next plane.
-        for (k, stream) in window.iter().enumerate() {
-            let data = crate::sharded::slice_to_width(stream, 0..w, width)?;
-            if k == 0 {
-                program.push(Instruction::Store { row: plane(0, 0), data });
-                continue;
-            }
-            program.push(Instruction::Store { row: r_x, data });
-            let (live, next) = (planes_for(k), planes_for(k + 1));
-            let mut carry = r_x;
-            for b in 0..live {
-                let old = plane(cur[b], b);
-                cur[b] = 1 - cur[b];
-                program.push(Instruction::Xor { a: old, b: carry, dst: plane(cur[b], b) });
-                if b + 1 < next {
-                    // A carry out of the top live plane starts a new plane.
-                    let dst = if b + 1 == live { plane(0, b + 1) } else { carries[b % 2] };
-                    program.push(Instruction::And { srcs: vec![old, carry], dst });
-                    carry = dst;
-                }
+        let (r_y, r_s) = (min_rows, min_rows + 1);
+        let spare = rows - min_rows;
+        let paired = spare >= 2;
+        let resident = if paired { (spare - 2).min(range.len()) } else { 0 };
+        let first = range.start;
+        let home =
+            move |i: usize| (first..first + resident).contains(&i).then(|| r_s + 1 + i - first);
+        let mut plan = PlaneRows::new(self.planes);
+        // Stores stream `i` in its resident row, or else in `scratch`.
+        let stage = |plan: &mut PlaneRows, i: usize, scratch: usize| {
+            let row = home(i).unwrap_or(scratch);
+            let data = crate::sharded::slice_to_width(&window[i], 0..w, width)?;
+            plan.program.push(Instruction::Store { row, data });
+            Ok::<_, MvpError>(row)
+        };
+        // Phase 1: popcount of stream activity. After `k` streams the
+        // count is at most `k`, so adding stream `k` touches only the
+        // `planes_for(k)` live planes, and a carry is formed only where
+        // the sum can reach the next plane.
+        // Stream 0 is plane 0's first value, in plane 0's row unless it
+        // is resident.
+        let plane0 = plan.val[0];
+        plan.val[0] = stage(&mut plan, 0, plane0)?;
+        let mut k = 1;
+        while k < self.streams {
+            if paired && k + 1 < self.streams {
+                let a = stage(&mut plan, k, r_x)?;
+                let b = stage(&mut plan, k + 1, r_y)?;
+                plan.add_pair(a, b, r_s, k);
+                k += 2;
+            } else {
+                let x = stage(&mut plan, k, r_x)?;
+                plan.ripple(x, 0, planes_for(k), planes_for(k + 1));
+                k += 1;
             }
         }
         // Phase 2: mask each scored stream against every activity plane
@@ -460,17 +521,17 @@ impl CorrelationAccumulator {
         // back. High planes are mostly zero, so consecutive masks of one
         // plane often match and rewriting them flips few cells.
         for i in range {
-            program.push(Instruction::Store {
-                row: r_x,
-                data: crate::sharded::slice_to_width(&window[i], 0..w, width)?,
-            });
-            for (b, &c) in cur.iter().enumerate() {
-                let mask = plane(1 - c, b);
-                program.push(Instruction::And { srcs: vec![r_x, plane(c, b)], dst: mask });
-                program.push(Instruction::Read { row: mask });
+            let x = match home(i) {
+                Some(row) => row,
+                None => stage(&mut plan, i, r_x)?,
+            };
+            for b in 0..self.planes {
+                let mask = plan.idle(b);
+                plan.program.push(Instruction::And { srcs: vec![x, plan.val[b]], dst: mask });
+                plan.program.push(Instruction::Read { row: mask });
             }
         }
-        Ok(program)
+        Ok(plan.program)
     }
 
     /// Folds the `Read` outputs of a feed program for stream `range`
@@ -514,8 +575,9 @@ impl CorrelationAccumulator {
         self.events += (self.streams * window_width) as u64;
     }
 
-    /// Convenience: plans, executes and applies one window on the given
-    /// simulator (monolithic or banked), updating scores and events.
+    /// Convenience: plans one window for all of the given simulator's
+    /// rows, executes it (monolithic or banked) and applies the reads,
+    /// updating scores and events.
     ///
     /// # Errors
     ///
@@ -526,20 +588,11 @@ impl CorrelationAccumulator {
         mvp: &mut MvpSimulator<B>,
         window: &[BitVec],
     ) -> Result<(), MvpError> {
-        if mvp.rows() < rows_needed(self.streams) {
-            return Err(MvpError::BadInput {
-                reason: format!(
-                    "{} streams need {} rows, engine has {}",
-                    self.streams,
-                    rows_needed(self.streams),
-                    mvp.rows()
-                ),
-            });
-        }
-        let w = self.check_window(window, mvp.width())?;
-        let outputs = mvp.run_program(&self.feed_plan(window, mvp.width())?)?;
+        let plan =
+            self.shard_feed_plan_with_rows(window, 0..self.streams, mvp.width(), mvp.rows())?;
+        let outputs = mvp.run_program(&plan)?;
         self.apply_reads(0..self.streams, &outputs)?;
-        self.note_window(w);
+        self.note_window(window[0].len());
         Ok(())
     }
 
@@ -582,6 +635,80 @@ impl CorrelationAccumulator {
             });
         }
         Ok(w)
+    }
+}
+
+/// Phase-1 state of a feed plan: the program so far and the row that
+/// holds each activity plane's value.
+///
+/// Plane `b` owns two rows, `1 + b` and `1 + planes + b`, and the two
+/// carry rows follow them. An update writes the plane's idle row, which
+/// still holds a recent value of the same plane, so the write flips few
+/// cells: energy is paid per flipped cell.
+struct PlaneRows {
+    planes: usize,
+    /// `val[b]`: the row holding plane `b`'s value. It starts at the
+    /// plane's first row, where a new plane is opened.
+    val: Vec<usize>,
+    program: Vec<Instruction>,
+}
+
+impl PlaneRows {
+    fn new(planes: usize) -> Self {
+        Self { planes, val: (1..=planes).collect(), program: Vec::new() }
+    }
+
+    /// The row plane `b`'s next value goes to: whichever of its own
+    /// rows does not hold its value.
+    fn idle(&self, b: usize) -> usize {
+        let first = 1 + b;
+        if self.val[b] == first {
+            first + self.planes
+        } else {
+            first
+        }
+    }
+
+    fn carries(&self) -> [usize; 2] {
+        [1 + 2 * self.planes, 2 + 2 * self.planes]
+    }
+
+    /// Adds the row `carry`, of weight `2^from`, into the `live` planes
+    /// from plane `from` up; the sum fits `next` planes.
+    fn ripple(&mut self, mut carry: usize, from: usize, live: usize, next: usize) {
+        let carries = self.carries();
+        for b in from..live {
+            let old = self.val[b];
+            self.val[b] = self.idle(b);
+            self.program.push(Instruction::Xor { a: old, b: carry, dst: self.val[b] });
+            if b + 1 < next {
+                // A carry out of the top live plane opens a new plane.
+                let dst = if b + 1 == live { self.val[b + 1] } else { carries[b % 2] };
+                self.program.push(Instruction::And { srcs: vec![old, carry], dst });
+                carry = dst;
+            }
+        }
+    }
+
+    /// Adds streams `k` and `k + 1`, staged in rows `a` and `b`, through
+    /// a half adder that uses `r_s` as its pair-sum row.
+    fn add_pair(&mut self, a: usize, b: usize, r_s: usize, k: usize) {
+        let (live, next) = (planes_for(k), planes_for(k + 2));
+        let [c, k0] = self.carries();
+        let p0 = self.val[0];
+        self.val[0] = self.idle(0);
+        self.program.extend([
+            Instruction::Xor { a, b, dst: r_s },
+            Instruction::Xor { a: p0, b: r_s, dst: self.val[0] },
+            Instruction::And { srcs: vec![p0, r_s], dst: k0 },
+            Instruction::And { srcs: vec![a, b], dst: c },
+        ]);
+        // `c` implies `a⊕b = 0`, so `c` and `k0` are disjoint and
+        // `c ∨ k0` is the whole carry into plane 1. With one live plane
+        // it opens plane 1 directly.
+        let d = if live == 1 { self.val[1] } else { r_s };
+        self.program.push(Instruction::Or { srcs: vec![c, k0], dst: d });
+        self.ripple(d, 1, live, next);
     }
 }
 
@@ -716,6 +843,10 @@ mod tests {
             acc.shard_feed_plan(&window, backwards, 64),
             Err(MvpError::BadInput { .. })
         ));
+        assert!(matches!(
+            acc.shard_feed_plan_with_rows(&window, 0..8, 64, rows_needed(8) - 1),
+            Err(MvpError::BadInput { .. })
+        ));
         assert!(matches!(acc.apply_reads(0..8, &[]), Err(MvpError::BadInput { .. })));
         let mut tiny = MvpSimulator::new(4, 64);
         assert!(matches!(acc.feed_mvp(&mut tiny, &window), Err(MvpError::BadInput { .. })));
@@ -737,6 +868,42 @@ mod tests {
         for instr in &plan {
             assert_eq!(instr.check(rows_needed(24), 64), Ok(()), "{instr:?}");
         }
+        for rows in [rows_needed(24) + 2, 32] {
+            let plan = acc.shard_feed_plan_with_rows(&window, 0..24, 64, rows).expect("plan");
+            for instr in &plan {
+                assert_eq!(instr.check(rows, 64), Ok(()), "{instr:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_aware_plan_is_cheaper_than_the_minimum_plan() {
+        // The served correlation geometry: 32 rows × 8 banks × 32
+        // columns, one 256-step window per row.
+        let cfg = CorrelationConfig { steps: 16 * 256, ..corpus().0 };
+        let streams = EventStreams::synthesize(&cfg, 2018).expect("well-formed");
+        let feed = |rows: usize| {
+            let mut engine = MvpSimulator::banked(32, 8, 32);
+            let mut acc = CorrelationAccumulator::new(24).expect("streams");
+            for start in (0..streams.steps()).step_by(256) {
+                let window = streams.window(start..start + 256).expect("slice");
+                let plan = acc.shard_feed_plan_with_rows(&window, 0..24, 256, rows).expect("plan");
+                let outputs = engine.run_program(&plan).expect("plan runs");
+                acc.apply_reads(0..24, &outputs).expect("apply");
+            }
+            (acc.scores().to_vec(), engine.ledger())
+        };
+        let (minimum, slow) = feed(rows_needed(24));
+        let (row_aware, fast) = feed(32);
+        assert_eq!(row_aware, minimum);
+        assert_eq!(row_aware, correlation_reference(streams.data()).expect("reference"));
+        assert!(
+            fast.busy_time() < slow.busy_time(),
+            "busy {} vs {}",
+            fast.busy_time(),
+            slow.busy_time()
+        );
+        assert!(fast.energy() < slow.energy(), "energy {} vs {}", fast.energy(), slow.energy());
     }
 
     #[test]
@@ -766,11 +933,37 @@ mod tests {
         let shard = acc.shard_feed_plan(&window, 0..12, 64).expect("shard plan");
         assert_eq!(shard.len(), 315);
 
+        // On 32 rows: the pair stage and 17 resident streams.
+        let wide = acc.shard_feed_plan_with_rows(&window, 0..24, 64, 32).expect("plan");
+        let count = |f: fn(&Instruction) -> bool| wide.iter().filter(|i| f(i)).count();
+        assert_eq!(wide.len(), 386);
+        assert_eq!(count(|i| matches!(i, Instruction::Store { .. })), 31);
+        assert_eq!(count(|i| matches!(i, Instruction::Xor { .. })), 56);
+        assert_eq!(count(|i| matches!(i, Instruction::And { .. })), 168);
+        assert_eq!(count(|i| matches!(i, Instruction::Or { .. })), 11);
+        assert_eq!(count(|i| matches!(i, Instruction::Read { .. })), 120);
+        // Phase 1 is 139 instructions and stores every stream once.
+        // Phase 2 opens with resident stream 0's first mask and read,
+        // and re-stores only the 7 streams without a resident row.
+        let first_read = wide.iter().position(|i| matches!(i, Instruction::Read { .. }));
+        assert_eq!(first_read, Some(139 + 1));
+        let (phase1, phase2) = wide.split_at(139);
+        let stores = |part: &[Instruction]| {
+            part.iter().filter(|i| matches!(i, Instruction::Store { .. })).count()
+        };
+        assert_eq!((stores(phase1), stores(phase2)), (24, 7));
+        // Every scored stream of a 12-stream shard is resident.
+        let wide_shard = acc.shard_feed_plan_with_rows(&window, 0..12, 64, 32).expect("plan");
+        assert_eq!(wide_shard.len(), 259);
         let other = streams.window(300..364).expect("slice");
         assert_ne!(window, other, "the two windows differ");
         let again = acc.feed_plan(&other, 64).expect("plan");
         assert_eq!(shape(&plan), shape(&again));
         let shard_again = acc.shard_feed_plan(&other, 0..12, 64).expect("shard plan");
         assert_eq!(shape(&shard), shape(&shard_again));
+        let wide_again = acc.shard_feed_plan_with_rows(&other, 0..24, 64, 32).expect("plan");
+        assert_eq!(shape(&wide), shape(&wide_again));
+        let wide_shard_again = acc.shard_feed_plan_with_rows(&other, 0..12, 64, 32).expect("plan");
+        assert_eq!(shape(&wide_shard), shape(&wide_shard_again));
     }
 }

@@ -32,7 +32,7 @@ use super::wire::{
 };
 use crate::sync;
 use crate::{Job, ServeError, Service, TenantId};
-use memcim_mvp::BatchRequest;
+use memcim_mvp::{BatchRequest, MvpError};
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -314,7 +314,7 @@ fn handle_connection(
         let response = match Request::decode(&body) {
             // Frame boundaries survived a bad body: answer and go on.
             Err(e) => Response::Error { code: e.error_code(), message: e.to_string() },
-            Ok(request) => dispatch(request, &mut authenticated, service, admission),
+            Ok(request) => dispatch(request, &mut authenticated, service, admission, max_frame),
         };
         if write_frame(stream, &encoded_or_internal(&response)).is_err() {
             return;
@@ -337,6 +337,10 @@ fn encoded_or_internal(response: &Response) -> Vec<u8> {
     })
 }
 
+/// Fewest wire bytes one nonempty window stream of a `CorrFeed` takes:
+/// a `u32` bit length and one 64-bit word.
+const MIN_WIRE_STREAM_BYTES: usize = 12;
+
 /// Applies the admission order (auth → quota → rate) and maps one verb
 /// onto the service.
 fn dispatch(
@@ -344,6 +348,7 @@ fn dispatch(
     authenticated: &mut Option<TenantId>,
     service: &Service,
     admission: &AdmissionControl,
+    max_frame: usize,
 ) -> Response {
     // `Hello` is the only verb allowed before authentication.
     let tenant = match (&request, *authenticated) {
@@ -447,6 +452,17 @@ fn dispatch(
             Err(e) => error_frame(&e),
         },
         Request::CorrOpen { streams, threshold } => {
+            // A session wider than one frame can carry could never be
+            // fed, and its accumulator allocates per stream: refuse it
+            // before admission, so the refusal charges nothing.
+            let feedable = max_frame / MIN_WIRE_STREAM_BYTES;
+            if streams > feedable {
+                return error_frame(&ServeError::Mvp(MvpError::BadInput {
+                    reason: format!(
+                        "{streams} streams exceed the {feedable} a {max_frame}-byte frame can feed"
+                    ),
+                }));
+            }
             // Opening allocates server-side session state; it is
             // admission-charged like a job, and a refusal charges
             // neither quota nor rate tokens (the gate only debits on

@@ -1016,7 +1016,12 @@ impl Service {
         let map = ShardMap::new(state.accumulator.streams(), shards)?;
         let mut subqueries = Vec::with_capacity(map.shards());
         for shard in 0..map.shards() {
-            let plan = state.accumulator.shard_feed_plan(window, map.range(shard), width)?;
+            let plan = state.accumulator.shard_feed_plan_with_rows(
+                window,
+                map.range(shard),
+                width,
+                config.mvp_rows,
+            )?;
             config.verify_program(&plan)?;
             subqueries.push((shard, plan));
         }

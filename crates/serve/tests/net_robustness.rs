@@ -106,6 +106,37 @@ fn stats_reports_the_placement_counters() {
     server.shutdown();
 }
 
+/// A `CorrOpen` wider than one frame could ever feed is refused at the
+/// front door with a typed error, before the accumulator allocates per
+/// stream: the refusal opens no session and charges no admission. A
+/// nonempty window stream costs at least 12 wire bytes, so a 1 200-byte
+/// frame feeds at most 100 streams.
+#[test]
+fn corr_open_wider_than_a_frame_can_feed_is_refused_for_free() {
+    let (_service, server) = start_server(
+        ServeConfig::default().with_workers(2).with_mvp_geometry(128, 2, 32),
+        NetConfig::default()
+            .with_max_frame(1_200)
+            .with_tenant(1, TenantPolicy::new(TOKEN).with_quota(2)),
+    );
+    let mut client = NetClient::connect(server.local_addr()).expect("connects");
+    client.hello(1, TOKEN).expect("auth");
+    // 128 rows fit the planes of even `u32::MAX` streams, so only the
+    // frame bound stands between this request and a ~34 GB allocation.
+    for streams in [u32::MAX as usize, 101] {
+        let refused = client.corr_open(streams, 0).expect_err("wider than a frame can feed");
+        assert_eq!(refused.server_code(), Some(ErrorCode::Engine), "{streams} streams");
+        assert!(refused.to_string().contains("streams"), "{refused}");
+    }
+    assert_eq!(client.stats().expect("stats").sessions, 0, "no session opened");
+    assert_eq!(client.usage().expect("usage").quota_remaining, Some(2), "nothing charged");
+
+    client.corr_open(100, 0).expect("exactly as wide as a frame can feed");
+    assert_eq!(client.stats().expect("stats").sessions, 1);
+    assert_eq!(client.usage().expect("usage").quota_remaining, Some(1));
+    server.shutdown();
+}
+
 /// `NetServer::drain` refuses new submissions and session opens with
 /// typed `ShuttingDown` frames while read-only verbs — and the final
 /// bill — keep serving on the same connections.

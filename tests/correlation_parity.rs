@@ -2,17 +2,23 @@
 //! sweeps over stream count, window chunking and correlation strength
 //! pin the crossbar statistic bit-for-bit against the exact software
 //! reference ([`correlation_reference`]), the banked and sharded
-//! substrates against the monolithic one, and the thresholded detection
-//! against the planted ground truth — every planted group recovered,
-//! no false positives.
+//! substrates against the monolithic one, the row-aware feed plans
+//! (pair stage, resident streams) against the minimum-row plan, and the
+//! thresholded detection against the planted ground truth — every
+//! planted group recovered, no false positives.
 
+use memcim_bits::BitVec;
 use memcim_mvp::correlation::{
     correlation_reference, rows_needed, CorrelationAccumulator, CorrelationConfig, EventStreams,
 };
 use memcim_mvp::{Instruction, MvpError, MvpSimulator, ShardMap};
 use proptest::prelude::*;
+use std::ops::Range;
 
 const SEED: u64 = 2018;
+/// Rows of a served engine: enough for the pair stage and resident
+/// streams at every sweep stream count.
+const SERVED_ROWS: usize = 32;
 
 /// Streams the corpus through one engine in `chunk`-step windows and
 /// returns the accumulated scores.
@@ -33,20 +39,20 @@ fn scores_on<B: memcim_crossbar::CrossbarBackend>(
     acc.scores().to_vec()
 }
 
-fn monolithic_scores(events: &EventStreams, chunk: usize) -> Vec<u64> {
-    let mut mvp = MvpSimulator::new(rows_needed(events.streams()), chunk);
+fn monolithic_scores(events: &EventStreams, chunk: usize, rows: usize) -> Vec<u64> {
+    let mut mvp = MvpSimulator::new(rows, chunk);
     scores_on(events, chunk, &mut mvp)
 }
 
-fn banked_scores(events: &EventStreams, chunk: usize) -> Vec<u64> {
-    let mut mvp = MvpSimulator::banked(rows_needed(events.streams()), 4, chunk.div_ceil(4));
+fn banked_scores(events: &EventStreams, chunk: usize, rows: usize) -> Vec<u64> {
+    let mut mvp = MvpSimulator::banked(rows, 4, chunk.div_ceil(4));
     scores_on(events, chunk, &mut mvp)
 }
 
-/// Streams the corpus through `shards` independent banked engines, each
-/// scoring only its own stream range, and returns the stitched scores.
-fn sharded_scores(events: &EventStreams, chunk: usize, shards: usize) -> Vec<u64> {
-    let rows = rows_needed(events.streams());
+/// Streams the corpus through `shards` independent banked engines of
+/// `rows` rows, each scoring only its own stream range, and returns the
+/// stitched scores.
+fn sharded_scores(events: &EventStreams, chunk: usize, shards: usize, rows: usize) -> Vec<u64> {
     let map = ShardMap::new(events.streams(), shards).expect("valid geometry");
     let mut acc = CorrelationAccumulator::new(events.streams()).expect("enough streams");
     let mut engines: Vec<_> =
@@ -57,7 +63,9 @@ fn sharded_scores(events: &EventStreams, chunk: usize, shards: usize) -> Vec<u64
         let window = events.window(lo..hi).expect("range in corpus");
         for (shard, range) in map.ranges().enumerate() {
             let width = engines[shard].width();
-            let plan = acc.shard_feed_plan(&window, range.clone(), width).expect("plan compiles");
+            let plan = acc
+                .shard_feed_plan_with_rows(&window, range.clone(), width, rows)
+                .expect("plan compiles");
             let outputs = engines[shard].run_program(&plan).expect("plan runs");
             acc.apply_reads(range, &outputs).expect("reads align");
         }
@@ -70,7 +78,8 @@ fn sharded_scores(events: &EventStreams, chunk: usize, shards: usize) -> Vec<u64
 /// The sweep: every (streams, strength, chunking) point must produce
 /// scores bit-identical to the software reference on the monolithic,
 /// banked *and* sharded substrates — including uneven final windows and
-/// the degenerate one-shot window.
+/// the degenerate one-shot window — with the minimum-row plan and with
+/// the row-aware plan of a served engine.
 #[test]
 fn crossbar_matches_reference_across_the_sweep() {
     for &streams in &[5usize, 12, 24] {
@@ -87,15 +96,18 @@ fn crossbar_matches_reference_across_the_sweep() {
             let reference = correlation_reference(events.data()).expect("well-formed corpus");
             // 384 % 100 ≠ 0: the last window is narrower than the rest.
             for &chunk in &[events.steps(), 128, 100] {
-                let label = format!("streams={streams} strength={strength} chunk={chunk}");
-                assert_eq!(monolithic_scores(&events, chunk), reference, "mono {label}");
-                assert_eq!(banked_scores(&events, chunk), reference, "banked {label}");
-                for &shards in &[2usize, 4] {
-                    assert_eq!(
-                        sharded_scores(&events, chunk, shards),
-                        reference,
-                        "sharded×{shards} {label}"
-                    );
+                for rows in [rows_needed(streams), SERVED_ROWS] {
+                    let label =
+                        format!("streams={streams} strength={strength} chunk={chunk} rows={rows}");
+                    assert_eq!(monolithic_scores(&events, chunk, rows), reference, "mono {label}");
+                    assert_eq!(banked_scores(&events, chunk, rows), reference, "banked {label}");
+                    for &shards in &[2usize, 4] {
+                        assert_eq!(
+                            sharded_scores(&events, chunk, shards, rows),
+                            reference,
+                            "sharded×{shards} {label}"
+                        );
+                    }
                 }
             }
         }
@@ -117,7 +129,7 @@ fn planted_groups_are_recovered_and_nothing_else() {
     let threshold = cfg.threshold().expect("well-posed corpus");
     for seed in [SEED, SEED + 1, SEED + 2] {
         let events = EventStreams::synthesize(&cfg, seed).expect("synthesizes");
-        let scores = banked_scores(&events, 256);
+        let scores = banked_scores(&events, 256, rows_needed(cfg.streams));
         let planted = events.planted();
         let background_max = scores
             .iter()
@@ -148,13 +160,13 @@ fn planted_groups_are_recovered_and_nothing_else() {
             lo = hi;
         }
         assert_eq!(acc.detect(threshold), planted, "seed {seed}: detection ≡ planted truth");
-        assert_eq!(acc.detect(u64::MAX), memcim_bits::BitVec::new(cfg.streams), "strictly >");
+        assert_eq!(acc.detect(u64::MAX), BitVec::new(cfg.streams), "strictly >");
     }
 }
 
-/// Every generated feed plan — monolithic and per-shard — passes the
-/// same static verification the serve layer gates admissions on, for
-/// each sweep geometry.
+/// Every generated feed plan — monolithic and per-shard, minimum-row
+/// and row-aware — passes the same static verification the serve layer
+/// gates admissions on, for each sweep geometry.
 #[test]
 fn generated_feed_plans_pass_static_verification() {
     for &streams in &[5usize, 12, 24] {
@@ -167,18 +179,18 @@ fn generated_feed_plans_pass_static_verification() {
         };
         let events = EventStreams::synthesize(&cfg, SEED).expect("synthesizes");
         let window = events.window(0..96).expect("range");
-        let rows = rows_needed(streams);
         let acc = CorrelationAccumulator::new(streams).expect("enough streams");
         let map = ShardMap::new(streams, 2).expect("valid geometry");
-        let plans = std::iter::once(acc.feed_plan(&window, 96).expect("plan compiles")).chain(
-            map.ranges().map(|range| acc.shard_feed_plan(&window, range, 96).expect("compiles")),
-        );
-        for plan in plans {
-            let diagnostics = memcim_verify::verify_program(&plan, rows, 96);
-            assert!(
-                memcim_verify::first_error(&diagnostics).is_none(),
-                "streams={streams}: generated plans must verify clean"
-            );
+        for rows in [rows_needed(streams), SERVED_ROWS] {
+            for range in std::iter::once(0..streams).chain(map.ranges()) {
+                let plan =
+                    acc.shard_feed_plan_with_rows(&window, range, 96, rows).expect("plan compiles");
+                let diagnostics = memcim_verify::verify_program(&plan, rows, 96);
+                assert!(
+                    memcim_verify::first_error(&diagnostics).is_none(),
+                    "streams={streams} rows={rows}: generated plans must verify clean"
+                );
+            }
         }
     }
 }
@@ -223,20 +235,47 @@ fn reads_ignore_stale_rows(plan: &[Instruction], rows: usize, width: usize, seed
     stale.run_program(plan).expect("plan runs") == fresh
 }
 
+/// Runs `plan` on a fresh engine and checks every read against its
+/// software value: read `k·planes + b` must be scored stream
+/// `range.start + k` masked by bit `b` of the activity count `A(t)`.
+fn reads_in_stream_plane_order(
+    plan: &[Instruction],
+    data: &[BitVec],
+    range: Range<usize>,
+    planes: usize,
+    rows: usize,
+) -> bool {
+    let width = data[0].len();
+    let reads = MvpSimulator::new(rows, width).run_program(plan).expect("plan runs");
+    let active: Vec<usize> =
+        (0..width).map(|t| data.iter().filter(|stream| stream.get(t)).count()).collect();
+    reads.len() == range.len() * planes
+        && range.enumerate().all(|(k, i)| {
+            (0..planes).all(|b| {
+                let read = &reads[k * planes + b];
+                (0..width).all(|t| read.get(t) == (data[i].get(t) && (active[t] >> b) & 1 == 1))
+            })
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The feed plan's plane schedule changes shape whenever the stream
     /// count crosses a power of two (2, 4, 8, 16, 32): a new activity
-    /// plane opens and the carries reroute. Across those crossings,
-    /// every window width and every shard count, the monolithic, banked
-    /// and per-shard scores equal the software reference, every plan
-    /// verifies clean inside `rows_needed(streams)` rows, emits one
-    /// read per (stream, plane), and returns the same reads on an engine
-    /// holding stale data in every row.
+    /// plane opens and the carries reroute. Its row budget changes it
+    /// too: the minimum rows give the plain ripple, two spare rows add
+    /// the pair stage, and each further row makes one more scored
+    /// stream resident, up to every scored stream. Across those
+    /// crossings, every row budget, window width and shard count, the
+    /// monolithic, banked and per-shard scores equal the software
+    /// reference, every plan verifies clean inside its rows, emits one
+    /// read per (stream, plane) in `(stream, plane)` order, and returns
+    /// the same reads on an engine holding stale data in every row.
     #[test]
     fn feed_plans_match_reference_across_plane_boundaries(
-        streams in 2usize..=40,
+        (streams, rows) in (2usize..=40)
+            .prop_flat_map(|s| (Just(s), rows_needed(s)..=rows_needed(s) + s + 3)),
         width in 1usize..=96,
         shards in 1usize..=4,
         rate in 0.05f64..0.95,
@@ -245,16 +284,22 @@ proptest! {
         let cfg = CorrelationConfig { streams, steps: width, rate, strength: 0.0, groups: vec![] };
         let events = EventStreams::synthesize(&cfg, seed).expect("synthesizes");
         let reference = correlation_reference(events.data()).expect("well-formed corpus");
-        prop_assert_eq!(&monolithic_scores(&events, width), &reference, "monolithic");
-        prop_assert_eq!(&banked_scores(&events, width), &reference, "banked");
+        prop_assert_eq!(&monolithic_scores(&events, width, rows), &reference, "monolithic");
+        prop_assert_eq!(&banked_scores(&events, width, rows), &reference, "banked");
         let shards = shards.min(streams);
-        prop_assert_eq!(&sharded_scores(&events, width, shards), &reference, "sharded×{}", shards);
+        prop_assert_eq!(
+            &sharded_scores(&events, width, shards, rows),
+            &reference,
+            "sharded×{}",
+            shards
+        );
 
-        let rows = rows_needed(streams);
         let acc = CorrelationAccumulator::new(streams).expect("enough streams");
         let map = ShardMap::new(streams, shards).expect("valid geometry");
         for range in std::iter::once(0..streams).chain(map.ranges()) {
-            let plan = acc.shard_feed_plan(events.data(), range.clone(), width).expect("plan");
+            let plan = acc
+                .shard_feed_plan_with_rows(events.data(), range.clone(), width, rows)
+                .expect("plan");
             let diagnostics = memcim_verify::verify_program(&plan, rows, width);
             prop_assert!(
                 memcim_verify::first_error(&diagnostics).is_none(),
@@ -264,6 +309,11 @@ proptest! {
             );
             let reads = plan.iter().filter(|i| matches!(i, Instruction::Read { .. })).count();
             prop_assert_eq!(reads, range.len() * acc.planes());
+            prop_assert!(
+                reads_in_stream_plane_order(&plan, events.data(), range.clone(), acc.planes(), rows),
+                "range {:?} reads out of (stream, plane) order",
+                range
+            );
             prop_assert!(reads_ignore_stale_rows(&plan, rows, width, !seed), "range {:?}", range);
         }
     }
