@@ -1,7 +1,15 @@
 //! Reproducible performance report for the hot paths: AP symbol
 //! streaming, bit-line transient solves and MVP bulk bitwise queries —
 //! the latter on both the monolithic crossbar and a 64-bank
-//! `BankedCrossbar` substrate driven through the `BatchRequest` API.
+//! `BankedCrossbar` substrate driven through the `BatchRequest` API —
+//! plus correlation detection, the admission-time verifier and the
+//! fault-tolerance yield harness.
+//!
+//! Every config here runs in process, off the served path. Served-path
+//! numbers (service, scatter-gather, wire round trips, the compile
+//! cache) have one home: the `wirebench` package's workloads
+//! (`bitmap_wire`, `ap_stream_wire`, `corr_stream_wire`), which check
+//! every answer. `serve_load` is the overload and chaos instrument.
 //!
 //! Unlike the criterion benches (interactive, eyeball-level), this binary
 //! runs **fixed-seed** workloads and writes a **machine-readable** JSON
@@ -27,7 +35,7 @@ use memcim_bench::yields::{self, YieldConfig};
 use memcim_crossbar::{BitlineCircuit, CellTechnology};
 use memcim_mvp::workloads::bitmap::BitmapTable;
 use memcim_mvp::{BatchRequest, MvpSimulator};
-use memcim_serve::{Job, ServeConfig, Service};
+use memcim_serve::ServeConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -48,12 +56,6 @@ const REQUIRED_CONFIGS: &[&str] = &[
     "mvp_bitmap_query",
     "mvp_bitmap_query_banked",
     "correlation_detect",
-    "serve_bitmap_qps_1w",
-    "serve_bitmap_qps_4w",
-    "serve_bitmap_qps_8w",
-    "serve_shard_qps",
-    "serve_net_qps",
-    "serve_cache_hit",
     "verify_overhead",
     "yield_report",
 ];
@@ -255,232 +257,33 @@ fn run_workloads(quick: bool) -> Vec<ConfigResult> {
         ));
     }
 
-    // --- Serving layer: multi-tenant bitmap QPS vs worker count --------
-    // The same four bitmap query plans, served through `memcim-serve`:
-    // each iteration submits a fixed closed-loop burst of jobs round-
-    // robin over 8 tenants and waits for every ticket, so units/s is
-    // end-to-end queries per second through the queue, the per-worker
-    // banked engines and the tenant ledger accounting; each job runs as
-    // its own `BatchRequest`.
-    // Worker counts 1/4/8 record the throughput-scaling trajectory.
-    // The serving workload is deliberately many *small* queries (a
-    // 2048-record table in both modes, unlike the big-scan configs
-    // above): the layer under test is the queue/executor/ticket
-    // machinery under heavy request traffic, not one giant scan. Worker
-    // scaling needs cores — the report records `host_cores` so a flat
-    // trio on a single-CPU container reads as what it is.
-    let serve_records = 2_048usize;
-    let mut srng = SmallRng::seed_from_u64(SEED);
-    let serve_col1: Vec<u8> = (0..serve_records).map(|_| srng.gen_range(0..16)).collect();
-    let serve_col2: Vec<u8> = (0..serve_records).map(|_| srng.gen_range(0..8)).collect();
-    let serve_table = BitmapTable::new(serve_col1, serve_col2, 16).expect("well-formed columns");
-    let serve_plans: Vec<Vec<memcim_mvp::Instruction>> =
-        queries.iter().map(|(s1, s2)| serve_table.query_plan(s1, s2)).collect();
-    let jobs_per_iter = 32usize;
-    for (name, workers) in
-        [("serve_bitmap_qps_1w", 1), ("serve_bitmap_qps_4w", 4), ("serve_bitmap_qps_8w", 8)]
-    {
-        let service = Service::start(
-            ServeConfig::default()
-                .with_workers(workers)
-                .with_queue_depth(jobs_per_iter)
-                .with_max_burst(8)
-                .with_mvp_geometry(32, 64, serve_records / 64),
-        );
-        results.push(measure(name, "query", jobs_per_iter as u64, budget, || {
-            let tickets: Vec<_> = (0..jobs_per_iter)
-                .map(|i| {
-                    let tenant = (i % 8) as u64;
-                    service
-                        .submit(tenant, Job::MvpProgram(serve_plans[i % serve_plans.len()].clone()))
-                        .expect("service is running")
-                })
-                .collect();
-            for ticket in tickets {
-                std::hint::black_box(ticket.wait().expect("query runs"));
-            }
-        }));
-        service.shutdown();
-    }
-
-    // --- Replicated placement: scatter-gather QPS ----------------------
-    // The same table partitioned into 4 shards, each replicated on 2 of
-    // 4 workers. Each unit is one full scatter-gather: four shard-local
-    // sub-queries fanned out to one live replica each, partials
-    // gathered in submission order, ledgers merged with parallel
-    // semantics. The gap between this number and `serve_bitmap_qps_4w`
-    // is the per-query cost of the placement catalog, the mailbox
-    // routing and the gather — the price of kill-a-shard failover.
-    {
-        let shards = 4usize;
-        let map = memcim_mvp::ShardMap::new(serve_records, shards).expect("valid geometry");
-        let serve_config = ServeConfig::default()
-            .with_workers(4)
-            .with_queue_depth(jobs_per_iter)
-            .with_max_burst(8)
-            .with_mvp_geometry(32, 64, serve_records / 64)
-            .with_placement(shards, 2);
-        let width = serve_config.mvp_width();
-        let shard_plans: Vec<Vec<(usize, Vec<memcim_mvp::Instruction>)>> = queries
-            .iter()
-            .map(|(s1, s2)| {
-                map.ranges()
-                    .enumerate()
-                    .map(|(shard, range)| {
-                        (
-                            shard,
-                            serve_table
-                                .shard_query_plan(s1, s2, range, width)
-                                .expect("plan compiles"),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let service = Service::start(serve_config);
-        let scatters_per_iter = jobs_per_iter / shards;
-        results.push(measure(
-            "serve_shard_qps",
-            "scatter",
-            scatters_per_iter as u64,
-            budget,
-            || {
-                let tickets: Vec<_> = (0..scatters_per_iter)
-                    .map(|i| {
-                        let tenant = (i % 8) as u64;
-                        service
-                            .submit_sharded(tenant, shard_plans[i % shard_plans.len()].clone())
-                            .expect("service is running")
-                    })
-                    .collect();
-                for ticket in tickets {
-                    std::hint::black_box(ticket.wait().expect("scatter gathers"));
-                }
-            },
-        ));
-        service.shutdown();
-    }
-
-    // --- Network front door: framed TCP round-trip QPS -----------------
-    // The same small bitmap queries, but through the full wire path: a
-    // live `NetServer` on loopback, one authenticated `NetClient`, one
-    // request in flight at a time. Each unit is a complete round trip —
-    // encode, frame, TCP, auth/admission, queue, engine, encode back —
-    // so the gap between this number and `serve_bitmap_qps_*` is the
-    // per-request cost of the network front door itself. Tail latency
-    // under deliberate overload is the `serve_load` binary's job, not
-    // this config's.
-    {
-        let service = std::sync::Arc::new(
-            Service::try_start(
-                ServeConfig::default()
-                    .with_workers(4)
-                    .with_queue_depth(jobs_per_iter)
-                    .with_max_burst(8)
-                    .with_mvp_geometry(32, 64, serve_records / 64),
-            )
-            .expect("service starts"),
-        );
-        let server = memcim_serve::net::NetServer::start(
-            std::sync::Arc::clone(&service),
-            memcim_serve::net::NetConfig::default()
-                .with_tenant(1, memcim_serve::net::TenantPolicy::new("perf-report-token")),
-        )
-        .expect("server starts");
-        let mut client =
-            memcim_serve::net::NetClient::connect(server.local_addr()).expect("client connects");
-        client.hello(1, "perf-report-token").expect("tenant is provisioned");
-        results.push(measure("serve_net_qps", "query", jobs_per_iter as u64, budget, || {
-            for i in 0..jobs_per_iter {
-                let plan = serve_plans[i % serve_plans.len()].clone();
-                std::hint::black_box(client.submit_mvp(&[plan]).expect("query runs"));
-            }
-        }));
-        server.shutdown();
-    }
-
-    // --- Serve-layer compile cache: warm vs cold session opens ----------
-    // Every unit is one full `ApOpen` round trip over loopback TCP. The
-    // `serve_cache_hit` config reopens one pattern set, so after the
-    // priming open every compile is served from the tenant-keyed LRU
-    // (a map lookup plus a template stamp); `serve_cache_cold` cycles
-    // through more distinct pattern sets than the cache holds, so every
-    // open really compiles and places routing. The gap between the two
-    // numbers is what the cache saves per submission. Counters are
-    // reconciled against the wire `Stats` verb after the timed runs —
-    // the hit path must actually be the hit path.
-    {
-        let service = std::sync::Arc::new(
-            Service::try_start(ServeConfig::default().with_workers(1)).expect("service starts"),
-        );
-        let server = memcim_serve::net::NetServer::start(
-            std::sync::Arc::clone(&service),
-            memcim_serve::net::NetConfig::default()
-                .with_tenant(1, memcim_serve::net::TenantPolicy::new("perf-report-token")),
-        )
-        .expect("server starts");
-        let mut client =
-            memcim_serve::net::NetClient::connect(server.local_addr()).expect("client connects");
-        client.hello(1, "perf-report-token").expect("tenant is provisioned");
-
-        let opens_per_iter = 8usize;
-        let warm_patterns = ["GET /[a-z]+", "ab+c"];
-        let session = client.ap_open(&warm_patterns).expect("priming open");
-        client.ap_close(session).expect("closes");
-        results.push(measure("serve_cache_hit", "open", opens_per_iter as u64, budget, || {
-            for _ in 0..opens_per_iter {
-                let session = client.ap_open(&warm_patterns).expect("warm open");
-                client.ap_close(session).expect("closes");
-            }
-        }));
-        let hits_after_warm = service.ap_cache_hits();
-        assert!(hits_after_warm > 0, "the warm path hit the compile cache");
-
-        // More distinct pattern sets than the cache holds (capacity 32),
-        // cycled round-robin: every open misses and compiles.
-        let cold_texts: Vec<[String; 2]> =
-            (0..48).map(|i| [format!("cold{i}x[a-z]+"), format!("ab+c{i}")]).collect();
-        let mut next_cold = 0usize;
-        results.push(measure("serve_cache_cold", "open", opens_per_iter as u64, budget, || {
-            for _ in 0..opens_per_iter {
-                let set = &cold_texts[next_cold % cold_texts.len()];
-                next_cold += 1;
-                let refs: Vec<&str> = set.iter().map(String::as_str).collect();
-                let session = client.ap_open(&refs).expect("cold open");
-                client.ap_close(session).expect("closes");
-            }
-        }));
-        assert_eq!(service.ap_cache_hits(), hits_after_warm, "the cold path never hit the cache");
-
-        // The wire counters are the in-process counters.
-        let stats = client.stats().expect("stats");
-        assert_eq!(stats.ap_cache_hits, service.ap_cache_hits(), "hits reconcile over the wire");
-        assert_eq!(
-            stats.ap_cache_misses,
-            service.ap_cache_misses(),
-            "misses reconcile over the wire"
-        );
-        server.shutdown();
-    }
-
     // --- Admission-time verification overhead ---------------------------
     // The static pass the serve layer runs on every submitted program
     // before it may queue: one abstract-interpretation walk
-    // (`verify_program`) plus the static cost bound, on the same four
-    // bitmap query plans the QPS configs serve on the same banked
-    // geometry. ns/unit is the per-program admission tax; set it
-    // against `serve_net_qps`'s round trip to see what gating costs.
+    // (`verify_program`) plus the static cost bound. The four query
+    // plans above are compiled for a small served table (2 048 seeded
+    // records on a 32 × 64-bank geometry), the same plans wirebench's
+    // `bitmap_wire` serves at its default seed. ns/unit is the
+    // per-program admission tax; set it against `bitmap_wire`'s
+    // `req_p50_us` wire round trip to see what gating costs.
     {
+        let verify_records = 2_048usize;
+        let mut vrng = SmallRng::seed_from_u64(SEED);
+        let col1: Vec<u8> = (0..verify_records).map(|_| vrng.gen_range(0..16)).collect();
+        let col2: Vec<u8> = (0..verify_records).map(|_| vrng.gen_range(0..8)).collect();
+        let verify_table = BitmapTable::new(col1, col2, 16).expect("well-formed columns");
+        let verify_plans: Vec<Vec<memcim_mvp::Instruction>> =
+            queries.iter().map(|(s1, s2)| verify_table.query_plan(s1, s2)).collect();
         let rows = 32usize;
-        let model = memcim_verify::CostModel::banked(rows, 64, serve_records / 64);
+        let model = memcim_verify::CostModel::banked(rows, 64, verify_records / 64);
         results.push(measure(
             "verify_overhead",
             "program",
-            serve_plans.len() as u64,
+            verify_plans.len() as u64,
             budget,
             || {
-                for plan in &serve_plans {
-                    let diagnostics = memcim_verify::verify_program(plan, rows, serve_records);
+                for plan in &verify_plans {
+                    let diagnostics = memcim_verify::verify_program(plan, rows, verify_records);
                     assert!(
                         memcim_verify::first_error(&diagnostics).is_none(),
                         "the served plans are valid"
@@ -507,10 +310,8 @@ fn run_workloads(quick: bool) -> Vec<ConfigResult> {
 }
 
 fn render_report(results: &[ConfigResult], quick: bool, baseline: Option<&str>) -> String {
-    // The serve_bitmap_qps_* worker-scaling trio only spreads across
-    // real cores; recording the host's parallelism makes a committed
-    // report interpretable (cores = 1 ⇒ the trio times-slices and stays
-    // flat by construction).
+    // Recording the host's parallelism makes a committed report
+    // interpretable next to a rerun on different hardware.
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut out = String::new();
     out.push_str("{\n");
@@ -701,9 +502,10 @@ mod tests {
 
     #[test]
     fn the_new_pr10_configs_are_required() {
-        for name in ["ap_multistream", "serve_cache_hit"] {
-            assert!(REQUIRED_CONFIGS.contains(&name), "{name} must be in the --check contract");
-        }
+        assert!(
+            REQUIRED_CONFIGS.contains(&"ap_multistream"),
+            "ap_multistream must be in the --check contract"
+        );
     }
 
     #[test]

@@ -25,10 +25,11 @@
 //!   typed `OverCapacity`, never an engine fault.
 //! * Defaults: 16 clients, 4 workers, queue depth 8, 2000 ms, no kills.
 //!
-//! Unlike `perf_report`'s `serve_net_qps` config (one connection,
-//! sequential round trips — the committed trajectory number), this
-//! binary is the *overload* instrument: concurrency exceeds capacity
-//! on purpose, so tail latency and refusal behavior are visible.
+//! Unlike the `wirebench` benchmark's `bitmap_wire` workload (clients
+//! within capacity, every answer checked — the committed served-path
+//! number), this binary is the *overload* instrument: concurrency
+//! exceeds capacity on purpose, so tail latency and refusal behavior
+//! are visible. `--workers W` is also how worker scaling is measured.
 
 use memcim_bits::BitVec;
 use memcim_crossbar::{

@@ -35,7 +35,7 @@
 //!   of per-job deltas, each reported back in the job's
 //!   [`BurstReport`]) and AP stream costs.
 //! * **Fault tolerance** — engines can run ECC-protected and with spare
-//!   rows ([`ServeConfig::with_ecc`] / [`ServeConfig::with_spare_rows`]);
+//!   rows, built per worker through [`ServeConfig::with_engine_factory`];
 //!   a worker whose substrate reports a fault-fatal error (uncorrectable
 //!   data, exhausted spares) retires its engine from the pool and
 //!   requeues the in-flight jobs onto survivors
@@ -131,6 +131,7 @@
 
 mod error;
 mod job;
+mod lru;
 pub mod net;
 pub mod placement;
 mod router;

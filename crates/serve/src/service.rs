@@ -2,6 +2,7 @@
 //! per-tenant accounting, shutdown.
 
 use crate::job::{ticket_pair, Responder, ShardedTicket};
+use crate::lru::Lru;
 use crate::placement::{Catalog, PlacementConfig};
 use crate::router::{PushRefused, WhenFull, WorkRouter};
 use crate::session::{ApOpenInfo, ApSession, CorrSession, SessionTable, StreamSession};
@@ -10,9 +11,9 @@ use crate::{
     ApMatches, BurstReport, CorrFeedReport, CorrOutcome, Job, JobOutput, MvpOutput, ServeError,
     SessionId, TenantId, Ticket, MAX_LANES,
 };
-use memcim_ap::{ApBackend, ApError};
+use memcim_ap::ApError;
 use memcim_bits::BitVec;
-use memcim_crossbar::{BankedCrossbar, CrossbarBackend, EccCrossbar, HammingCode, OpLedger};
+use memcim_crossbar::{BankedCrossbar, CrossbarBackend, OpLedger};
 use memcim_mvp::{correlation, BatchRequest, Instruction, MvpError, MvpSimulator, ShardMap};
 use memcim_units::{Joules, Seconds};
 use memcim_verify::Code;
@@ -50,20 +51,10 @@ pub struct ServeConfig {
     /// Columns per bank; the engine's logical width is
     /// `mvp_banks * mvp_bank_cols`.
     pub mvp_bank_cols: usize,
-    /// Wrap every worker engine in SEC-DED ECC
-    /// ([`EccCrossbar`]): the banks grow by the parity overhead so the
-    /// host-visible width stays `mvp_banks * mvp_bank_cols`.
-    pub mvp_ecc: bool,
-    /// Spare rows reserved per bank for transparent row retirement
-    /// (0 disables repair; see [`memcim_crossbar::Crossbar::with_spare_rows`]).
-    pub mvp_spare_rows: usize,
-    /// Stuck-cell count at which a row is retired onto a spare.
-    pub mvp_fault_threshold: usize,
-    /// Hardware backend for AP sessions.
-    pub ap_backend: ApBackend,
     /// Overrides engine construction per worker index — fault-injection
-    /// campaigns and heterogeneous pools. `None` builds from the
-    /// geometry fields above.
+    /// campaigns, ECC-protected or spare-row-repaired substrates, and
+    /// heterogeneous pools. `None` builds a plain RRAM
+    /// [`BankedCrossbar`] from the geometry fields above.
     pub engine_factory: Option<EngineFactory>,
     /// Shard/replica geometry for scatter-gather submissions
     /// ([`Service::submit_sharded`]). `None` leaves the service
@@ -81,10 +72,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("mvp_rows", &self.mvp_rows)
             .field("mvp_banks", &self.mvp_banks)
             .field("mvp_bank_cols", &self.mvp_bank_cols)
-            .field("mvp_ecc", &self.mvp_ecc)
-            .field("mvp_spare_rows", &self.mvp_spare_rows)
-            .field("mvp_fault_threshold", &self.mvp_fault_threshold)
-            .field("ap_backend", &self.ap_backend)
             .field("engine_factory", &self.engine_factory.as_ref().map(|_| "<custom>"))
             .field("placement", &self.placement)
             .finish()
@@ -100,10 +87,6 @@ impl Default for ServeConfig {
             mvp_rows: 32,
             mvp_banks: 8,
             mvp_bank_cols: 256,
-            mvp_ecc: false,
-            mvp_spare_rows: 0,
-            mvp_fault_threshold: 1,
-            ap_backend: ApBackend::rram(),
             engine_factory: None,
             placement: None,
         }
@@ -142,32 +125,12 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the AP session backend.
-    #[must_use]
-    pub fn with_ap_backend(mut self, backend: ApBackend) -> Self {
-        self.ap_backend = backend;
-        self
-    }
-
-    /// Protects every worker engine with SEC-DED ECC.
-    #[must_use]
-    pub fn with_ecc(mut self, ecc: bool) -> Self {
-        self.mvp_ecc = ecc;
-        self
-    }
-
-    /// Reserves `spares` spare rows per bank, retiring rows at
-    /// `threshold` stuck cells.
-    #[must_use]
-    pub fn with_spare_rows(mut self, spares: usize, threshold: usize) -> Self {
-        self.mvp_spare_rows = spares;
-        self.mvp_fault_threshold = threshold;
-        self
-    }
-
     /// Overrides engine construction: `factory(worker_index)` builds
     /// each worker's substrate. The substrate's host-visible width must
     /// equal [`mvp_width`](Self::mvp_width) for tenant programs to fit.
+    /// This is how a pool gets SEC-DED ECC (wrap the banks in an
+    /// [`EccCrossbar`](memcim_crossbar::EccCrossbar)) or spare-row repair
+    /// ([`BankedCrossbar::rram_with_spares`]).
     #[must_use]
     pub fn with_engine_factory(
         mut self,
@@ -214,39 +177,14 @@ impl ServeConfig {
         })
     }
 
-    /// Builds one worker's substrate per the configuration (or the
-    /// custom factory).
+    /// Builds one worker's substrate: the custom factory's, or a plain
+    /// RRAM [`BankedCrossbar`] of the configured geometry.
     fn build_backend(&self, worker: usize) -> BoxedBackend {
-        if let Some(factory) = &self.engine_factory {
-            return factory(worker);
-        }
-        let width = self.mvp_width();
-        // With ECC on, widen each bank so the SEC-DED codeword for the
-        // host-visible width fits (parity columns spread across banks).
-        let bank_cols = if self.mvp_ecc {
-            let overhead = HammingCode::total_bits_for(width) - width;
-            self.mvp_bank_cols + overhead.div_ceil(self.mvp_banks)
-        } else {
-            self.mvp_bank_cols
-        };
-        let banked = if self.mvp_spare_rows > 0 {
-            BankedCrossbar::rram_with_spares(
-                self.mvp_rows,
-                self.mvp_banks,
-                bank_cols,
-                self.mvp_spare_rows,
-                self.mvp_fault_threshold,
-            )
-        } else {
-            BankedCrossbar::rram(self.mvp_rows, self.mvp_banks, bank_cols)
-        };
-        if self.mvp_ecc {
-            Box::new(
-                EccCrossbar::with_data_width(banked, width)
-                    .expect("banks were widened to fit the codeword"),
-            )
-        } else {
-            Box::new(banked)
+        match &self.engine_factory {
+            Some(factory) => factory(worker),
+            None => {
+                Box::new(BankedCrossbar::rram(self.mvp_rows, self.mvp_banks, self.mvp_bank_cols))
+            }
         }
     }
 }
@@ -338,44 +276,13 @@ const MVP_VERIFY_CACHE_CAPACITY: usize = 64;
 /// admitted. Keyed by a 64-bit program hash for cheap lookup but
 /// confirmed by full program equality before a hit counts — a hash
 /// collision degrades to a miss, never to a false admission.
-#[derive(Debug, Default)]
-struct VerifyCache {
-    entries: HashMap<(TenantId, u64), (u64, Vec<Instruction>)>,
-    clock: u64,
-}
+type VerifyCache = Lru<(TenantId, u64), Vec<Instruction>, MVP_VERIFY_CACHE_CAPACITY>;
 
-impl VerifyCache {
-    fn hash(program: &[Instruction]) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        program.hash(&mut hasher);
-        hasher.finish()
-    }
-
-    fn contains(&mut self, tenant: TenantId, program: &[Instruction]) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
-        match self.entries.get_mut(&(tenant, Self::hash(program))) {
-            Some((stamp, cached)) if cached == program => {
-                *stamp = clock;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn insert(&mut self, tenant: TenantId, program: &[Instruction]) {
-        let key = (tenant, Self::hash(program));
-        if self.entries.len() >= MVP_VERIFY_CACHE_CAPACITY && !self.entries.contains_key(&key) {
-            if let Some(oldest) =
-                self.entries.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| *k)
-            {
-                self.entries.remove(&oldest);
-            }
-        }
-        self.clock += 1;
-        self.entries.insert(key, (self.clock, program.to_vec()));
-    }
+fn program_hash(program: &[Instruction]) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    program.hash(&mut hasher);
+    hasher.finish()
 }
 
 impl Shared {
@@ -414,13 +321,14 @@ impl Shared {
         tenant: TenantId,
         program: &[Instruction],
     ) -> Result<(), ServeError> {
-        if sync::lock(&self.verify_cache).contains(tenant, program) {
+        let key = (tenant, program_hash(program));
+        if sync::lock(&self.verify_cache).get(&key).is_some_and(|cached| cached == program) {
             self.mvp_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
         self.mvp_cache_misses.fetch_add(1, Ordering::Relaxed);
         self.config.verify_program(program)?;
-        sync::lock(&self.verify_cache).insert(tenant, program);
+        sync::lock(&self.verify_cache).insert(key, program.to_vec());
         Ok(())
     }
 
@@ -891,7 +799,7 @@ impl Service {
         if self.is_draining() {
             return Err(ServeError::ShuttingDown);
         }
-        self.shared.sessions.open_ap(tenant, patterns, &self.shared.config.ap_backend)
+        self.shared.sessions.open_ap(tenant, patterns)
     }
 
     /// Drops one of `tenant`'s sessions. An in-flight job on it still

@@ -11,6 +11,7 @@
 //! tenant isolation and close semantics are workload-agnostic — only
 //! the state inside the [`StreamSession`] differs.
 
+use crate::lru::Lru;
 use crate::{sync, ServeError, SessionId, TenantId};
 use memcim_ap::{ApBackend, ApError, ApTemplate, MultiStreamProcessor, RoutingKind};
 use memcim_automata::{PatternSet, StartKind};
@@ -129,34 +130,7 @@ struct CompiledSet {
 /// The tenant id is part of the key, so one tenant can never be handed
 /// an automaton compiled for another's patterns, and eviction is by
 /// least-recent use across the table.
-#[derive(Debug, Default)]
-struct ApCompileCache {
-    entries: HashMap<(TenantId, Vec<String>), (u64, CompiledSet)>,
-    clock: u64,
-}
-
-impl ApCompileCache {
-    fn get(&mut self, key: &(TenantId, Vec<String>)) -> Option<&CompiledSet> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.entries.get_mut(key).map(|(stamp, template)| {
-            *stamp = clock;
-            &*template
-        })
-    }
-
-    fn insert(&mut self, key: (TenantId, Vec<String>), template: CompiledSet) {
-        if self.entries.len() >= AP_CACHE_CAPACITY && !self.entries.contains_key(&key) {
-            if let Some(oldest) =
-                self.entries.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&oldest);
-            }
-        }
-        self.clock += 1;
-        self.entries.insert(key, (self.clock, template));
-    }
-}
+type ApCompileCache = Lru<(TenantId, Vec<String>), CompiledSet, AP_CACHE_CAPACITY>;
 
 /// Sessions keyed by id; checkout state tracked per entry. Also owns
 /// the AP compile cache and its observability counters — every
@@ -177,10 +151,10 @@ struct Inner {
     next_id: SessionId,
 }
 
-/// Compiles `patterns` onto `backend` (hierarchical routing with a
+/// Compiles `patterns` onto the RRAM-AP (hierarchical routing with a
 /// dense fallback, unanchored scanning semantics). The fallback is
 /// recorded in the template rather than decided silently.
-fn compile_ap_template(patterns: &[&str], backend: &ApBackend) -> Result<CompiledSet, ServeError> {
+fn compile_ap_template(patterns: &[&str]) -> Result<CompiledSet, ServeError> {
     let set = PatternSet::compile(patterns)
         .map_err(|e| ServeError::Compile { message: e.to_string() })?;
     let (homog, owner_of_state) = set.to_homogeneous();
@@ -194,10 +168,10 @@ fn compile_ap_template(patterns: &[&str], backend: &ApBackend) -> Result<Compile
         .filter_map(|(state, pattern)| remap[state].map(|new| (new, pattern)))
         .collect();
     let (template, routing_fallback) =
-        match ApTemplate::compile(&homog, backend.clone(), RoutingKind::cache_automaton()) {
+        match ApTemplate::compile(&homog, ApBackend::rram(), RoutingKind::cache_automaton()) {
             Ok(t) => (t, false),
             Err(ApError::RoutingInfeasible { .. }) => {
-                (ApTemplate::compile(&homog, backend.clone(), RoutingKind::Dense)?, true)
+                (ApTemplate::compile(&homog, ApBackend::rram(), RoutingKind::Dense)?, true)
             }
             Err(e) => return Err(e.into()),
         };
@@ -216,7 +190,6 @@ impl SessionTable {
         &self,
         tenant: TenantId,
         patterns: &[&str],
-        backend: &ApBackend,
     ) -> Result<(SessionId, ApOpenInfo), ServeError> {
         let key = (tenant, patterns.iter().map(|p| p.to_string()).collect::<Vec<String>>());
         let cached = {
@@ -232,7 +205,7 @@ impl SessionTable {
             }
             None => {
                 self.ap_cache_misses.fetch_add(1, Ordering::Relaxed);
-                let template = compile_ap_template(patterns, backend)?;
+                let template = compile_ap_template(patterns)?;
                 let processor = template.template.multi_stream(1);
                 let owner = template.owner_of_state.clone();
                 let fallback = template.routing_fallback;
@@ -408,7 +381,7 @@ mod tests {
     #[test]
     fn checkout_is_exclusive_and_put_back_releases() {
         let table = SessionTable::default();
-        let (id, _) = table.open_ap(1, &["abc"], &ApBackend::rram()).expect("compiles");
+        let (id, _) = table.open_ap(1, &["abc"]).expect("compiles");
         let session = table.checkout_ap(id, 1).expect("idle");
         assert_eq!(session.tenant, 1);
         assert!(matches!(table.checkout(id, 1), Err(ServeError::SessionBusy { .. })));
@@ -420,7 +393,7 @@ mod tests {
     #[test]
     fn foreign_tenants_see_neither_sessions_nor_their_busy_state() {
         let table = SessionTable::default();
-        let (id, _) = table.open_ap(1, &["abc"], &ApBackend::rram()).expect("compiles");
+        let (id, _) = table.open_ap(1, &["abc"]).expect("compiles");
         // Idle: a foreign tenant cannot check it out…
         assert!(matches!(table.checkout(id, 2), Err(ServeError::UnknownSession { .. })));
         // …or close it…
@@ -438,7 +411,7 @@ mod tests {
     fn unknown_and_closed_sessions_are_rejected() {
         let table = SessionTable::default();
         assert!(matches!(table.checkout(9, 1), Err(ServeError::UnknownSession { session: 9 })));
-        let (id, _) = table.open_ap(2, &["x+"], &ApBackend::rram()).expect("compiles");
+        let (id, _) = table.open_ap(2, &["x+"]).expect("compiles");
         table.close(id, 2).expect("open");
         assert!(matches!(table.close(id, 2), Err(ServeError::UnknownSession { .. })));
         assert_eq!(table.len(), 0);
@@ -447,14 +420,14 @@ mod tests {
     #[test]
     fn bad_patterns_surface_as_compile_errors() {
         let table = SessionTable::default();
-        let err = table.open_ap(3, &["a(b"], &ApBackend::rram()).expect_err("unbalanced");
+        let err = table.open_ap(3, &["a(b"]).expect_err("unbalanced");
         assert!(matches!(err, ServeError::Compile { .. }));
     }
 
     #[test]
     fn closing_a_checked_out_session_drops_it_on_put_back() {
         let table = SessionTable::default();
-        let (id, _) = table.open_ap(4, &["ab"], &ApBackend::rram()).expect("compiles");
+        let (id, _) = table.open_ap(4, &["ab"]).expect("compiles");
         let session = table.checkout(id, 4).expect("idle");
         table.close(id, 4).expect("removes");
         table.put_back(id, session);
@@ -464,7 +437,7 @@ mod tests {
     #[test]
     fn session_kinds_share_the_table_but_not_their_state() {
         let table = SessionTable::default();
-        let (ap, _) = table.open_ap(1, &["ab"], &ApBackend::rram()).expect("compiles");
+        let (ap, _) = table.open_ap(1, &["ab"]).expect("compiles");
         let corr = table.open_corr(1, 8, 100).expect("well-formed");
         assert_eq!(table.len(), 2);
         // A kind mismatch is a typed error and puts the session back.
@@ -502,14 +475,14 @@ mod tests {
     fn routing_fallback_is_observable_not_silent() {
         let table = SessionTable::default();
         // A small pattern routes hierarchically: no fallback.
-        let (_, info) = table.open_ap(1, &["abc"], &ApBackend::rram()).expect("compiles");
+        let (_, info) = table.open_ap(1, &["abc"]).expect("compiles");
         assert!(!info.routing_fallback);
         assert_eq!(table.routing_fallbacks(), 0);
         // The wire-hungry pattern exhausts global routing and falls
         // back to dense — session still opens, but the decision is
         // reported on the open and counted.
         let big = routing_infeasible_pattern();
-        let (id, info) = table.open_ap(1, &[big.as_str()], &ApBackend::rram()).expect("dense");
+        let (id, info) = table.open_ap(1, &[big.as_str()]).expect("dense");
         assert!(info.routing_fallback, "fallback must be visible on the open report");
         assert!(!info.cache_hit);
         assert_eq!(table.routing_fallbacks(), 1);
@@ -520,7 +493,7 @@ mod tests {
         table.put_back(id, StreamSession::Ap(session));
         // A cached re-open of the fallback template is still counted
         // and still flagged.
-        let (_, info) = table.open_ap(1, &[big.as_str()], &ApBackend::rram()).expect("cached");
+        let (_, info) = table.open_ap(1, &[big.as_str()]).expect("cached");
         assert!(info.routing_fallback && info.cache_hit);
         assert_eq!(table.routing_fallbacks(), 2);
     }
@@ -528,22 +501,21 @@ mod tests {
     #[test]
     fn compile_cache_hits_are_counted_and_tenant_keyed() {
         let table = SessionTable::default();
-        let backend = ApBackend::rram();
-        let (a, info) = table.open_ap(1, &["ab+c", "xy"], &backend).expect("cold");
+        let (a, info) = table.open_ap(1, &["ab+c", "xy"]).expect("cold");
         assert!(!info.cache_hit);
         assert_eq!((table.ap_cache_hits(), table.ap_cache_misses()), (0, 1));
         // Same tenant, same patterns: hit.
-        let (b, info) = table.open_ap(1, &["ab+c", "xy"], &backend).expect("warm");
+        let (b, info) = table.open_ap(1, &["ab+c", "xy"]).expect("warm");
         assert!(info.cache_hit);
         assert_eq!((table.ap_cache_hits(), table.ap_cache_misses()), (1, 1));
         // Another tenant with the identical pattern list must not share
         // the artifact: the key is (tenant, patterns).
-        let (_, info) = table.open_ap(2, &["ab+c", "xy"], &backend).expect("cold for tenant 2");
+        let (_, info) = table.open_ap(2, &["ab+c", "xy"]).expect("cold for tenant 2");
         assert!(!info.cache_hit);
         assert_eq!((table.ap_cache_hits(), table.ap_cache_misses()), (1, 2));
         // A different pattern *order* is a different key (alternation
         // order changes pattern attribution).
-        let (_, info) = table.open_ap(1, &["xy", "ab+c"], &backend).expect("cold");
+        let (_, info) = table.open_ap(1, &["xy", "ab+c"]).expect("cold");
         assert!(!info.cache_hit);
         // Warm and cold sessions are behaviourally identical.
         let mut cold = table.checkout_ap(a, 1).expect("idle");
@@ -562,29 +534,28 @@ mod tests {
     #[test]
     fn compile_cache_is_bounded_and_evicts_least_recently_used() {
         let table = SessionTable::default();
-        let backend = ApBackend::rram();
         // Fill the cache to capacity with distinct single-pattern sets.
         for i in 0..AP_CACHE_CAPACITY {
             let p = format!("k{i}z");
-            table.open_ap(7, &[p.as_str()], &backend).expect("compiles");
+            table.open_ap(7, &[p.as_str()]).expect("compiles");
         }
         assert_eq!(table.ap_cache_misses(), AP_CACHE_CAPACITY as u64);
         // Touch the first entry so it is most-recently used…
-        let (_, info) = table.open_ap(7, &["k0z"], &backend).expect("warm");
+        let (_, info) = table.open_ap(7, &["k0z"]).expect("warm");
         assert!(info.cache_hit);
         // …then overflow: the loser must be k1z (least recent), not k0z.
-        table.open_ap(7, &["overflow"], &backend).expect("compiles");
-        let (_, info) = table.open_ap(7, &["k0z"], &backend).expect("still cached");
+        table.open_ap(7, &["overflow"]).expect("compiles");
+        let (_, info) = table.open_ap(7, &["k0z"]).expect("still cached");
         assert!(info.cache_hit, "recently-used entry survived the eviction");
-        let (_, info) = table.open_ap(7, &["k1z"], &backend).expect("recompiles");
+        let (_, info) = table.open_ap(7, &["k1z"]).expect("recompiles");
         assert!(!info.cache_hit, "least-recently-used entry was evicted");
     }
 
     #[test]
     fn failed_compiles_are_not_cached() {
         let table = SessionTable::default();
-        assert!(table.open_ap(1, &["a(b"], &ApBackend::rram()).is_err());
-        assert!(table.open_ap(1, &["a(b"], &ApBackend::rram()).is_err());
+        assert!(table.open_ap(1, &["a(b"]).is_err());
+        assert!(table.open_ap(1, &["a(b"]).is_err());
         assert_eq!(table.ap_cache_hits(), 0, "an error must never be served as a hit");
         assert_eq!(table.ap_cache_misses(), 2);
     }

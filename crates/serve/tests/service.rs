@@ -333,6 +333,34 @@ fn invalid_programs_are_refused_at_submission_not_execution() {
 }
 
 #[test]
+fn the_verify_cache_is_bounded_and_evicts_the_least_recently_verified_program() {
+    // The service-wide verify cache holds 64 admitted programs.
+    const CAPACITY: usize = 64;
+    let config = two_worker_config();
+    let width = config.mvp_width();
+    let service = Service::start(config);
+    let verify = |salt: usize| {
+        service.verify_program_cached(3, &query_program(width, salt)).expect("a valid program");
+        (service.mvp_cache_hits(), service.mvp_cache_misses())
+    };
+    for salt in 0..CAPACITY {
+        verify(salt);
+    }
+    assert_eq!(verify(CAPACITY - 1), (1, CAPACITY as u64), "a full cache still hits");
+    // Re-verify program 0, so program 1 is the least recently verified.
+    assert_eq!(verify(0), (2, CAPACITY as u64));
+    // The 65th distinct program is verified and evicts program 1.
+    assert_eq!(verify(CAPACITY), (2, CAPACITY as u64 + 1));
+    assert_eq!(verify(0), (3, CAPACITY as u64 + 1), "the re-verified program survived");
+    assert_eq!(
+        verify(1),
+        (3, CAPACITY as u64 + 2),
+        "the least recently verified program was evicted and is a miss again"
+    );
+    service.shutdown();
+}
+
+#[test]
 fn pre_assembled_batches_run_as_one_unit() {
     let config = two_worker_config();
     let width = config.mvp_width();
