@@ -1749,4 +1749,212 @@ mod tests {
         }
         assert!(matches!(read_frame(&mut cursor, 1024), Err(FrameReadError::Closed)));
     }
+
+    /// Lower-case hex of a frame body, for the golden-frame pins.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn report(cycles: u64) -> ApReport {
+        ApReport { cycles, latency: Seconds::new(0.5), energy: Joules::new(0.25) }
+    }
+
+    fn usage(quota_remaining: Option<u64>, rate: Option<WireRate>) -> WireUsage {
+        WireUsage {
+            mvp_jobs: 1,
+            mvp_reads: 2,
+            mvp_scouting_ops: 3,
+            mvp_programs: 4,
+            mvp_corrected_errors: 5,
+            mvp_energy: Joules::new(6.0),
+            mvp_busy: Seconds::new(7.0),
+            ap_jobs: 8,
+            ap_symbols: 9,
+            ap_energy: Joules::new(10.0),
+            ap_busy: Seconds::new(11.0),
+            corr_jobs: 12,
+            corr_events: 13,
+            quota_remaining,
+            rate,
+        }
+    }
+
+    /// One instance of every verb with its encoded body pinned byte for
+    /// byte, so a codec change that moves a single byte fails here.
+    #[test]
+    fn golden_frames_pin_every_verb() {
+        let requests = [
+            (Request::Hello { tenant: 7, token: "tö".into() }, "0100000000000000070000000374c3b6"),
+            (
+                Request::Submit {
+                    programs: vec![
+                        vec![
+                            Instruction::Store { row: 1, data: BitVec::from_indices(65, &[0, 64]) },
+                            Instruction::Or { srcs: vec![1, 2], dst: 3 },
+                            Instruction::And { srcs: vec![1, 2, 3], dst: 4 },
+                            Instruction::Xor { a: 1, b: 2, dst: 5 },
+                            Instruction::Read { row: 5 },
+                        ],
+                        vec![],
+                    ],
+                },
+                concat!(
+                    "0200000002000000050000000001000000410000000000000001000000000000",
+                    "0001010000000200000001000000020000000302000000030000000100000002",
+                    "000000030000000403000000010000000200000005040000000500000000"
+                ),
+            ),
+            (
+                Request::ApOpen { patterns: vec!["ab+c".into(), "x".into()] },
+                "03000000020000000461622b630000000178",
+            ),
+            (Request::ApClose { session: 9 }, "060000000000000009"),
+            (Request::Usage, "07"),
+            (Request::Stats, "08"),
+            (Request::CorrOpen { streams: 24, threshold: 1556 }, "09000000180000000000000614"),
+            (
+                Request::CorrFeed {
+                    session: 4,
+                    window: vec![BitVec::from_indices(3, &[0, 2]), BitVec::new(0)],
+                },
+                "0a00000000000000040000000200000003000000000000000500000000",
+            ),
+            (Request::CorrFinish { session: 4 }, "0b0000000000000004"),
+            (
+                Request::ApFeedMany { session: 9, chunks: vec![b"GET".to_vec(), vec![]] },
+                "0c0000000000000009000000020000000347455400000000",
+            ),
+            (Request::ApFinishMany { session: 9 }, "0d0000000000000009"),
+        ];
+        let responses = [
+            (Response::HelloOk, "81"),
+            (
+                Response::Mvp(WireMvpResult {
+                    outputs: vec![vec![BitVec::from_indices(3, &[1])], vec![]],
+                    jobs: 1,
+                    programs: 2,
+                    energy: Joules::new(1.5),
+                    busy: Seconds::new(2.5),
+                }),
+                concat!(
+                    "82000000000000000100000000000000023ff800000000000040040000000000",
+                    "00000000020000000100000003000000000000000200000000"
+                ),
+            ),
+            (
+                Response::ApOpened { session: 3, routing_fallback: true, cache_hit: false },
+                "8300000000000000030100",
+            ),
+            (Response::ApClosed, "86"),
+            (
+                Response::Usage(usage(Some(12), Some(WireRate { tokens: 2.5, burst: 8 }))),
+                concat!(
+                    "8700000000000000010000000000000002000000000000000300000000000000",
+                    "0400000000000000054018000000000000401c00000000000000000000000000",
+                    "0800000000000000094024000000000000402600000000000000000000000000",
+                    "0c000000000000000d000000000000000c01400400000000000000000008"
+                ),
+            ),
+            (
+                Response::Usage(usage(None, None)),
+                concat!(
+                    "8700000000000000010000000000000002000000000000000300000000000000",
+                    "0400000000000000054018000000000000401c00000000000000000000000000",
+                    "0800000000000000094024000000000000402600000000000000000000000000",
+                    "0c000000000000000dffffffffffffffff00"
+                ),
+            ),
+            (
+                Response::Stats(WireStats {
+                    workers: 1,
+                    live_engines: 2,
+                    retired_engines: 3,
+                    queue_depth: 4,
+                    queue_capacity: 5,
+                    sessions: 6,
+                    shards: 7,
+                    replicas: 8,
+                    unavailable_shards: 9,
+                    routing_fallbacks: 10,
+                    ap_cache_hits: 11,
+                    ap_cache_misses: 12,
+                    mvp_cache_hits: 13,
+                    mvp_cache_misses: 14,
+                    tenants: vec![
+                        TenantStat {
+                            tenant: 7,
+                            jobs: 3,
+                            energy: Joules::new(1.0),
+                            busy: Seconds::new(2.0),
+                        },
+                        TenantStat {
+                            tenant: 9,
+                            jobs: 0,
+                            energy: Joules::new(0.0),
+                            busy: Seconds::new(0.0),
+                        },
+                    ],
+                }),
+                concat!(
+                    "8800000000000000010000000000000002000000000000000300000000000000",
+                    "0400000000000000050000000000000006000000000000000700000000000000",
+                    "080000000000000009000000000000000a000000000000000b00000000000000",
+                    "0c000000000000000d000000000000000e000000020000000000000007000000",
+                    "00000000033ff000000000000040000000000000000000000000000009000000",
+                    "000000000000000000000000000000000000000000"
+                ),
+            ),
+            (Response::CorrOpened { session: 11 }, "89000000000000000b"),
+            (
+                Response::CorrFed(crate::CorrFeedReport {
+                    events: 3072,
+                    energy: Joules::new(0.5),
+                    busy: Seconds::new(0.25),
+                }),
+                "8a0000000000000c003fe00000000000003fd0000000000000",
+            ),
+            (
+                Response::CorrReport(crate::CorrOutcome {
+                    correlated: BitVec::from_indices(5, &[2]),
+                    scores: vec![7, 1654],
+                    events: 18432,
+                    threshold: 1556,
+                }),
+                concat!(
+                    "8b00000005000000000000000400000002000000000000000700000000000006",
+                    "7600000000000048000000000000000614"
+                ),
+            ),
+            (
+                Response::ApFedMany(vec![report(11)]),
+                "8c00000001000000000000000b3fe00000000000003fd0000000000000",
+            ),
+            (
+                Response::ApFinishedMany(vec![crate::ApMatches {
+                    accepted: true,
+                    matches: vec![(5, 0)],
+                    symbols: 15,
+                    report: report(15),
+                }]),
+                concat!(
+                    "8d0000000101000000000000000f000000000000000f3fe00000000000003fd0",
+                    "0000000000000000000100000000000000050000000000000000"
+                ),
+            ),
+            (
+                Response::Error { code: ErrorCode::RateLimited, message: "slow".into() },
+                "ee001500000004736c6f77",
+            ),
+        ];
+        for (request, want) in requests {
+            let body = request.encode().expect("encodes");
+            assert_eq!(hex(&body), want, "{request:?}");
+            assert_eq!(Request::decode(&body).expect("decodes"), request);
+        }
+        for (response, want) in responses {
+            let body = response.encode().expect("encodes");
+            assert_eq!(hex(&body), want, "{response:?}");
+            assert_eq!(Response::decode(&body).expect("decodes"), response);
+        }
+    }
 }
