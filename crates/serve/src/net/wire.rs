@@ -52,7 +52,7 @@
 //! order. (Pipelining across *connections* is how the load generator
 //! drives overload.)
 
-use crate::{ServeError, SessionId, TenantId, MAX_LANES};
+use crate::{ApMatches, CorrFeedReport, CorrOutcome, ServeError, SessionId, TenantId, MAX_LANES};
 use core::fmt;
 use memcim_ap::ApReport;
 use memcim_bits::BitVec;
@@ -103,107 +103,82 @@ const OP_ERROR: u8 = 0xEE;
 
 // --- Error taxonomy ---------------------------------------------------
 
-/// Typed failure codes carried by [`Response::Error`] frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ErrorCode {
+/// Declares [`ErrorCode`] from one list: each variant next to its wire
+/// number, so `as_u16` and `from_u16` cannot disagree.
+macro_rules! error_codes {
+    ($($(#[$doc:meta])* $code:ident = $n:literal,)*) => {
+        /// Typed failure codes carried by [`Response::Error`] frames.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[non_exhaustive]
+        #[repr(u16)]
+        pub enum ErrorCode {
+            $($(#[$doc])* $code = $n,)*
+        }
+
+        impl ErrorCode {
+            const ALL: &[ErrorCode] = &[$(ErrorCode::$code),*];
+        }
+    };
+}
+
+error_codes! {
     /// The frame body could not be decoded (truncated payload, trailing
     /// garbage, invalid UTF-8, nonsense counts).
-    BadFrame,
+    BadFrame = 1,
     /// The declared body length exceeds the server's maximum.
-    FrameTooLarge,
+    FrameTooLarge = 2,
     /// The opcode is not a known request verb.
-    UnknownOpcode,
+    UnknownOpcode = 3,
     /// A request other than `Hello` arrived before authentication.
-    Unauthenticated,
+    Unauthenticated = 10,
     /// `Hello` named an unknown tenant or presented a wrong token.
-    BadCredentials,
+    BadCredentials = 11,
     /// The connection sent a second `Hello`.
-    AlreadyAuthenticated,
+    AlreadyAuthenticated = 12,
     /// Admission control: the tenant's job quota is spent.
-    QuotaExceeded,
+    QuotaExceeded = 20,
     /// Admission control: the tenant's token bucket is empty.
-    RateLimited,
+    RateLimited = 21,
     /// The bounded queue is at capacity; the submission was refused
     /// *before* it could block the connection (back off and retry).
-    OverCapacity,
+    OverCapacity = 22,
     /// The service is shutting down.
-    ShuttingDown,
+    ShuttingDown = 30,
     /// A streaming verb referenced a session this tenant does not hold.
-    UnknownSession,
+    UnknownSession = 31,
     /// The session is busy on another in-flight job.
-    SessionBusy,
+    SessionBusy = 32,
     /// The session exists but holds a different streaming workload's
     /// state (e.g. an `ApFeedMany` aimed at a correlation session).
-    WrongSessionKind,
+    WrongSessionKind = 38,
     /// Pattern compilation failed in `ApOpen`.
-    Compile,
+    Compile = 33,
     /// The job reached an engine and failed there.
-    Engine,
+    Engine = 34,
     /// Every engine has been retired; MVP jobs cannot be placed.
-    NoHealthyEngine,
+    NoHealthyEngine = 35,
     /// Every replica of one shard is dead; sub-queries touching its
     /// records cannot fail over anywhere (other shards keep serving).
-    ShardUnavailable,
+    ShardUnavailable = 36,
     /// Static verification refused a submitted program *before*
     /// admission: the engine would provably reject it at runtime. The
     /// message carries the diagnostic (stable code, instruction index);
     /// nothing was billed and nothing was queued.
-    InvalidProgram,
+    InvalidProgram = 37,
     /// An internal server failure (never the client's fault).
-    Internal,
+    Internal = 99,
 }
 
 impl ErrorCode {
     /// The code's wire representation.
     pub fn as_u16(self) -> u16 {
-        match self {
-            ErrorCode::BadFrame => 1,
-            ErrorCode::FrameTooLarge => 2,
-            ErrorCode::UnknownOpcode => 3,
-            ErrorCode::Unauthenticated => 10,
-            ErrorCode::BadCredentials => 11,
-            ErrorCode::AlreadyAuthenticated => 12,
-            ErrorCode::QuotaExceeded => 20,
-            ErrorCode::RateLimited => 21,
-            ErrorCode::OverCapacity => 22,
-            ErrorCode::ShuttingDown => 30,
-            ErrorCode::UnknownSession => 31,
-            ErrorCode::SessionBusy => 32,
-            ErrorCode::Compile => 33,
-            ErrorCode::Engine => 34,
-            ErrorCode::NoHealthyEngine => 35,
-            ErrorCode::ShardUnavailable => 36,
-            ErrorCode::InvalidProgram => 37,
-            ErrorCode::WrongSessionKind => 38,
-            ErrorCode::Internal => 99,
-        }
+        self as u16
     }
 
     /// Decodes a wire code; unknown values collapse to
     /// [`ErrorCode::Internal`] so old clients survive new servers.
     pub fn from_u16(raw: u16) -> Self {
-        match raw {
-            1 => ErrorCode::BadFrame,
-            2 => ErrorCode::FrameTooLarge,
-            3 => ErrorCode::UnknownOpcode,
-            10 => ErrorCode::Unauthenticated,
-            11 => ErrorCode::BadCredentials,
-            12 => ErrorCode::AlreadyAuthenticated,
-            20 => ErrorCode::QuotaExceeded,
-            21 => ErrorCode::RateLimited,
-            22 => ErrorCode::OverCapacity,
-            30 => ErrorCode::ShuttingDown,
-            31 => ErrorCode::UnknownSession,
-            32 => ErrorCode::SessionBusy,
-            33 => ErrorCode::Compile,
-            34 => ErrorCode::Engine,
-            35 => ErrorCode::NoHealthyEngine,
-            36 => ErrorCode::ShardUnavailable,
-            37 => ErrorCode::InvalidProgram,
-            38 => ErrorCode::WrongSessionKind,
-            _ => ErrorCode::Internal,
-        }
+        Self::ALL.iter().copied().find(|code| code.as_u16() == raw).unwrap_or(ErrorCode::Internal)
     }
 
     /// Maps a service-side failure to its wire code.
@@ -331,82 +306,25 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], FrameError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     fn u8(&mut self) -> Result<u8, FrameError> {
         Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, FrameError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(FrameError::BadPayload("boolean out of range")),
-        }
-    }
-
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_be_bytes(raw))
-    }
-
-    fn f64(&mut self) -> Result<f64, FrameError> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     /// Reads a `u32` element count and proves the frame can actually
     /// hold `count` elements of at least `min_bytes` each *before* the
     /// caller allocates — the defense against forged counts.
     fn count(&mut self, min_bytes: usize) -> Result<usize, FrameError> {
-        let count = self.u32()? as usize;
+        let count = u32::get(self)? as usize;
         if count.checked_mul(min_bytes.max(1)).is_none_or(|need| need > self.remaining()) {
             return Err(FrameError::BadPayload("element count exceeds frame"));
         }
         Ok(count)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, FrameError> {
-        let len = self.count(1)?;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, FrameError> {
-        String::from_utf8(self.bytes()?).map_err(|_| FrameError::BadPayload("invalid UTF-8"))
-    }
-
-    fn bitvec(&mut self) -> Result<BitVec, FrameError> {
-        let bits = self.u32()? as usize;
-        let words = bits.div_ceil(64);
-        if words.checked_mul(8).is_none_or(|need| need > self.remaining()) {
-            return Err(FrameError::BadPayload("bit vector exceeds frame"));
-        }
-        let mut out = BitVec::new(bits);
-        for w in 0..words {
-            let raw = self.take(8)?;
-            let mut word = [0u8; 8];
-            word.copy_from_slice(raw);
-            let mut word = u64::from_be_bytes(word);
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let index = w * 64 + bit;
-                if index >= bits {
-                    return Err(FrameError::BadPayload("set bit beyond bit vector length"));
-                }
-                out.set(index, true);
-            }
-        }
-        Ok(out)
     }
 
     fn finish(self) -> Result<(), FrameError> {
@@ -422,28 +340,8 @@ struct Writer {
 }
 
 impl Writer {
-    fn new(opcode: u8) -> Self {
-        Self { buf: vec![opcode] }
-    }
-
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
     }
 
     /// Writes a `usize` into one of the protocol's `u32` fields
@@ -451,13 +349,9 @@ impl Writer {
     /// value that does not fit is a typed [`EncodeError`], not a
     /// truncated frame.
     fn u32_of(&mut self, field: &'static str, value: usize) -> Result<(), EncodeError> {
-        match u32::try_from(value) {
-            Ok(v) => {
-                self.u32(v);
-                Ok(())
-            }
-            Err(_) => Err(EncodeError { field, value }),
-        }
+        let v = u32::try_from(value).map_err(|_| EncodeError { field, value })?;
+        self.buf.extend_from_slice(&v.to_be_bytes());
+        Ok(())
     }
 
     fn bytes(&mut self, field: &'static str, v: &[u8]) -> Result<(), EncodeError> {
@@ -465,119 +359,321 @@ impl Writer {
         self.buf.extend_from_slice(v);
         Ok(())
     }
+}
 
-    fn string(&mut self, field: &'static str, v: &str) -> Result<(), EncodeError> {
-        self.bytes(field, v.as_bytes())
+// --- The codec --------------------------------------------------------
+//
+// Each field type's encoding is written once, as one `Wire` impl that
+// serves both directions. Payload structs (`wire_struct!`) and enums
+// (`wire_enum!`: the verbs and `Instruction`) are lists of fields in
+// wire order, and both `put` and `get` are generated from that list.
+
+/// A field type's one wire encoding.
+trait Wire: Sized {
+    /// The fewest bytes one value encodes to: the per-element floor a
+    /// decoded count is checked against before anything is allocated.
+    const MIN: usize;
+
+    /// Appends the value; `field` names it in an [`EncodeError`].
+    fn put(&self, w: &mut Writer, field: &'static str) -> Result<(), EncodeError>;
+
+    /// Reads one value.
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError>;
+}
+
+/// Fixed-width big-endian integers.
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN: usize = core::mem::size_of::<$t>();
+
+            fn put(&self, w: &mut Writer, _: &'static str) -> Result<(), EncodeError> {
+                w.buf.extend_from_slice(&self.to_be_bytes());
+                Ok(())
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                Ok(<$t>::from_be_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+
+wire_int!(u16, u32, u64);
+
+/// Types that travel as another wire type, converted losslessly each way.
+macro_rules! wire_via {
+    ($($t:ty => $via:ty: $to:expr, $from:expr;)*) => {$(
+        impl Wire for $t {
+            const MIN: usize = <$via as Wire>::MIN;
+
+            fn put(&self, w: &mut Writer, field: &'static str) -> Result<(), EncodeError> {
+                ($to)(*self).put(w, field)
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                Ok(($from)(<$via>::get(r)?))
+            }
+        }
+    )*};
+}
+
+// `f64` travels as its IEEE-754 bit pattern, so costs (base-SI values)
+// round-trip bit-exactly.
+wire_via! {
+    f64 => u64: f64::to_bits, f64::from_bits;
+    Joules => f64: Joules::as_joules, Joules::new;
+    Seconds => f64: Seconds::as_seconds, Seconds::new;
+    ErrorCode => u16: ErrorCode::as_u16, ErrorCode::from_u16;
+}
+
+/// A length, count or row index: a `u32` field, checked on encode.
+impl Wire for usize {
+    const MIN: usize = 4;
+
+    fn put(&self, w: &mut Writer, field: &'static str) -> Result<(), EncodeError> {
+        w.u32_of(field, *self)
     }
 
-    fn bitvec(&mut self, field: &'static str, v: &BitVec) -> Result<(), EncodeError> {
-        self.u32_of(field, v.len())?;
-        for &word in v.as_words() {
-            self.u64(word);
-        }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(u32::get(r)? as usize)
+    }
+}
+
+/// One byte, `0` or `1`.
+impl Wire for bool {
+    const MIN: usize = 1;
+
+    fn put(&self, w: &mut Writer, _: &'static str) -> Result<(), EncodeError> {
+        w.u8(u8::from(*self));
         Ok(())
     }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(FrameError::BadPayload("boolean out of range")),
+        }
+    }
 }
 
-fn encode_instruction(w: &mut Writer, instruction: &Instruction) -> Result<(), EncodeError> {
-    match instruction {
-        Instruction::Store { row, data } => {
-            w.u8(0);
-            w.u32_of("store row", *row)?;
-            w.bitvec("store data", data)?;
+/// A `u32` length, then the bytes, copied in bulk.
+impl Wire for Vec<u8> {
+    const MIN: usize = 4;
+
+    fn put(&self, w: &mut Writer, field: &'static str) -> Result<(), EncodeError> {
+        w.bytes(field, self)
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let len = r.count(1)?;
+        Ok(r.take(len)?.to_vec())
+    }
+}
+
+/// UTF-8 bytes, framed as a `Vec<u8>`.
+impl Wire for String {
+    const MIN: usize = 4;
+
+    fn put(&self, w: &mut Writer, field: &'static str) -> Result<(), EncodeError> {
+        w.bytes(field, self.as_bytes())
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        String::from_utf8(Vec::<u8>::get(r)?).map_err(|_| FrameError::BadPayload("invalid UTF-8"))
+    }
+}
+
+/// A `u32` bit length, then the `u64` words. Decoding proves the frame
+/// holds every word before allocating, and refuses set bits past the
+/// length.
+impl Wire for BitVec {
+    const MIN: usize = 4;
+
+    fn put(&self, w: &mut Writer, field: &'static str) -> Result<(), EncodeError> {
+        w.u32_of(field, self.len())?;
+        self.as_words().iter().try_for_each(|word| word.put(w, field))
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let bits = u32::get(r)? as usize;
+        let words = bits.div_ceil(64);
+        if words.checked_mul(8).is_none_or(|need| need > r.remaining()) {
+            return Err(FrameError::BadPayload("bit vector exceeds frame"));
         }
-        Instruction::Or { srcs, dst } => {
-            w.u8(1);
-            w.u32_of("OR source count", srcs.len())?;
-            for &s in srcs {
-                w.u32_of("OR source row", s)?;
+        let mut out = BitVec::new(bits);
+        for w in 0..words {
+            let mut word = u64::get(r)?;
+            while word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                let index = w * 64 + bit;
+                if index >= bits {
+                    return Err(FrameError::BadPayload("set bit beyond bit vector length"));
+                }
+                out.set(index, true);
             }
-            w.u32_of("OR destination row", *dst)?;
         }
-        Instruction::And { srcs, dst } => {
-            w.u8(2);
-            w.u32_of("AND source count", srcs.len())?;
-            for &s in srcs {
-                w.u32_of("AND source row", s)?;
+        Ok(out)
+    }
+}
+
+/// A `u32` count, then the elements. The count is proven to fit the
+/// frame at `T::MIN` bytes per element before anything is allocated.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 4;
+
+    fn put(&self, w: &mut Writer, field: &'static str) -> Result<(), EncodeError> {
+        w.u32_of(field, self.len())?;
+        self.iter().try_for_each(|item| item.put(w, field))
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let n = r.count(T::MIN)?;
+        (0..n).map(|_| T::get(r)).collect()
+    }
+}
+
+/// An `(end position, pattern index)` match event: two `u64`s.
+impl Wire for (usize, usize) {
+    const MIN: usize = 16;
+
+    fn put(&self, w: &mut Writer, field: &'static str) -> Result<(), EncodeError> {
+        (self.0 as u64).put(w, field)?;
+        (self.1 as u64).put(w, field)
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok((u64::get(r)? as usize, u64::get(r)? as usize))
+    }
+}
+
+/// A remaining quota: `u64::MAX` is the no-quota sentinel (a real limit
+/// of `u64::MAX` admits jobs faster than anyone can count).
+impl Wire for Option<u64> {
+    const MIN: usize = 8;
+
+    fn put(&self, w: &mut Writer, field: &'static str) -> Result<(), EncodeError> {
+        self.unwrap_or(u64::MAX).put(w, field)
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(Some(u64::get(r)?).filter(|&limit| limit != u64::MAX))
+    }
+}
+
+/// Rate headroom: a presence byte, then the [`WireRate`] when present.
+impl Wire for Option<WireRate> {
+    const MIN: usize = 1;
+
+    fn put(&self, w: &mut Writer, field: &'static str) -> Result<(), EncodeError> {
+        self.is_some().put(w, field)?;
+        self.as_ref().map_or(Ok(()), |rate| rate.put(w, field))
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        if bool::get(r)? {
+            WireRate::get(r).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+/// One field list per payload struct, in wire order: `MIN` is the sum
+/// of the fields' `MIN`s, and `put` and `get` walk the same list.
+macro_rules! wire_struct {
+    ($($ty:ident { $($f:ident: $t:ty),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            const MIN: usize = 0 $(+ <$t as Wire>::MIN)*;
+
+            fn put(&self, w: &mut Writer, _: &'static str) -> Result<(), EncodeError> {
+                $(self.$f.put(w, stringify!($f))?;)*
+                Ok(())
             }
-            w.u32_of("AND destination row", *dst)?;
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                Ok(Self { $($f: <$t as Wire>::get(r)?),* })
+            }
         }
-        Instruction::Xor { a, b, dst } => {
-            w.u8(3);
-            w.u32_of("XOR operand row", *a)?;
-            w.u32_of("XOR operand row", *b)?;
-            w.u32_of("XOR destination row", *dst)?;
-        }
-        Instruction::Read { row } => {
-            w.u8(4);
-            w.u32_of("read row", *row)?;
-        }
-    }
-    Ok(())
+    )*};
 }
 
-fn decode_instruction(r: &mut Reader<'_>) -> Result<Instruction, FrameError> {
-    match r.u8()? {
-        0 => {
-            let row = r.u32()? as usize;
-            let data = r.bitvec()?;
-            Ok(Instruction::Store { row, data })
+/// The name an [`EncodeError`] gives a field: its own name unless the
+/// table supplies one.
+macro_rules! field_name {
+    ($f:ident) => {
+        stringify!($f)
+    };
+    ($f:ident, $name:literal) => {
+        $name
+    };
+}
+
+/// One tag table per enum: each line maps a tag byte to a variant and
+/// its fields in wire order, and `put` and `get` walk the same table.
+/// An unknown tag decodes to the `unknown` error.
+macro_rules! wire_enum {
+    (
+        $ty:ident, min $min:expr, unknown $unknown:expr;
+        $($tag:tt => $variant:ident
+            $({ $($f:ident $(: $name:literal)?),* })? $(($inner:ident))?,)*
+    ) => {
+        impl Wire for $ty {
+            const MIN: usize = $min;
+
+            fn put(&self, w: &mut Writer, _: &'static str) -> Result<(), EncodeError> {
+                match self {
+                    $($ty::$variant $({ $($f),* })? $(($inner))? => {
+                        w.u8($tag);
+                        $($($f.put(w, field_name!($f $(, $name)?))?;)*)?
+                        $($inner.put(w, stringify!($inner))?;)?
+                    })*
+                }
+                Ok(())
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                Ok(match r.u8()? {
+                    $($tag => {
+                        $(let $inner = Wire::get(r)?;)?
+                        $ty::$variant $({ $($f: Wire::get(r)?),* })? $(($inner))?
+                    })*
+                    other => return Err(($unknown)(other)),
+                })
+            }
         }
-        tag @ (1 | 2) => {
-            let n = r.count(4)?;
-            let srcs = (0..n).map(|_| Ok(r.u32()? as usize)).collect::<Result<Vec<_>, _>>()?;
-            let dst = r.u32()? as usize;
-            Ok(if tag == 1 {
-                Instruction::Or { srcs, dst }
-            } else {
-                Instruction::And { srcs, dst }
-            })
-        }
-        3 => Ok(Instruction::Xor {
-            a: r.u32()? as usize,
-            b: r.u32()? as usize,
-            dst: r.u32()? as usize,
-        }),
-        4 => Ok(Instruction::Read { row: r.u32()? as usize }),
-        _ => Err(FrameError::BadPayload("unknown instruction tag")),
-    }
+    };
 }
 
-fn encode_ap_report(w: &mut Writer, report: &ApReport) {
-    w.u64(report.cycles);
-    w.f64(report.latency.as_seconds());
-    w.f64(report.energy.as_joules());
+// `MIN` is the tag and one row: a `Read`.
+wire_enum! { Instruction, min 5, unknown |_| FrameError::BadPayload("unknown instruction tag");
+    0 => Store { row: "store row", data: "store data" },
+    1 => Or { srcs: "OR source row", dst: "OR destination row" },
+    2 => And { srcs: "AND source row", dst: "AND destination row" },
+    3 => Xor { a: "XOR operand row", b: "XOR operand row", dst: "XOR destination row" },
+    4 => Read { row: "read row" },
 }
 
-fn decode_ap_report(r: &mut Reader<'_>) -> Result<ApReport, FrameError> {
-    Ok(ApReport {
-        cycles: r.u64()?,
-        latency: Seconds::new(r.f64()?),
-        energy: Joules::new(r.f64()?),
-    })
+/// Encodes a verb into a frame body: its opcode, then its fields.
+fn encode_body(verb: &impl Wire) -> Result<Vec<u8>, EncodeError> {
+    let mut w = Writer { buf: Vec::new() };
+    verb.put(&mut w, "opcode")?;
+    Ok(w.buf)
 }
 
-fn encode_ap_matches(w: &mut Writer, run: &crate::ApMatches) -> Result<(), EncodeError> {
-    w.u8(u8::from(run.accepted));
-    w.u64(run.symbols);
-    encode_ap_report(w, &run.report);
-    w.u32_of("match count", run.matches.len())?;
-    for &(pos, pattern) in &run.matches {
-        w.u64(pos as u64);
-        w.u64(pattern as u64);
-    }
-    Ok(())
-}
-
-fn decode_ap_matches(r: &mut Reader<'_>) -> Result<crate::ApMatches, FrameError> {
-    let accepted = r.bool()?;
-    let symbols = r.u64()?;
-    let report = decode_ap_report(r)?;
-    let n = r.count(16)?;
-    let matches = (0..n)
-        .map(|_| Ok((r.u64()? as usize, r.u64()? as usize)))
-        .collect::<Result<Vec<_>, FrameError>>()?;
-    Ok(crate::ApMatches { accepted, matches, symbols, report })
+/// Decodes a frame body into a verb, runs `check` on it, then refuses
+/// trailing bytes: a decode is exact.
+fn decode_body<T: Wire>(
+    body: &[u8],
+    check: impl FnOnce(&T) -> Result<(), FrameError>,
+) -> Result<T, FrameError> {
+    let mut r = Reader::new(body);
+    let verb = T::get(&mut r)?;
+    check(&verb)?;
+    r.finish()?;
+    Ok(verb)
 }
 
 // --- Requests ---------------------------------------------------------
@@ -655,6 +751,20 @@ pub enum Request {
     },
 }
 
+wire_enum! { Request, min 1, unknown FrameError::UnknownOpcode;
+    OP_HELLO => Hello { tenant, token },
+    OP_SUBMIT => Submit { programs },
+    OP_AP_OPEN => ApOpen { patterns },
+    OP_AP_CLOSE => ApClose { session },
+    OP_USAGE => Usage,
+    OP_STATS => Stats,
+    OP_CORR_OPEN => CorrOpen { streams, threshold },
+    OP_CORR_FEED => CorrFeed { session, window },
+    OP_CORR_FINISH => CorrFinish { session },
+    OP_AP_FEED_MANY => ApFeedMany { session, chunks },
+    OP_AP_FINISH_MANY => ApFinishMany { session },
+}
+
 impl Request {
     /// Encodes the verb into a frame body (opcode + payload).
     ///
@@ -663,75 +773,7 @@ impl Request {
     /// [`EncodeError`] when a field's length or index does not fit the
     /// wire format's 32-bit fields; nothing is silently truncated.
     pub fn encode(&self) -> Result<Vec<u8>, EncodeError> {
-        let body = match self {
-            Request::Hello { tenant, token } => {
-                let mut w = Writer::new(OP_HELLO);
-                w.u64(*tenant);
-                w.string("token", token)?;
-                w.buf
-            }
-            Request::Submit { programs } => {
-                let mut w = Writer::new(OP_SUBMIT);
-                w.u32_of("program count", programs.len())?;
-                for program in programs {
-                    w.u32_of("instruction count", program.len())?;
-                    for instruction in program {
-                        encode_instruction(&mut w, instruction)?;
-                    }
-                }
-                w.buf
-            }
-            Request::ApOpen { patterns } => {
-                let mut w = Writer::new(OP_AP_OPEN);
-                w.u32_of("pattern count", patterns.len())?;
-                for pattern in patterns {
-                    w.string("pattern", pattern)?;
-                }
-                w.buf
-            }
-            Request::ApClose { session } => {
-                let mut w = Writer::new(OP_AP_CLOSE);
-                w.u64(*session);
-                w.buf
-            }
-            Request::Usage => Writer::new(OP_USAGE).buf,
-            Request::Stats => Writer::new(OP_STATS).buf,
-            Request::CorrOpen { streams, threshold } => {
-                let mut w = Writer::new(OP_CORR_OPEN);
-                w.u32_of("stream count", *streams)?;
-                w.u64(*threshold);
-                w.buf
-            }
-            Request::CorrFeed { session, window } => {
-                let mut w = Writer::new(OP_CORR_FEED);
-                w.u64(*session);
-                w.u32_of("window stream count", window.len())?;
-                for stream in window {
-                    w.bitvec("window stream", stream)?;
-                }
-                w.buf
-            }
-            Request::CorrFinish { session } => {
-                let mut w = Writer::new(OP_CORR_FINISH);
-                w.u64(*session);
-                w.buf
-            }
-            Request::ApFeedMany { session, chunks } => {
-                let mut w = Writer::new(OP_AP_FEED_MANY);
-                w.u64(*session);
-                w.u32_of("stream count", chunks.len())?;
-                for chunk in chunks {
-                    w.bytes("chunk", chunk)?;
-                }
-                w.buf
-            }
-            Request::ApFinishMany { session } => {
-                let mut w = Writer::new(OP_AP_FINISH_MANY);
-                w.u64(*session);
-                w.buf
-            }
-        };
-        Ok(body)
+        encode_body(self)
     }
 
     /// Decodes a frame body into a request verb.
@@ -742,58 +784,21 @@ impl Request {
     /// invalid field values; the body is never trusted further than the
     /// bytes it actually contains.
     pub fn decode(body: &[u8]) -> Result<Self, FrameError> {
-        let mut r = Reader::new(body);
-        let request = match r.u8()? {
-            OP_HELLO => Request::Hello { tenant: r.u64()?, token: r.string()? },
-            OP_SUBMIT => {
-                let n = r.count(4)?;
-                if n == 0 {
-                    return Err(FrameError::BadPayload("empty submission"));
+        // The count rules run before the trailing-bytes check, so an
+        // out-of-range count is refused as such whatever follows it.
+        decode_body(body, |request| {
+            let refusal = match request {
+                Request::Submit { programs } if programs.is_empty() => "empty submission",
+                Request::ApOpen { patterns } if !(1..=MAX_PATTERNS).contains(&patterns.len()) => {
+                    "pattern count out of range"
                 }
-                let mut programs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let len = r.count(5)?;
-                    let mut program = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        program.push(decode_instruction(&mut r)?);
-                    }
-                    programs.push(program);
+                Request::ApFeedMany { chunks, .. } if !(1..=MAX_LANES).contains(&chunks.len()) => {
+                    "stream count out of range"
                 }
-                Request::Submit { programs }
-            }
-            OP_AP_OPEN => {
-                let n = r.count(4)?;
-                if n == 0 || n > MAX_PATTERNS {
-                    return Err(FrameError::BadPayload("pattern count out of range"));
-                }
-                let patterns = (0..n).map(|_| r.string()).collect::<Result<Vec<_>, _>>()?;
-                Request::ApOpen { patterns }
-            }
-            OP_AP_CLOSE => Request::ApClose { session: r.u64()? },
-            OP_USAGE => Request::Usage,
-            OP_STATS => Request::Stats,
-            OP_CORR_OPEN => Request::CorrOpen { streams: r.u32()? as usize, threshold: r.u64()? },
-            OP_CORR_FEED => {
-                let session = r.u64()?;
-                let n = r.count(4)?;
-                let window = (0..n).map(|_| r.bitvec()).collect::<Result<Vec<_>, _>>()?;
-                Request::CorrFeed { session, window }
-            }
-            OP_CORR_FINISH => Request::CorrFinish { session: r.u64()? },
-            OP_AP_FEED_MANY => {
-                let session = r.u64()?;
-                let n = r.count(4)?;
-                if n == 0 || n > MAX_LANES {
-                    return Err(FrameError::BadPayload("stream count out of range"));
-                }
-                let chunks = (0..n).map(|_| r.bytes()).collect::<Result<Vec<_>, _>>()?;
-                Request::ApFeedMany { session, chunks }
-            }
-            OP_AP_FINISH_MANY => Request::ApFinishMany { session: r.u64()? },
-            other => return Err(FrameError::UnknownOpcode(other)),
-        };
-        r.finish()?;
-        Ok(request)
+                _ => return Ok(()),
+            };
+            Err(FrameError::BadPayload(refusal))
+        })
     }
 }
 
@@ -957,16 +962,16 @@ pub enum Response {
     },
     /// A `CorrFeed` ran; the report is cumulative for the stream so
     /// far.
-    CorrFed(crate::CorrFeedReport),
+    CorrFed(CorrFeedReport),
     /// A `CorrFinish` ran: the thresholded correlated set with its
     /// evidence.
-    CorrReport(crate::CorrOutcome),
+    CorrReport(CorrOutcome),
     /// An `ApFeedMany` ran; per-lane cumulative reports, in lane order.
     ApFedMany(Vec<ApReport>),
     /// An `ApFinishMany` ran; per-lane stream results — anchored
     /// acceptance, `(end position, pattern index)` match events, symbols
     /// and stream cost — in lane order.
-    ApFinishedMany(Vec<crate::ApMatches>),
+    ApFinishedMany(Vec<ApMatches>),
     /// The request failed; `code` is machine-readable, `message` is for
     /// the operator's log.
     Error {
@@ -977,6 +982,71 @@ pub enum Response {
     },
 }
 
+wire_struct! {
+    ApReport { cycles: u64, latency: Seconds, energy: Joules }
+    ApMatches { accepted: bool, symbols: u64, report: ApReport, matches: Vec<(usize, usize)> }
+    CorrFeedReport { events: u64, energy: Joules, busy: Seconds }
+    CorrOutcome { correlated: BitVec, scores: Vec<u64>, events: u64, threshold: u64 }
+    WireMvpResult {
+        jobs: u64,
+        programs: u64,
+        energy: Joules,
+        busy: Seconds,
+        outputs: Vec<Vec<BitVec>>,
+    }
+    WireRate { tokens: f64, burst: u32 }
+    WireUsage {
+        mvp_jobs: u64,
+        mvp_reads: u64,
+        mvp_scouting_ops: u64,
+        mvp_programs: u64,
+        mvp_corrected_errors: u64,
+        mvp_energy: Joules,
+        mvp_busy: Seconds,
+        ap_jobs: u64,
+        ap_symbols: u64,
+        ap_energy: Joules,
+        ap_busy: Seconds,
+        corr_jobs: u64,
+        corr_events: u64,
+        quota_remaining: Option<u64>,
+        rate: Option<WireRate>,
+    }
+    TenantStat { tenant: u64, jobs: u64, energy: Joules, busy: Seconds }
+    WireStats {
+        workers: u64,
+        live_engines: u64,
+        retired_engines: u64,
+        queue_depth: u64,
+        queue_capacity: u64,
+        sessions: u64,
+        shards: u64,
+        replicas: u64,
+        unavailable_shards: u64,
+        routing_fallbacks: u64,
+        ap_cache_hits: u64,
+        ap_cache_misses: u64,
+        mvp_cache_hits: u64,
+        mvp_cache_misses: u64,
+        tenants: Vec<TenantStat>,
+    }
+}
+
+wire_enum! { Response, min 1, unknown FrameError::UnknownOpcode;
+    OP_HELLO_OK => HelloOk,
+    OP_MVP_RESULT => Mvp(result),
+    OP_AP_OPENED => ApOpened { session, routing_fallback, cache_hit },
+    OP_AP_CLOSED => ApClosed,
+    OP_USAGE_REPORT => Usage(usage),
+    OP_STATS_REPORT => Stats(stats),
+    OP_CORR_OPENED => CorrOpened { session },
+    OP_CORR_FEED_OK => CorrFed(report),
+    OP_CORR_REPORT => CorrReport(outcome),
+    OP_AP_FED_MANY => ApFedMany(lanes),
+    OP_AP_MATCHES_MANY => ApFinishedMany(lanes),
+    OP_ERROR => Error { code, message },
+}
+
 impl Response {
     /// Encodes the verb into a frame body (opcode + payload).
     ///
@@ -984,131 +1054,7 @@ impl Response {
     ///
     /// [`EncodeError`] exactly as [`Request::encode`].
     pub fn encode(&self) -> Result<Vec<u8>, EncodeError> {
-        let body = match self {
-            Response::HelloOk => Writer::new(OP_HELLO_OK).buf,
-            Response::Mvp(result) => {
-                let mut w = Writer::new(OP_MVP_RESULT);
-                w.u64(result.jobs);
-                w.u64(result.programs);
-                w.f64(result.energy.as_joules());
-                w.f64(result.busy.as_seconds());
-                w.u32_of("output count", result.outputs.len())?;
-                for reads in &result.outputs {
-                    w.u32_of("read count", reads.len())?;
-                    for read in reads {
-                        w.bitvec("read output", read)?;
-                    }
-                }
-                w.buf
-            }
-            Response::ApOpened { session, routing_fallback, cache_hit } => {
-                let mut w = Writer::new(OP_AP_OPENED);
-                w.u64(*session);
-                w.u8(u8::from(*routing_fallback));
-                w.u8(u8::from(*cache_hit));
-                w.buf
-            }
-            Response::ApClosed => Writer::new(OP_AP_CLOSED).buf,
-            Response::Usage(usage) => {
-                let mut w = Writer::new(OP_USAGE_REPORT);
-                w.u64(usage.mvp_jobs);
-                w.u64(usage.mvp_reads);
-                w.u64(usage.mvp_scouting_ops);
-                w.u64(usage.mvp_programs);
-                w.u64(usage.mvp_corrected_errors);
-                w.f64(usage.mvp_energy.as_joules());
-                w.f64(usage.mvp_busy.as_seconds());
-                w.u64(usage.ap_jobs);
-                w.u64(usage.ap_symbols);
-                w.f64(usage.ap_energy.as_joules());
-                w.f64(usage.ap_busy.as_seconds());
-                w.u64(usage.corr_jobs);
-                w.u64(usage.corr_events);
-                // `u64::MAX` is the no-quota sentinel: a real limit of
-                // u64::MAX admits jobs faster than anyone can count.
-                w.u64(usage.quota_remaining.unwrap_or(u64::MAX));
-                match usage.rate {
-                    Some(rate) => {
-                        w.u8(1);
-                        w.f64(rate.tokens);
-                        w.u32(rate.burst);
-                    }
-                    None => w.u8(0),
-                }
-                w.buf
-            }
-            Response::Stats(stats) => {
-                let mut w = Writer::new(OP_STATS_REPORT);
-                w.u64(stats.workers);
-                w.u64(stats.live_engines);
-                w.u64(stats.retired_engines);
-                w.u64(stats.queue_depth);
-                w.u64(stats.queue_capacity);
-                w.u64(stats.sessions);
-                w.u64(stats.shards);
-                w.u64(stats.replicas);
-                w.u64(stats.unavailable_shards);
-                w.u64(stats.routing_fallbacks);
-                w.u64(stats.ap_cache_hits);
-                w.u64(stats.ap_cache_misses);
-                w.u64(stats.mvp_cache_hits);
-                w.u64(stats.mvp_cache_misses);
-                w.u32_of("tenant count", stats.tenants.len())?;
-                for row in &stats.tenants {
-                    w.u64(row.tenant);
-                    w.u64(row.jobs);
-                    w.f64(row.energy.as_joules());
-                    w.f64(row.busy.as_seconds());
-                }
-                w.buf
-            }
-            Response::CorrOpened { session } => {
-                let mut w = Writer::new(OP_CORR_OPENED);
-                w.u64(*session);
-                w.buf
-            }
-            Response::CorrFed(report) => {
-                let mut w = Writer::new(OP_CORR_FEED_OK);
-                w.u64(report.events);
-                w.f64(report.energy.as_joules());
-                w.f64(report.busy.as_seconds());
-                w.buf
-            }
-            Response::CorrReport(outcome) => {
-                let mut w = Writer::new(OP_CORR_REPORT);
-                w.bitvec("correlated set", &outcome.correlated)?;
-                w.u32_of("score count", outcome.scores.len())?;
-                for &score in &outcome.scores {
-                    w.u64(score);
-                }
-                w.u64(outcome.events);
-                w.u64(outcome.threshold);
-                w.buf
-            }
-            Response::ApFedMany(reports) => {
-                let mut w = Writer::new(OP_AP_FED_MANY);
-                w.u32_of("lane count", reports.len())?;
-                for report in reports {
-                    encode_ap_report(&mut w, report);
-                }
-                w.buf
-            }
-            Response::ApFinishedMany(runs) => {
-                let mut w = Writer::new(OP_AP_MATCHES_MANY);
-                w.u32_of("lane count", runs.len())?;
-                for run in runs {
-                    encode_ap_matches(&mut w, run)?;
-                }
-                w.buf
-            }
-            Response::Error { code, message } => {
-                let mut w = Writer::new(OP_ERROR);
-                w.u16(code.as_u16());
-                w.string("error message", message)?;
-                w.buf
-            }
-        };
-        Ok(body)
+        encode_body(self)
     }
 
     /// Decodes a frame body into a response verb.
@@ -1117,138 +1063,7 @@ impl Response {
     ///
     /// [`FrameError`] exactly as [`Request::decode`].
     pub fn decode(body: &[u8]) -> Result<Self, FrameError> {
-        let mut r = Reader::new(body);
-        let response = match r.u8()? {
-            OP_HELLO_OK => Response::HelloOk,
-            OP_MVP_RESULT => {
-                let jobs = r.u64()?;
-                let programs = r.u64()?;
-                let energy = Joules::new(r.f64()?);
-                let busy = Seconds::new(r.f64()?);
-                let n = r.count(4)?;
-                let mut outputs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let reads = r.count(4)?;
-                    let mut program = Vec::with_capacity(reads);
-                    for _ in 0..reads {
-                        program.push(r.bitvec()?);
-                    }
-                    outputs.push(program);
-                }
-                Response::Mvp(WireMvpResult { outputs, jobs, programs, energy, busy })
-            }
-            OP_AP_OPENED => Response::ApOpened {
-                session: r.u64()?,
-                routing_fallback: r.bool()?,
-                cache_hit: r.bool()?,
-            },
-            OP_AP_CLOSED => Response::ApClosed,
-            OP_USAGE_REPORT => {
-                let mut usage = WireUsage {
-                    mvp_jobs: r.u64()?,
-                    mvp_reads: r.u64()?,
-                    mvp_scouting_ops: r.u64()?,
-                    mvp_programs: r.u64()?,
-                    mvp_corrected_errors: r.u64()?,
-                    mvp_energy: Joules::new(r.f64()?),
-                    mvp_busy: Seconds::new(r.f64()?),
-                    ap_jobs: r.u64()?,
-                    ap_symbols: r.u64()?,
-                    ap_energy: Joules::new(r.f64()?),
-                    ap_busy: Seconds::new(r.f64()?),
-                    corr_jobs: r.u64()?,
-                    corr_events: r.u64()?,
-                    quota_remaining: None,
-                    rate: None,
-                };
-                usage.quota_remaining = match r.u64()? {
-                    u64::MAX => None,
-                    limit => Some(limit),
-                };
-                usage.rate = match r.u8()? {
-                    0 => None,
-                    1 => Some(WireRate { tokens: r.f64()?, burst: r.u32()? }),
-                    _ => return Err(FrameError::BadPayload("boolean out of range")),
-                };
-                Response::Usage(usage)
-            }
-            OP_STATS_REPORT => {
-                let workers = r.u64()?;
-                let live_engines = r.u64()?;
-                let retired_engines = r.u64()?;
-                let queue_depth = r.u64()?;
-                let queue_capacity = r.u64()?;
-                let sessions = r.u64()?;
-                let shards = r.u64()?;
-                let replicas = r.u64()?;
-                let unavailable_shards = r.u64()?;
-                let routing_fallbacks = r.u64()?;
-                let ap_cache_hits = r.u64()?;
-                let ap_cache_misses = r.u64()?;
-                let mvp_cache_hits = r.u64()?;
-                let mvp_cache_misses = r.u64()?;
-                let n = r.count(32)?;
-                let tenants = (0..n)
-                    .map(|_| {
-                        Ok(TenantStat {
-                            tenant: r.u64()?,
-                            jobs: r.u64()?,
-                            energy: Joules::new(r.f64()?),
-                            busy: Seconds::new(r.f64()?),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, FrameError>>()?;
-                Response::Stats(WireStats {
-                    workers,
-                    live_engines,
-                    retired_engines,
-                    queue_depth,
-                    queue_capacity,
-                    sessions,
-                    shards,
-                    replicas,
-                    unavailable_shards,
-                    routing_fallbacks,
-                    ap_cache_hits,
-                    ap_cache_misses,
-                    mvp_cache_hits,
-                    mvp_cache_misses,
-                    tenants,
-                })
-            }
-            OP_CORR_OPENED => Response::CorrOpened { session: r.u64()? },
-            OP_CORR_FEED_OK => Response::CorrFed(crate::CorrFeedReport {
-                events: r.u64()?,
-                energy: Joules::new(r.f64()?),
-                busy: Seconds::new(r.f64()?),
-            }),
-            OP_CORR_REPORT => {
-                let correlated = r.bitvec()?;
-                let n = r.count(8)?;
-                let scores = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
-                let events = r.u64()?;
-                let threshold = r.u64()?;
-                Response::CorrReport(crate::CorrOutcome { correlated, scores, events, threshold })
-            }
-            OP_AP_FED_MANY => {
-                let n = r.count(24)?;
-                let reports =
-                    (0..n).map(|_| decode_ap_report(&mut r)).collect::<Result<Vec<_>, _>>()?;
-                Response::ApFedMany(reports)
-            }
-            OP_AP_MATCHES_MANY => {
-                let n = r.count(33)?;
-                let runs =
-                    (0..n).map(|_| decode_ap_matches(&mut r)).collect::<Result<Vec<_>, _>>()?;
-                Response::ApFinishedMany(runs)
-            }
-            OP_ERROR => {
-                Response::Error { code: ErrorCode::from_u16(r.u16()?), message: r.string()? }
-            }
-            other => return Err(FrameError::UnknownOpcode(other)),
-        };
-        r.finish()?;
-        Ok(response)
+        decode_body(body, |_| Ok(()))
     }
 }
 
@@ -1374,6 +1189,13 @@ pub fn write_frame(stream: &mut impl Write, body: &[u8]) -> std::io::Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Writer {
+        /// A writer whose body starts with `opcode`, for hand-built frames.
+        fn new(opcode: u8) -> Self {
+            Self { buf: vec![opcode] }
+        }
+    }
 
     fn roundtrip_request(request: Request) {
         let body = request.encode().expect("encodes");
@@ -1573,6 +1395,71 @@ mod tests {
         body.extend_from_slice(&0u32.to_be_bytes()); // row 0
         body.extend_from_slice(&(1u32 << 31).to_be_bytes()); // absurd bit length
         assert!(matches!(Request::decode(&body), Err(FrameError::BadPayload(_))));
+    }
+
+    #[test]
+    fn lane_counts_are_guarded_at_the_encoded_lane_size() {
+        // One encoded ApMatches takes at least 37 bytes (flag, symbols,
+        // report, match count), so two lanes cannot fit in 70.
+        let mut body = vec![OP_AP_MATCHES_MANY];
+        body.extend_from_slice(&2u32.to_be_bytes());
+        body.extend_from_slice(&[0; 70]);
+        assert_eq!(
+            Response::decode(&body),
+            Err(FrameError::BadPayload("element count exceeds frame"))
+        );
+    }
+
+    /// Encodes one codec value alone, so its size can be compared with
+    /// its `MIN`.
+    fn encoded_len<T: Wire>(value: &T) -> usize {
+        let mut w = Writer { buf: Vec::new() };
+        value.put(&mut w, "value").expect("encodes");
+        w.buf.len()
+    }
+
+    #[test]
+    fn each_minimum_is_the_smallest_encoding() {
+        let (energy, busy) = (Joules::new(0.0), Seconds::new(0.0));
+        let stats = WireStats {
+            workers: 0,
+            live_engines: 0,
+            retired_engines: 0,
+            queue_depth: 0,
+            queue_capacity: 0,
+            sessions: 0,
+            shards: 0,
+            replicas: 0,
+            unavailable_shards: 0,
+            routing_fallbacks: 0,
+            ap_cache_hits: 0,
+            ap_cache_misses: 0,
+            mvp_cache_hits: 0,
+            mvp_cache_misses: 0,
+            tenants: vec![],
+        };
+        let matches =
+            crate::ApMatches { accepted: false, matches: vec![], symbols: 0, report: report(0) };
+        let outcome = crate::CorrOutcome {
+            correlated: BitVec::new(0),
+            scores: vec![],
+            events: 0,
+            threshold: 0,
+        };
+        let result = WireMvpResult { outputs: vec![], jobs: 0, programs: 0, energy, busy };
+        assert_eq!(encoded_len(&Instruction::Read { row: 0 }), Instruction::MIN);
+        assert_eq!(encoded_len(&report(0)), ApReport::MIN);
+        assert_eq!(encoded_len(&matches), crate::ApMatches::MIN);
+        assert_eq!(crate::ApMatches::MIN, 37);
+        let fed = crate::CorrFeedReport { events: 0, energy, busy };
+        assert_eq!(encoded_len(&fed), crate::CorrFeedReport::MIN);
+        assert_eq!(encoded_len(&outcome), crate::CorrOutcome::MIN);
+        assert_eq!(encoded_len(&result), WireMvpResult::MIN);
+        assert_eq!(encoded_len(&WireRate { tokens: 0.0, burst: 0 }), WireRate::MIN);
+        assert_eq!(encoded_len(&usage(None, None)), WireUsage::MIN);
+        let row = TenantStat { tenant: 0, jobs: 0, energy, busy };
+        assert_eq!(encoded_len(&row), TenantStat::MIN);
+        assert_eq!(encoded_len(&stats), WireStats::MIN);
     }
 
     #[test]
@@ -1955,6 +1842,220 @@ mod tests {
             let body = response.encode().expect("encodes");
             assert_eq!(hex(&body), want, "{response:?}");
             assert_eq!(Response::decode(&body).expect("decodes"), response);
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn row() -> impl Strategy<Value = usize> {
+        any::<u32>().prop_map(|r| r as usize)
+    }
+
+    /// Any IEEE-754 bit pattern, NaNs and infinities included.
+    fn float() -> impl Strategy<Value = f64> {
+        any::<u64>().prop_map(f64::from_bits)
+    }
+
+    /// Mostly non-ASCII text, sometimes empty.
+    fn text() -> impl Strategy<Value = String> {
+        collection::vec(any::<char>(), 0..6).prop_map(String::from_iter)
+    }
+
+    /// 0, 64 and 65 bits (an empty vector, one full word, a spilled
+    /// word) and other short lengths.
+    fn bits() -> impl Strategy<Value = BitVec> {
+        prop_oneof![Just(0usize), Just(64usize), Just(65usize), 1usize..130]
+            .prop_flat_map(|len| collection::vec(any::<bool>(), len))
+            .prop_map(BitVec::from_iter)
+    }
+
+    fn instruction() -> impl Strategy<Value = Instruction> {
+        prop_oneof![
+            (row(), bits()).prop_map(|(row, data)| Instruction::Store { row, data }),
+            (collection::vec(row(), 0..4), row())
+                .prop_map(|(srcs, dst)| Instruction::Or { srcs, dst }),
+            (collection::vec(row(), 0..4), row())
+                .prop_map(|(srcs, dst)| Instruction::And { srcs, dst }),
+            (row(), row(), row()).prop_map(|(a, b, dst)| Instruction::Xor { a, b, dst }),
+            row().prop_map(|row| Instruction::Read { row }),
+        ]
+    }
+
+    fn ap_report() -> impl Strategy<Value = ApReport> {
+        (any::<u64>(), float(), float()).prop_map(|(cycles, latency, energy)| ApReport {
+            cycles,
+            latency: Seconds::new(latency),
+            energy: Joules::new(energy),
+        })
+    }
+
+    fn ap_matches() -> impl Strategy<Value = crate::ApMatches> {
+        let event = (any::<u64>(), any::<u64>())
+            .prop_map(|(pos, pattern)| (pos as usize, pattern as usize));
+        (any::<bool>(), collection::vec(event, 0..3), any::<u64>(), ap_report()).prop_map(
+            |(accepted, matches, symbols, report)| crate::ApMatches {
+                accepted,
+                matches,
+                symbols,
+                report,
+            },
+        )
+    }
+
+    /// Fifteen raw words, for the all-scalar payloads.
+    fn words() -> impl Strategy<Value = Vec<u64>> {
+        collection::vec(any::<u64>(), 15)
+    }
+
+    fn usage() -> impl Strategy<Value = WireUsage> {
+        let quota = prop_oneof![Just(None), any::<u64>().prop_map(Some)];
+        let rate = prop_oneof![
+            Just(None),
+            (float(), any::<u32>()).prop_map(|(tokens, burst)| Some(WireRate { tokens, burst })),
+        ];
+        (words(), quota, rate).prop_map(|(w, quota_remaining, rate)| WireUsage {
+            mvp_jobs: w[0],
+            mvp_reads: w[1],
+            mvp_scouting_ops: w[2],
+            mvp_programs: w[3],
+            mvp_corrected_errors: w[4],
+            mvp_energy: Joules::new(f64::from_bits(w[5])),
+            mvp_busy: Seconds::new(f64::from_bits(w[6])),
+            ap_jobs: w[7],
+            ap_symbols: w[8],
+            ap_energy: Joules::new(f64::from_bits(w[9])),
+            ap_busy: Seconds::new(f64::from_bits(w[10])),
+            corr_jobs: w[11],
+            corr_events: w[12],
+            quota_remaining,
+            rate,
+        })
+    }
+
+    fn stats() -> impl Strategy<Value = WireStats> {
+        let tenant = (any::<u64>(), any::<u64>(), float(), float()).prop_map(
+            |(tenant, jobs, energy, busy)| TenantStat {
+                tenant,
+                jobs,
+                energy: Joules::new(energy),
+                busy: Seconds::new(busy),
+            },
+        );
+        (words(), collection::vec(tenant, 0..3)).prop_map(|(w, tenants)| WireStats {
+            workers: w[0],
+            live_engines: w[1],
+            retired_engines: w[2],
+            queue_depth: w[3],
+            queue_capacity: w[4],
+            sessions: w[5],
+            shards: w[6],
+            replicas: w[7],
+            unavailable_shards: w[8],
+            routing_fallbacks: w[9],
+            ap_cache_hits: w[10],
+            ap_cache_misses: w[11],
+            mvp_cache_hits: w[12],
+            mvp_cache_misses: w[13],
+            tenants,
+        })
+    }
+
+    /// Every request verb, with counts inside the decoder's rules.
+    fn request() -> impl Strategy<Value = Request> {
+        prop_oneof![
+            (any::<u64>(), text()).prop_map(|(tenant, token)| Request::Hello { tenant, token }),
+            collection::vec(collection::vec(instruction(), 0..4), 1..3)
+                .prop_map(|programs| Request::Submit { programs }),
+            collection::vec(text(), 1..4).prop_map(|patterns| Request::ApOpen { patterns }),
+            any::<u64>().prop_map(|session| Request::ApClose { session }),
+            Just(Request::Usage),
+            Just(Request::Stats),
+            (row(), any::<u64>())
+                .prop_map(|(streams, threshold)| Request::CorrOpen { streams, threshold }),
+            (any::<u64>(), collection::vec(bits(), 0..3))
+                .prop_map(|(session, window)| Request::CorrFeed { session, window }),
+            any::<u64>().prop_map(|session| Request::CorrFinish { session }),
+            (any::<u64>(), collection::vec(collection::vec(any::<u8>(), 0..8), 1..4))
+                .prop_map(|(session, chunks)| Request::ApFeedMany { session, chunks }),
+            any::<u64>().prop_map(|session| Request::ApFinishMany { session }),
+        ]
+    }
+
+    /// Every response verb.
+    fn response() -> impl Strategy<Value = Response> {
+        let code = (0..ErrorCode::ALL.len()).prop_map(|i| ErrorCode::ALL[i]);
+        prop_oneof![
+            Just(Response::HelloOk),
+            (collection::vec(collection::vec(bits(), 0..3), 0..3), words()).prop_map(
+                |(outputs, w)| Response::Mvp(WireMvpResult {
+                    outputs,
+                    jobs: w[0],
+                    programs: w[1],
+                    energy: Joules::new(f64::from_bits(w[2])),
+                    busy: Seconds::new(f64::from_bits(w[3])),
+                })
+            ),
+            (any::<u64>(), any::<bool>(), any::<bool>()).prop_map(
+                |(session, routing_fallback, cache_hit)| Response::ApOpened {
+                    session,
+                    routing_fallback,
+                    cache_hit
+                }
+            ),
+            Just(Response::ApClosed),
+            usage().prop_map(Response::Usage),
+            stats().prop_map(Response::Stats),
+            any::<u64>().prop_map(|session| Response::CorrOpened { session }),
+            (any::<u64>(), float(), float()).prop_map(|(events, energy, busy)| Response::CorrFed(
+                crate::CorrFeedReport {
+                    events,
+                    energy: Joules::new(energy),
+                    busy: Seconds::new(busy)
+                }
+            )),
+            (bits(), collection::vec(any::<u64>(), 0..4), any::<u64>(), any::<u64>()).prop_map(
+                |(correlated, scores, events, threshold)| Response::CorrReport(
+                    crate::CorrOutcome { correlated, scores, events, threshold }
+                )
+            ),
+            collection::vec(ap_report(), 0..3).prop_map(Response::ApFedMany),
+            collection::vec(ap_matches(), 0..3).prop_map(Response::ApFinishedMany),
+            (code, text()).prop_map(|(code, message)| Response::Error { code, message }),
+        ]
+    }
+
+    /// Re-encoding the decoded body gives the same bytes (compared as
+    /// bytes, so NaN costs count as equal), and every proper prefix of
+    /// the body is refused with an error.
+    fn round_trips<T: fmt::Debug>(
+        verb: &T,
+        encode: impl Fn(&T) -> Result<Vec<u8>, EncodeError>,
+        decode: impl Fn(&[u8]) -> Result<T, FrameError>,
+    ) -> TestCaseResult {
+        let body = encode(verb).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let decoded = decode(&body).map_err(|e| TestCaseError::fail(format!("{verb:?}: {e}")))?;
+        prop_assert_eq!(
+            encode(&decoded).map_err(|e| TestCaseError::fail(e.to_string()))?,
+            body.clone()
+        );
+        for cut in 0..body.len() {
+            prop_assert!(decode(&body[..cut]).is_err(), "{} of {} bytes decoded", cut, body.len());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Every verb, empty vectors, 0/64/65-bit vectors, non-ASCII
+        /// text, both quota and rate encodings and any float bit
+        /// pattern survive the wire byte for byte.
+        #[test]
+        fn every_verb_round_trips_byte_for_byte(request in request(), response in response()) {
+            round_trips(&request, Request::encode, Request::decode)?;
+            round_trips(&response, Response::encode, Response::decode)?;
         }
     }
 }
