@@ -595,6 +595,24 @@ mod tests {
     }
 
     #[test]
+    fn full_table_query_plan_is_the_one_shard_plan() {
+        // The 2 048-record table and the four queries of the served
+        // bitmap benchmark: the whole-table plan is the shard plan over
+        // every record at the table's own width.
+        let mut rng = SmallRng::seed_from_u64(2018);
+        let n = 2_048;
+        let col1: Vec<u8> = (0..n).map(|_| rng.gen_range(0..16)).collect();
+        let col2: Vec<u8> = (0..n).map(|_| rng.gen_range(0..8)).collect();
+        let table = bitmap::BitmapTable::new(col1, col2, 16).expect("well-formed");
+        let queries: [(&[u8], &[u8]); 4] =
+            [(&[1, 4, 9], &[0, 3]), (&[2, 5], &[1, 6]), (&[11], &[2, 4, 7]), (&[0, 8, 14], &[5])];
+        for (s1, s2) in queries {
+            let shard = table.shard_query_plan(s1, s2, 0..n, n).expect("plan compiles");
+            assert_eq!(table.query_plan(s1, s2), shard, "{s1:?} × {s2:?}");
+        }
+    }
+
+    #[test]
     fn shard_query_plan_validates_geometry() {
         let table =
             bitmap::BitmapTable::new(vec![0, 1, 2, 3], vec![0, 1, 2, 3], 4).expect("well-formed");

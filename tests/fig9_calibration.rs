@@ -142,3 +142,64 @@ fn wl_driver_energy_is_excluded_from_the_cycle_figure() {
     // Reported separately, and small relative to the bit-line cycle.
     assert!(report.wl_driver_energy.as_joules() < 0.3 * report.cycle_energy.as_joules());
 }
+
+#[test]
+fn lumped_reports_are_pinned_bit_for_bit() {
+    // Exact `f64` bit patterns of the 256-cell lumped reports, so a
+    // refactor of the transient engine must reproduce Fig. 9 bit for
+    // bit: (technology, stored bit, discharge time, cycle energy,
+    // WL-driver energy, BL after evaluate, final BL).
+    let pins = [
+        (
+            CellTechnology::rram_1t1r(),
+            true,
+            Some(0x3de3_3c9f_59dd_1008_u64),
+            0x3ce9_31d4_e580_8556_u64,
+            0x3c63_a80e_ab78_668a_u64,
+            0x3eb2_2773_43ad_a64c_u64,
+            0x3fd9_9999_9013_3f3a_u64,
+        ),
+        (
+            CellTechnology::rram_1t1r(),
+            false,
+            None,
+            0xbc54_6393_0672_f44c,
+            0x3c72_2a92_47dd_1fde,
+            0x3fd9_b977_bd03_63f7,
+            0x3fd9_9999_8880_d72b,
+        ),
+        (
+            CellTechnology::sram_8t(),
+            true,
+            Some(0x3ded_5030_e93e_bf88),
+            0x3cff_2086_f74a_6d9a,
+            0x3c7a_a1e2_37ae_51aa,
+            0x3f1f_024b_6e28_fd9c,
+            0x3fd9_9999_95b8_1893,
+        ),
+        (
+            CellTechnology::sram_8t(),
+            false,
+            None,
+            0x3c63_3fac_75a9_8072,
+            0xbc5c_c6c0_00bc_721d,
+            0x3fd9_a507_41bb_df4b,
+            0x3fd9_9999_9692_ce52,
+        ),
+    ];
+    for (tech, one, t_dis, e_cycle, e_wl, v_eval, v_final) in pins {
+        let name = tech.name;
+        let (report, trace) = BitlineCircuit::lumped(tech, 256)
+            .with_stored_bit(one)
+            .run_with_trace()
+            .expect("solves");
+        let got = (
+            report.discharge_time.map(|t| t.as_seconds().to_bits()),
+            report.cycle_energy.as_joules().to_bits(),
+            report.wl_driver_energy.as_joules().to_bits(),
+            report.bitline_after_evaluate.as_volts().to_bits(),
+            trace.final_value("bl").expect("bl").to_bits(),
+        );
+        assert_eq!(got, (t_dis, e_cycle, e_wl, v_eval, v_final), "{name}, stored {one}");
+    }
+}
