@@ -436,11 +436,6 @@ impl Circuit {
             _ => None,
         })
     }
-
-    /// Number of independent voltage sources (MNA branch unknowns).
-    pub(crate) fn vsource_count(&self) -> usize {
-        self.elements.iter().filter(|e| matches!(e.kind, ElementKind::VSource { .. })).count()
-    }
 }
 
 #[cfg(test)]

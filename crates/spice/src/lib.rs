@@ -18,6 +18,8 @@
 //!   backward-Euler or trapezoidal integration ([`Integration`]),
 //!   per-element energy accounting, and `.measure`-style queries on the
 //!   recorded [`Trace`] (threshold crossings, extrema, final values).
+//!   The DC [operating point](operating_point) is the same MNA assembly
+//!   and Newton solve at `t = 0`, with capacitors open.
 //!
 //! The solver is validated against closed-form RC responses (see the
 //! `transient` tests) and is the calibration source for the analytical
@@ -50,6 +52,7 @@
 mod circuit;
 mod error;
 mod linalg;
+mod mna;
 mod mosfet;
 mod op;
 mod trace;

@@ -2,13 +2,13 @@
 //!
 //! Solves the circuit's steady state at `t = 0⁺` with capacitors open
 //! (their branch current is zero in DC) and all sources at their
-//! initial value. Used to pre-bias circuits before a transient and to
-//! sanity-check netlists (a floating node surfaces here, not three
-//! nanoseconds into a transient).
+//! initial value: the same MNA solve a transient step runs, at
+//! `t = 0`. Used to sanity-check netlists (a floating node surfaces
+//! here, not three nanoseconds into a transient).
 
-use crate::circuit::{Circuit, ElementKind};
-use crate::linalg::Matrix;
-use crate::mosfet::{evaluate_nmos, MosfetKind, GMIN};
+use crate::circuit::Circuit;
+use crate::linalg::SolverKind;
+use crate::mna::{Capacitors, Limits, Mna};
 use crate::SpiceError;
 use memcim_units::Volts;
 use std::collections::HashMap;
@@ -73,159 +73,12 @@ impl OperatingPoint {
 /// # }
 /// ```
 pub fn operating_point(ckt: &Circuit) -> Result<OperatingPoint, SpiceError> {
-    let n = ckt.node_count() - 1;
-    let m = ckt.vsource_count();
-    let dim = n + m;
-    let mut branch_of = HashMap::new();
-    {
-        let mut next = 0usize;
-        for (ei, e) in ckt.elements.iter().enumerate() {
-            if matches!(e.kind, ElementKind::VSource { .. }) {
-                branch_of.insert(ei, n + next);
-                next += 1;
-            }
-        }
-    }
-    let mut x = vec![0.0; dim];
-    for (&node, &v) in &ckt.initial_conditions {
-        if node != 0 {
-            x[node - 1] = v;
-        }
-    }
-    let volt = |x: &[f64], node: usize| if node == 0 { 0.0 } else { x[node - 1] };
-
-    let mut a_mat = Matrix::zeros(dim);
-    let mut rhs = vec![0.0; dim];
-    let max_newton = 200;
-    let mut residual = f64::INFINITY;
-    for _ in 0..max_newton {
-        a_mat.clear();
-        rhs.fill(0.0);
-        for (ei, e) in ckt.elements.iter().enumerate() {
-            match &e.kind {
-                ElementKind::Resistor { a, b, g } => stamp(&mut a_mat, *a, *b, *g),
-                ElementKind::Switch { a, b, g_on, g_off, control, threshold } => {
-                    let g = if control.evaluate(0.0) > *threshold { *g_on } else { *g_off };
-                    stamp(&mut a_mat, *a, *b, g);
-                }
-                ElementKind::Capacitor { a, b, .. } => {
-                    // DC-open; GMIN keeps capacitor-only nodes solvable.
-                    stamp(&mut a_mat, *a, *b, GMIN);
-                }
-                ElementKind::VSource { a, b, w } => {
-                    let br = branch_of[&ei];
-                    if *a != 0 {
-                        a_mat.add(a - 1, br, 1.0);
-                        a_mat.add(br, a - 1, 1.0);
-                    }
-                    if *b != 0 {
-                        a_mat.add(b - 1, br, -1.0);
-                        a_mat.add(br, b - 1, -1.0);
-                    }
-                    rhs[br] = w.evaluate(0.0);
-                }
-                ElementKind::ISource { a, b, w } => {
-                    let i = w.evaluate(0.0);
-                    if *a != 0 {
-                        rhs[a - 1] -= i;
-                    }
-                    if *b != 0 {
-                        rhs[b - 1] += i;
-                    }
-                }
-                ElementKind::Memristor { a, b, device } => {
-                    let v0 = volt(&x, *a) - volt(&x, *b);
-                    let i0 = device.current(Volts::new(v0)).as_amps();
-                    let g = device.conductance(Volts::new(v0)).as_siemens().max(GMIN);
-                    let ieq = i0 - g * v0;
-                    stamp(&mut a_mat, *a, *b, g);
-                    if *a != 0 {
-                        rhs[a - 1] -= ieq;
-                    }
-                    if *b != 0 {
-                        rhs[b - 1] += ieq;
-                    }
-                }
-                ElementKind::Mosfet { d, g, s, params, kind } => {
-                    stamp_mosfet_dc(&mut a_mat, &mut rhs, &x, *d, *g, *s, params, *kind);
-                }
-            }
-        }
-        let mut x_new = rhs.clone();
-        if a_mat.solve_in_place(&mut x_new, crate::linalg::SolverKind::Auto).is_none() {
-            return Err(SpiceError::SingularMatrix { time: 0.0 });
-        }
-        residual = x_new.iter().zip(&x).take(n).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
-        if residual < 1.0e-9 {
-            x = x_new;
-            let voltages =
-                ckt.nodes().map(|(name, node)| (name.to_string(), x[node.0 - 1])).collect();
-            return Ok(OperatingPoint { voltages });
-        }
-        for k in 0..dim {
-            let delta = x_new[k] - x[k];
-            x[k] += if k < n { delta.clamp(-0.5, 0.5) } else { delta };
-        }
-    }
-    Err(SpiceError::NonConvergence { time: 0.0, residual })
-}
-
-fn stamp(a_mat: &mut Matrix, a: usize, b: usize, g: f64) {
-    if a != 0 {
-        a_mat.add(a - 1, a - 1, g);
-    }
-    if b != 0 {
-        a_mat.add(b - 1, b - 1, g);
-    }
-    if a != 0 && b != 0 {
-        a_mat.add(a - 1, b - 1, -g);
-        a_mat.add(b - 1, a - 1, -g);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn stamp_mosfet_dc(
-    a_mat: &mut Matrix,
-    rhs: &mut [f64],
-    x: &[f64],
-    d: usize,
-    g: usize,
-    s: usize,
-    params: &crate::mosfet::MosfetParams,
-    kind: MosfetKind,
-) {
-    let volt = |node: usize| if node == 0 { 0.0 } else { x[node - 1] };
-    let (vd, vg, vs) = (volt(d), volt(g), volt(s));
-    let (out, in_, i0, di_dd, di_dg, di_ds) = match kind {
-        MosfetKind::Nmos => {
-            let op = evaluate_nmos(params, vg - vs, vd - vs);
-            (d, s, op.ids, op.gds, op.gm, -op.gm - op.gds)
-        }
-        MosfetKind::Pmos => {
-            let op = evaluate_nmos(params, vs - vg, vs - vd);
-            (s, d, op.ids, -op.gds, -op.gm, op.gm + op.gds)
-        }
-    };
-    let ieq = i0 - di_dd * vd - di_dg * vg - di_ds * vs;
-    let mut stamp_row = |node: usize, sign: f64| {
-        if node == 0 {
-            return;
-        }
-        let r = node - 1;
-        if d != 0 {
-            a_mat.add(r, d - 1, sign * di_dd);
-        }
-        if g != 0 {
-            a_mat.add(r, g - 1, sign * di_dg);
-        }
-        if s != 0 {
-            a_mat.add(r, s - 1, sign * di_ds);
-        }
-        rhs[r] -= sign * ieq;
-    };
-    stamp_row(out, 1.0);
-    stamp_row(in_, -1.0);
-    stamp(a_mat, d, s, GMIN);
+    let mut mna = Mna::new(ckt);
+    let mut x = mna.initial_x(ckt);
+    let limits = Limits { max_newton: 200, solver: SolverKind::Auto };
+    mna.solve(ckt, &mut x, 0.0, &Capacitors::Open, limits)?;
+    let voltages = ckt.nodes().map(|(name, node)| (name.to_string(), x[node.0 - 1])).collect();
+    Ok(OperatingPoint { voltages })
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
-//! Transient analysis: Newton–Raphson per timestep over MNA.
+//! Transient analysis: one damped Newton solve of the MNA system per
+//! timestep.
 
 use crate::circuit::{Circuit, ElementKind};
-use crate::linalg::{Matrix, SolverKind};
-use crate::mosfet::{evaluate_nmos, MosfetKind, GMIN};
+use crate::linalg::SolverKind;
+use crate::mna::{volt, Capacitors, Limits, Mna};
+use crate::mosfet::{evaluate_nmos, MosfetKind};
 use crate::trace::Trace;
 use crate::SpiceError;
 use memcim_units::{Seconds, Volts};
@@ -33,10 +35,10 @@ pub struct Transient {
     dt: f64,
     integration: Integration,
     solver: SolverKind,
-    max_newton: usize,
-    abstol: f64,
-    max_step_volts: f64,
 }
+
+/// The Newton iteration budget per timestep.
+const MAX_NEWTON: usize = 100;
 
 impl Transient {
     /// Creates an analysis running to `t_stop` with fixed step `dt`.
@@ -54,9 +56,6 @@ impl Transient {
             dt: dt.as_seconds(),
             integration: Integration::BackwardEuler,
             solver: SolverKind::default(),
-            max_newton: 100,
-            abstol: 1.0e-9,
-            max_step_volts: 0.5,
         }
     }
 
@@ -77,13 +76,6 @@ impl Transient {
         self
     }
 
-    /// Sets the Newton iteration budget per timestep.
-    #[must_use]
-    pub fn with_max_newton(mut self, max_newton: usize) -> Self {
-        self.max_newton = max_newton.max(2);
-        self
-    }
-
     /// Runs the analysis, advancing memristor states inside the circuit.
     ///
     /// # Errors
@@ -92,51 +84,22 @@ impl Transient {
     /// voltage-source loops and [`SpiceError::NonConvergence`] if Newton
     /// fails within its iteration budget.
     pub fn run(&self, ckt: &mut Circuit) -> Result<Trace, SpiceError> {
-        let n_nodes = ckt.node_count(); // includes ground
-        let n = n_nodes - 1;
-        let m = ckt.vsource_count();
-        let dim = n + m;
         let h = self.dt;
+        let steps = (self.t_stop / h).round() as usize;
+        let mut mna = Mna::new(ckt);
+        let mut x = mna.initial_x(ckt);
+        let limits = Limits { max_newton: MAX_NEWTON, solver: self.solver };
 
-        // Row index for a node (ground has none).
-        let row = |node: usize| -> Option<usize> { node.checked_sub(1) };
-
-        // Assign branch indices to voltage sources in element order.
-        let mut branch_of = HashMap::new();
-        {
-            let mut next = 0usize;
-            for (ei, e) in ckt.elements.iter().enumerate() {
-                if matches!(e.kind, ElementKind::VSource { .. }) {
-                    branch_of.insert(ei, n + next);
-                    next += 1;
-                }
-            }
-        }
-
-        // Solution vector: node voltages then branch currents.
-        let mut x = vec![0.0; dim];
-        for (&node, &v) in &ckt.initial_conditions {
-            if let Some(r) = row(node) {
-                x[r] = v;
-            }
-        }
-
-        // Per-capacitor integration state (v across, current through).
-        let mut cap_v: HashMap<usize, f64> = HashMap::new();
-        let mut cap_i: HashMap<usize, f64> = HashMap::new();
-        let volt_at = |x: &[f64], node: usize| -> f64 {
-            if node == 0 {
-                0.0
-            } else {
-                x[node - 1]
-            }
-        };
-        for (ei, e) in ckt.elements.iter().enumerate() {
-            if let ElementKind::Capacitor { a, b, .. } = e.kind {
-                cap_v.insert(ei, volt_at(&x, a) - volt_at(&x, b));
-                cap_i.insert(ei, 0.0);
-            }
-        }
+        // Per-capacitor integration state (v across, current through),
+        // indexed by element.
+        let mut cap_state: Vec<(f64, f64)> = ckt
+            .elements
+            .iter()
+            .map(|e| match e.kind {
+                ElementKind::Capacitor { a, b, .. } => (volt(&x, a) - volt(&x, b), 0.0),
+                _ => (0.0, 0.0),
+            })
+            .collect();
 
         // Energy accounting.
         let mut prev_power = vec![0.0; ckt.elements.len()];
@@ -144,41 +107,28 @@ impl Transient {
         let mut dissipated: HashMap<String, f64> = HashMap::new();
         let mut delivered: HashMap<String, f64> = HashMap::new();
 
-        // Trace setup.
-        let mut trace = Trace::default();
-        let node_list: Vec<(String, usize)> =
-            ckt.nodes().map(|(name, node)| (name.to_string(), node.0)).collect();
-        for (name, _) in &node_list {
-            trace.signals.insert(name.clone(), Vec::new());
-        }
-        let vsrc_list: Vec<(String, usize)> = ckt
-            .elements
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(e.kind, ElementKind::VSource { .. }))
-            .map(|(ei, e)| (format!("I({})", e.name), branch_of[&ei]))
-            .collect();
-        for (name, _) in &vsrc_list {
-            trace.signals.insert(name.clone(), Vec::new());
-        }
-        let record = |trace: &mut Trace, t: f64, x: &[f64]| {
-            trace.time.push(t);
-            for (name, node) in &node_list {
-                trace.signals.get_mut(name).expect("registered").push(if *node == 0 {
-                    0.0
-                } else {
-                    x[*node - 1]
-                });
-            }
-            for (name, br) in &vsrc_list {
-                trace.signals.get_mut(name).expect("registered").push(x[*br]);
+        // Recorded signals: every node voltage, then every voltage
+        // source's branch current, each one unknown of `x`.
+        let (names, unknowns): (Vec<String>, Vec<usize>) = ckt
+            .nodes()
+            .map(|(name, node)| (name.to_string(), node.0 - 1))
+            .chain(
+                ckt.elements
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| matches!(e.kind, ElementKind::VSource { .. }))
+                    .map(|(ei, e)| (format!("I({})", e.name), mna.branch(ei))),
+            )
+            .unzip();
+        let mut time = Vec::with_capacity(steps + 1);
+        let mut samples = vec![Vec::with_capacity(steps + 1); unknowns.len()];
+        let mut record = |t: f64, x: &[f64]| {
+            time.push(t);
+            for (signal, &k) in samples.iter_mut().zip(&unknowns) {
+                signal.push(x[k]);
             }
         };
-        record(&mut trace, 0.0, &x);
-
-        let mut a_mat = Matrix::zeros(dim);
-        let mut rhs = vec![0.0; dim];
-        let steps = (self.t_stop / h).round() as usize;
+        record(0.0, &x);
 
         for step in 1..=steps {
             let t = step as f64 * h;
@@ -188,166 +138,57 @@ impl Transient {
             // damping. Take the first step with backward Euler, which
             // needs no current history, then hand over.
             let integration = if step == 1 { Integration::BackwardEuler } else { self.integration };
-
-            // Newton iteration at this timestep.
-            let mut converged = false;
-            let mut residual = f64::INFINITY;
-            for _ in 0..self.max_newton {
-                a_mat.clear();
-                rhs.fill(0.0);
-
-                for (ei, e) in ckt.elements.iter().enumerate() {
-                    match &e.kind {
-                        ElementKind::Resistor { a, b, g } => {
-                            stamp_conductance(&mut a_mat, *a, *b, *g);
-                        }
-                        ElementKind::Switch { a, b, g_on, g_off, control, threshold } => {
-                            let g = if control.evaluate(t) > *threshold { *g_on } else { *g_off };
-                            stamp_conductance(&mut a_mat, *a, *b, g);
-                        }
-                        ElementKind::Capacitor { a, b, c } => {
-                            let (geq, hist) = match integration {
-                                Integration::BackwardEuler => {
-                                    let geq = c / h;
-                                    (geq, geq * cap_v[&ei])
-                                }
-                                Integration::Trapezoidal => {
-                                    let geq = 2.0 * c / h;
-                                    (geq, geq * cap_v[&ei] + cap_i[&ei])
-                                }
-                            };
-                            stamp_conductance(&mut a_mat, *a, *b, geq);
-                            if let Some(r) = row(*a) {
-                                rhs[r] += hist;
-                            }
-                            if let Some(r) = row(*b) {
-                                rhs[r] -= hist;
-                            }
-                        }
-                        ElementKind::VSource { a, b, w } => {
-                            let br = branch_of[&ei];
-                            if let Some(r) = row(*a) {
-                                a_mat.add(r, br, 1.0);
-                                a_mat.add(br, r, 1.0);
-                            }
-                            if let Some(r) = row(*b) {
-                                a_mat.add(r, br, -1.0);
-                                a_mat.add(br, r, -1.0);
-                            }
-                            rhs[br] = w.evaluate(t);
-                        }
-                        ElementKind::ISource { a, b, w } => {
-                            let i = w.evaluate(t);
-                            if let Some(r) = row(*a) {
-                                rhs[r] -= i;
-                            }
-                            if let Some(r) = row(*b) {
-                                rhs[r] += i;
-                            }
-                        }
-                        ElementKind::Memristor { a, b, device } => {
-                            let v0 = volt_at(&x, *a) - volt_at(&x, *b);
-                            let i0 = device.current(Volts::new(v0)).as_amps();
-                            let g = device.conductance(Volts::new(v0)).as_siemens().max(GMIN);
-                            let ieq = i0 - g * v0;
-                            stamp_conductance(&mut a_mat, *a, *b, g);
-                            if let Some(r) = row(*a) {
-                                rhs[r] -= ieq;
-                            }
-                            if let Some(r) = row(*b) {
-                                rhs[r] += ieq;
-                            }
-                        }
-                        ElementKind::Mosfet { d, g, s, params, kind } => {
-                            stamp_mosfet(&mut a_mat, &mut rhs, &x, *d, *g, *s, params, *kind);
-                        }
-                    }
-                }
-
-                let mut x_new = rhs.clone();
-                if a_mat.solve_in_place(&mut x_new, self.solver).is_none() {
-                    return Err(SpiceError::SingularMatrix { time: t });
-                }
-
-                residual = x_new
-                    .iter()
-                    .zip(&x)
-                    .take(n)
-                    .map(|(new, old)| (new - old).abs())
-                    .fold(0.0, f64::max);
-
-                if residual < self.abstol {
-                    x = x_new;
-                    converged = true;
-                    break;
-                }
-                // Damped update: limit per-iteration node-voltage motion
-                // so sinh-type device curves cannot fling Newton off.
-                for k in 0..dim {
-                    let delta = x_new[k] - x[k];
-                    let limited = if k < n {
-                        delta.clamp(-self.max_step_volts, self.max_step_volts)
-                    } else {
-                        delta
-                    };
-                    x[k] += limited;
-                }
-            }
-            if !converged {
-                return Err(SpiceError::NonConvergence { time: t, residual });
-            }
+            let capacitors = Capacitors::Companion { integration, h, state: &cap_state };
+            mna.solve(ckt, &mut x, t, &capacitors, limits)?;
 
             // Accept the step: advance storage elements and device states,
             // integrate energies.
             for (ei, e) in ckt.elements.iter_mut().enumerate() {
                 let (power, deliv) = match &mut e.kind {
                     ElementKind::Resistor { a, b, g } => {
-                        let v = volt_at(&x, *a) - volt_at(&x, *b);
+                        let v = volt(&x, *a) - volt(&x, *b);
                         (*g * v * v, 0.0)
                     }
                     ElementKind::Switch { a, b, g_on, g_off, control, threshold } => {
                         let g = if control.evaluate(t) > *threshold { *g_on } else { *g_off };
-                        let v = volt_at(&x, *a) - volt_at(&x, *b);
+                        let v = volt(&x, *a) - volt(&x, *b);
                         (g * v * v, 0.0)
                     }
                     ElementKind::Capacitor { a, b, c } => {
-                        let v_now = volt_at(&x, *a) - volt_at(&x, *b);
-                        let v_old = cap_v[&ei];
+                        let v_now = volt(&x, *a) - volt(&x, *b);
+                        let (v_old, i_old) = cap_state[ei];
                         let i_now = match integration {
                             Integration::BackwardEuler => *c / h * (v_now - v_old),
-                            Integration::Trapezoidal => 2.0 * *c / h * (v_now - v_old) - cap_i[&ei],
+                            Integration::Trapezoidal => 2.0 * *c / h * (v_now - v_old) - i_old,
                         };
-                        cap_v.insert(ei, v_now);
-                        cap_i.insert(ei, i_now);
+                        cap_state[ei] = (v_now, i_now);
                         (0.0, 0.0)
                     }
                     ElementKind::VSource { w, .. } => {
-                        let i_br = x[branch_of[&ei]];
+                        let i_br = x[mna.branch(ei)];
                         let v = w.evaluate(t);
                         (0.0, -v * i_br)
                     }
                     ElementKind::ISource { a, b, w } => {
                         let i = w.evaluate(t);
-                        let v = volt_at(&x, *a) - volt_at(&x, *b);
+                        let v = volt(&x, *a) - volt(&x, *b);
                         // Pushing current a→b against v(a,b): delivers −v·i.
                         (0.0, -v * i)
                     }
                     ElementKind::Memristor { a, b, device } => {
-                        let v = volt_at(&x, *a) - volt_at(&x, *b);
+                        let v = volt(&x, *a) - volt(&x, *b);
                         let p = v * device.current(Volts::new(v)).as_amps();
                         device.step(Volts::new(v), Seconds::new(h));
                         (p, 0.0)
                     }
                     ElementKind::Mosfet { d, g, s, params, kind } => {
                         let (vgs, vds) = match kind {
-                            MosfetKind::Nmos => (
-                                volt_at(&x, *g) - volt_at(&x, *s),
-                                volt_at(&x, *d) - volt_at(&x, *s),
-                            ),
-                            MosfetKind::Pmos => (
-                                volt_at(&x, *s) - volt_at(&x, *g),
-                                volt_at(&x, *s) - volt_at(&x, *d),
-                            ),
+                            MosfetKind::Nmos => {
+                                (volt(&x, *g) - volt(&x, *s), volt(&x, *d) - volt(&x, *s))
+                            }
+                            MosfetKind::Pmos => {
+                                (volt(&x, *s) - volt(&x, *g), volt(&x, *s) - volt(&x, *d))
+                            }
                         };
                         let op = evaluate_nmos(params, vgs, vds);
                         (op.ids.abs() * vds.abs(), 0.0)
@@ -366,90 +207,12 @@ impl Transient {
                 }
             }
 
-            record(&mut trace, t, &x);
+            record(t, &x);
         }
 
-        trace.dissipated = dissipated;
-        trace.delivered = delivered;
-        Ok(trace)
+        let signals = names.into_iter().zip(samples).collect();
+        Ok(Trace { time, signals, dissipated, delivered })
     }
-}
-
-/// Stamps a two-terminal conductance into the MNA matrix.
-fn stamp_conductance(a_mat: &mut Matrix, a: usize, b: usize, g: f64) {
-    if a != 0 {
-        a_mat.add(a - 1, a - 1, g);
-    }
-    if b != 0 {
-        a_mat.add(b - 1, b - 1, g);
-    }
-    if a != 0 && b != 0 {
-        a_mat.add(a - 1, b - 1, -g);
-        a_mat.add(b - 1, a - 1, -g);
-    }
-}
-
-/// Stamps a linearized MOSFET. The channel current is expressed as a
-/// function of the three terminal voltages; `out` is the terminal the
-/// current leaves, `in_` the terminal it enters.
-#[allow(clippy::too_many_arguments)]
-fn stamp_mosfet(
-    a_mat: &mut Matrix,
-    rhs: &mut [f64],
-    x: &[f64],
-    d: usize,
-    g: usize,
-    s: usize,
-    params: &crate::mosfet::MosfetParams,
-    kind: MosfetKind,
-) {
-    let volt = |node: usize| -> f64 {
-        if node == 0 {
-            0.0
-        } else {
-            x[node - 1]
-        }
-    };
-    let (vd, vg, vs) = (volt(d), volt(g), volt(s));
-
-    // Express the channel current I leaving `out`, with partial
-    // derivatives w.r.t. (vd, vg, vs).
-    let (out, in_, i0, di_dd, di_dg, di_ds) = match kind {
-        MosfetKind::Nmos => {
-            let op = evaluate_nmos(params, vg - vs, vd - vs);
-            // I = Ids(vgs, vds): ∂/∂vd = gds, ∂/∂vg = gm, ∂/∂vs = −gm−gds.
-            (d, s, op.ids, op.gds, op.gm, -op.gm - op.gds)
-        }
-        MosfetKind::Pmos => {
-            let op = evaluate_nmos(params, vs - vg, vs - vd);
-            // I flows source→drain: I = Ids'(vsg, vsd):
-            // ∂/∂vs = gm' + gds', ∂/∂vg = −gm', ∂/∂vd = −gds'.
-            (s, d, op.ids, -op.gds, -op.gm, op.gm + op.gds)
-        }
-    };
-
-    let ieq = i0 - di_dd * vd - di_dg * vg - di_ds * vs;
-    let mut stamp_row = |node: usize, sign: f64| {
-        if node == 0 {
-            return;
-        }
-        let r = node - 1;
-        if d != 0 {
-            a_mat.add(r, d - 1, sign * di_dd);
-        }
-        if g != 0 {
-            a_mat.add(r, g - 1, sign * di_dg);
-        }
-        if s != 0 {
-            a_mat.add(r, s - 1, sign * di_ds);
-        }
-        rhs[r] -= sign * ieq;
-    };
-    stamp_row(out, 1.0);
-    stamp_row(in_, -1.0);
-
-    // GMIN drain–source keeps cutoff devices from floating their nodes.
-    stamp_conductance(a_mat, d, s, GMIN);
 }
 
 #[cfg(test)]
