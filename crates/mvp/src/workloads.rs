@@ -99,39 +99,7 @@ pub mod bitmap {
         ///
         /// Row layout: `[set1 bitmaps…][set2 bitmaps…][tmp1][tmp2][out]`.
         pub fn query_plan(&self, set1: &[u8], set2: &[u8]) -> Vec<Instruction> {
-            let mut program = Vec::new();
-            let mut row = 0;
-            let mut rows1 = Vec::new();
-            for &v in set1 {
-                program
-                    .push(Instruction::Store { row, data: Self::bitmap(&self.col1, v, self.rows) });
-                rows1.push(row);
-                row += 1;
-            }
-            let mut rows2 = Vec::new();
-            for &v in set2 {
-                program
-                    .push(Instruction::Store { row, data: Self::bitmap(&self.col2, v, self.rows) });
-                rows2.push(row);
-                row += 1;
-            }
-            let (tmp1, tmp2, out) = (row, row + 1, row + 2);
-            // Single-value sets need no OR reduction.
-            let lhs = if rows1.len() == 1 {
-                rows1[0]
-            } else {
-                program.push(Instruction::Or { srcs: rows1, dst: tmp1 });
-                tmp1
-            };
-            let rhs = if rows2.len() == 1 {
-                rows2[0]
-            } else {
-                program.push(Instruction::Or { srcs: rows2, dst: tmp2 });
-                tmp2
-            };
-            program.push(Instruction::And { srcs: vec![lhs, rhs], dst: out });
-            program.push(Instruction::Read { row: out });
-            program
+            self.plan(set1, set2, 0..self.rows, self.rows)
         }
 
         /// The shard-local program for records `range` of the same
@@ -173,6 +141,19 @@ pub mod bitmap {
                     ),
                 });
             }
+            Ok(self.plan(set1, set2, range, width))
+        }
+
+        /// The query program over records `range`, each stored bitmap
+        /// `width` bits wide. Row layout:
+        /// `[set1 bitmaps…][set2 bitmaps…][tmp1][tmp2][out]`.
+        fn plan(
+            &self,
+            set1: &[u8],
+            set2: &[u8],
+            range: std::ops::Range<usize>,
+            width: usize,
+        ) -> Vec<Instruction> {
             let mut program = Vec::new();
             let mut row = 0;
             let mut rows1 = Vec::new();
@@ -194,6 +175,7 @@ pub mod bitmap {
                 row += 1;
             }
             let (tmp1, tmp2, out) = (row, row + 1, row + 2);
+            // Single-value sets need no OR reduction.
             let lhs = if rows1.len() == 1 {
                 rows1[0]
             } else {
@@ -208,7 +190,7 @@ pub mod bitmap {
             };
             program.push(Instruction::And { srcs: vec![lhs, rhs], dst: out });
             program.push(Instruction::Read { row: out });
-            Ok(program)
+            program
         }
 
         /// MVP execution: loads the value bitmaps and runs the
@@ -342,17 +324,7 @@ pub mod kmer {
             mvp: &mut MvpSimulator<B>,
             kmer: &[u8],
         ) -> Result<BitVec, MvpError> {
-            self.check_kmer(kmer)?;
-            let mut program = Vec::new();
-            for (j, &b) in kmer.iter().enumerate() {
-                program.push(Instruction::Store {
-                    row: j,
-                    data: self.layers[j][base_index(b, j)?].clone(),
-                });
-            }
-            let dst = self.k;
-            program.push(Instruction::And { srcs: (0..self.k).collect(), dst });
-            program.push(Instruction::Read { row: dst });
+            let program = self.shard_find_plan(kmer, 0..self.len, self.len)?;
             let mut outputs = mvp.run_program(&program)?;
             Ok(outputs.pop().expect("program ends with a read"))
         }
