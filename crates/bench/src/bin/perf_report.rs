@@ -2,7 +2,7 @@
 //! streaming, bit-line transient solves and MVP bulk bitwise queries —
 //! the latter on both the monolithic crossbar and a 64-bank
 //! `BankedCrossbar` substrate driven through the `BatchRequest` API —
-//! plus correlation detection, the admission-time verifier and the
+//! plus correlation detection, the static verifier and the
 //! fault-tolerance yield harness.
 //!
 //! Every config here runs in process, off the served path. Served-path
@@ -257,15 +257,17 @@ fn run_workloads(quick: bool) -> Vec<ConfigResult> {
         ));
     }
 
-    // --- Admission-time verification overhead ---------------------------
-    // The static pass the serve layer runs on every submitted program
-    // before it may queue: one abstract-interpretation walk
-    // (`verify_program`) plus the static cost bound. The four query
-    // plans above are compiled for a small served table (2 048 seeded
-    // records on a 32 × 64-bank geometry), the same plans wirebench's
-    // `bitmap_wire` serves at its default seed. ns/unit is the
-    // per-program admission tax; set it against `bitmap_wire`'s
-    // `req_p50_us` wire round trip to see what gating costs.
+    // --- Static verification overhead ------------------------------------
+    // The full static pass of `memcim-verify` over one program: one
+    // abstract-interpretation walk (`verify_program`) plus the static
+    // cost bound (`CostModel::bound`). The serve admission gate never
+    // runs `verify_program`: it checks each instruction's shape with
+    // `Instruction::check`, and bounds cost only for a tenant with an
+    // energy budget. The four query plans above are compiled for a
+    // small served table (2 048 seeded records on a 32 × 64-bank
+    // geometry), the same plans wirebench's `bitmap_wire` serves at its
+    // default seed. ns/unit is the per-program cost of the static pass;
+    // set it against `bitmap_wire`'s `req_p50_us` wire round trip.
     {
         let verify_records = 2_048usize;
         let mut vrng = SmallRng::seed_from_u64(SEED);

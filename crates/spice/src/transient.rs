@@ -121,7 +121,8 @@ impl Transient {
             )
             .unzip();
         let mut time = Vec::with_capacity(steps + 1);
-        let mut samples = vec![Vec::with_capacity(steps + 1); unknowns.len()];
+        let mut samples: Vec<Vec<f64>> =
+            unknowns.iter().map(|_| Vec::with_capacity(steps + 1)).collect();
         let mut record = |t: f64, x: &[f64]| {
             time.push(t);
             for (signal, &k) in samples.iter_mut().zip(&unknowns) {
