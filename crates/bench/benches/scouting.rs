@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use memcim_bits::BitVec;
-use memcim_crossbar::{Crossbar, ScoutingKind};
+use memcim_crossbar::{Crossbar, CrossbarBackend, ScoutingKind};
 use std::hint::black_box;
 
 fn setup(cols: usize) -> Crossbar {

@@ -8,7 +8,7 @@ use memcim_ap::{ApBackend, AutomataProcessor, RoutingKind};
 use memcim_automata::{rules, PatternSet, StartKind};
 use memcim_bench::{fmt, table};
 use memcim_bits::BitVec;
-use memcim_crossbar::{Crossbar, ScoutingKind};
+use memcim_crossbar::{Crossbar, CrossbarBackend, ScoutingKind};
 use memcim_device::{
     window::Window, HysteresisSweep, LinearIonDrift, MemristiveDevice, VariabilityModel,
 };

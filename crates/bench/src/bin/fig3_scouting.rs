@@ -7,7 +7,7 @@
 
 use memcim_bench::table;
 use memcim_bits::BitVec;
-use memcim_crossbar::{Crossbar, ScoutingKind, SenseThresholds};
+use memcim_crossbar::{Crossbar, CrossbarBackend, ScoutingKind, SenseThresholds};
 use memcim_units::{Ohms, Volts};
 
 fn main() {

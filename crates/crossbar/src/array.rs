@@ -1,13 +1,17 @@
 //! The crossbar array: programming, reads and scouting logic.
 
 use crate::{
-    CellTechnology, CrossbarError, FaultMap, OpLedger, RemapEntry, ScoutingKind, SenseThresholds,
+    CellTechnology, CrossbarBackend, CrossbarError, FaultMap, OpLedger, RemapEntry, ScoutingKind,
+    SenseThresholds,
 };
 use memcim_bits::{BitMatrix, BitVec};
-use memcim_device::{DeviceSample, EnduranceModel, SwitchParams, VariabilityModel, WearState};
-use memcim_units::{Amps, Joules, Ohms, SquareMicrometers, Volts, Watts};
+use memcim_device::{
+    DeviceError, DeviceSample, EnduranceModel, SwitchParams, VariabilityModel, WearState,
+};
+use memcim_units::{Amps, Joules, Ohms, Seconds, SquareMicrometers, Volts, Watts};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::ops::Range;
 
 /// A `rows × cols` one-transistor-one-memristor crossbar array.
 ///
@@ -133,7 +137,7 @@ impl Crossbar {
     /// any logical row accumulating `threshold` or more stuck cells is
     /// transparently retired — its best-known contents are re-programmed
     /// into a fresh spare and the remap table
-    /// ([`remap_table`](Self::remap_table)) is updated. Once every spare
+    /// ([`remap_table`](CrossbarBackend::remap_table)) is updated. Once every spare
     /// is in use, the next retirement surfaces as
     /// [`CrossbarError::ExhaustedSpares`].
     ///
@@ -154,26 +158,12 @@ impl Crossbar {
         self
     }
 
-    /// Number of host-addressable rows (physical rows minus any
-    /// reserved spares).
-    pub fn rows(&self) -> usize {
-        match &self.spare {
-            Some(pool) => self.rows - pool.reserved,
-            None => self.rows,
-        }
-    }
-
     /// The physical row currently backing a logical row.
     fn phys(&self, row: usize) -> usize {
         match &self.spare {
             Some(pool) => pool.remap[row],
             None => row,
         }
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// The technology model in use.
@@ -222,21 +212,6 @@ impl Crossbar {
     /// Logical rows retired onto spares so far.
     pub fn retired_rows(&self) -> u64 {
         self.retired_rows
-    }
-
-    /// The non-identity entries of the logical→physical remap table
-    /// (empty when repair is off or nothing has been retired).
-    pub fn remap_table(&self) -> Vec<RemapEntry> {
-        match &self.spare {
-            Some(pool) => pool
-                .remap
-                .iter()
-                .enumerate()
-                .filter(|&(logical, &physical)| logical != physical)
-                .map(|(logical, &physical)| RemapEntry { bank: 0, logical, physical })
-                .collect(),
-            None => Vec::new(),
-        }
     }
 
     /// Sweeps every logical row against the retirement policy —
@@ -345,9 +320,43 @@ impl Crossbar {
     // Programming
     // ------------------------------------------------------------------
 
+    /// Writes `value` into one *physical* cell — the only per-cell
+    /// commit, shared by cell writes, row writes and spare-repair
+    /// copies. A switching cell spends an endurance cycle and draws a
+    /// fresh cycle-to-cycle resistance sample; a cell that wears out is
+    /// left stuck at the value it was just given. Ledger charges are
+    /// the caller's.
+    fn commit(&mut self, row: usize, col: usize, value: bool) -> Commit {
+        if self.faults.stuck_value(row, col).is_some() {
+            return Commit::Stuck;
+        }
+        if self.bits.get(row, col) == value {
+            return Commit::Unchanged;
+        }
+        let idx = self.cell_index(row, col);
+        let cycle = match self.endurance {
+            Some(model) => model.record_cycle(&mut self.wear[idx]),
+            None => Ok(()),
+        };
+        self.bits.set(row, col, value);
+        if let Some((model, samples)) = &mut self.variability {
+            samples[idx] = model.sample_cycle(&samples[idx], &mut self.rng);
+        }
+        match cycle {
+            Ok(()) => Commit::Flipped,
+            Err(e) => {
+                self.endurance_failures += 1;
+                self.faults.inject_stuck_at(row, col, value);
+                Commit::WornOut(e)
+            }
+        }
+    }
+
     /// Programs one cell. A no-op (same value) costs nothing; a state
     /// change consumes one endurance cycle and the technology's
-    /// programming energy.
+    /// programming energy. A stuck cell silently ignores the write but
+    /// still costs the pulse: there is no way to know it failed without
+    /// a verify read.
     ///
     /// # Errors
     ///
@@ -367,85 +376,32 @@ impl Crossbar {
         value: bool,
     ) -> Result<(), CrossbarError> {
         self.check(row, col)?;
-        let pr = self.phys(row);
-        if self.faults.stuck_value(pr, col).is_some() {
-            // Stuck cells silently ignore writes (the programming pulse
-            // is still spent — there is no way to know it failed without
-            // a verify read).
+        let commit = self.commit(self.phys(row), col, value);
+        if !matches!(commit, Commit::Unchanged) {
             self.ledger.record_program(1, self.tech.program_energy, self.tech.program_latency);
-            return Ok(());
         }
-        if self.bits.get(pr, col) == value {
-            return Ok(());
-        }
-        self.ledger.record_program(1, self.tech.program_energy, self.tech.program_latency);
-        let idx = self.cell_index(pr, col);
-        let result = match self.endurance {
-            Some(model) => model.record_cycle(&mut self.wear[idx]),
-            None => Ok(()),
-        };
-        self.bits.set(pr, col, value);
-        // Fresh cycle-to-cycle resistance sample on each re-program.
-        if let Some((model, samples)) = &mut self.variability {
-            samples[idx] = model.sample_cycle(&samples[idx], &mut self.rng);
-        }
-        if let Err(e) = result {
-            self.endurance_failures += 1;
-            self.faults.inject_stuck_at(pr, col, value);
-            if self.maybe_retire(row)? {
-                // The worn cell now lives on a retired physical row; the
-                // logical row was repaired onto a spare with this write's
-                // value in place.
-                return Ok(());
+        if let Commit::WornOut(e) = commit {
+            // A retirement repairs the logical row onto a spare with this
+            // write's value in place; the worn cell stays behind.
+            if !self.maybe_retire(row)? {
+                return Err(CrossbarError::Endurance(e));
             }
-            return Err(CrossbarError::Endurance(e));
         }
         Ok(())
     }
 
-    /// Programs a whole row in one parallel operation. Cells that wear
-    /// out are recorded as stuck (see
-    /// [`endurance_failures`](Self::endurance_failures)) without aborting
-    /// the row; returns the number of cells whose state changed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::OutOfBounds`] /
-    /// [`CrossbarError::WidthMismatch`] for invalid arguments, and —
-    /// with spare rows configured — [`CrossbarError::ExhaustedSpares`]
-    /// when the row crossed its fault threshold with no spare left.
-    pub fn program_row(&mut self, row: usize, values: &BitVec) -> Result<u64, CrossbarError> {
-        self.check(row, 0)?;
-        if values.len() != self.cols {
-            return Err(CrossbarError::WidthMismatch { got: values.len(), expected: self.cols });
-        }
-        let changed = self.program_physical_row(self.phys(row), values);
-        self.maybe_retire(row)?;
-        Ok(changed)
-    }
-
     /// The raw row-programming cycle on a *physical* row: no remap, no
     /// retirement — shared by host writes and spare-repair copies.
+    /// Stuck cells are skipped for free; returns the number of cells
+    /// whose state changed.
     fn program_physical_row(&mut self, row: usize, values: &BitVec) -> u64 {
         let mut changed = 0u64;
         for col in 0..self.cols {
-            let value = values.get(col);
-            if self.faults.stuck_value(row, col).is_some() || self.bits.get(row, col) == value {
-                continue;
-            }
-            changed += 1;
-            let idx = self.cell_index(row, col);
-            let worn = match self.endurance {
-                Some(model) => model.record_cycle(&mut self.wear[idx]).is_err(),
-                None => false,
-            };
-            self.bits.set(row, col, value);
-            if let Some((model, samples)) = &mut self.variability {
-                samples[idx] = model.sample_cycle(&samples[idx], &mut self.rng);
-            }
-            if worn {
-                self.endurance_failures += 1;
-                self.faults.inject_stuck_at(row, col, value);
+            if matches!(
+                self.commit(row, col, values.get(col)),
+                Commit::Flipped | Commit::WornOut(_)
+            ) {
+                changed += 1;
             }
         }
         if changed > 0 {
@@ -482,13 +438,38 @@ impl Crossbar {
     // Sensing
     // ------------------------------------------------------------------
 
-    /// Bit-line current of one column with the given rows activated.
-    fn column_current(&self, rows: &[usize], col: usize) -> Amps {
-        Amps::new(
-            rows.iter()
+    /// Senses the columns `cols` with the *physical* rows `active`
+    /// driven, and charges one sensing cycle of that width through
+    /// `record` — the only bit-line current loop. Bit `i` of the result
+    /// is column `cols.start + i`.
+    fn sense(
+        &mut self,
+        active: &[usize],
+        cols: Range<usize>,
+        thresholds: SenseThresholds,
+        record: fn(&mut OpLedger, Joules, Seconds),
+    ) -> BitVec {
+        let mut out = BitVec::new(cols.len());
+        for (i, col) in cols.clone().enumerate() {
+            let current = active
+                .iter()
                 .map(|&r| (self.read_voltage / self.cell_resistance(r, col)).as_amps())
-                .sum(),
-        )
+                .sum();
+            if thresholds.sense(Amps::new(current)) {
+                out.set(i, true);
+            }
+        }
+        record(
+            &mut self.ledger,
+            Joules::new(self.tech.analytic_cycle_energy(self.rows).as_joules() * cols.len() as f64),
+            self.tech.read_latency(self.rows),
+        );
+        out
+    }
+
+    /// The sense-amplifier reference of a one-row read.
+    fn read_reference(&self) -> SenseThresholds {
+        SenseThresholds::read(self.read_voltage, self.device.r_low, self.device.r_high)
     }
 
     /// Reads one cell through the sense amplifier (physical read: faults
@@ -499,59 +480,59 @@ impl Crossbar {
     /// Returns [`CrossbarError::OutOfBounds`] for invalid indices.
     pub fn read_bit(&mut self, row: usize, col: usize) -> Result<bool, CrossbarError> {
         self.check(row, col)?;
-        let i = self.column_current(&[self.phys(row)], col);
-        let ref_current = Amps::new(
-            ((self.read_voltage / self.device.r_low).as_amps()
-                * (self.read_voltage / self.device.r_high).as_amps())
-            .sqrt(),
-        );
-        self.ledger.record_read(
-            self.tech.analytic_cycle_energy(self.rows),
-            self.tech.read_latency(self.rows),
-        );
-        Ok(i.as_amps() > ref_current.as_amps())
+        let reference = self.read_reference();
+        Ok(self.sense(&[self.phys(row)], col..col + 1, reference, OpLedger::record_read).get(0))
     }
+}
 
-    /// Reads a whole row, all columns sensed in parallel (one memory
-    /// cycle).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::OutOfBounds`] for an invalid row.
-    pub fn read_row(&mut self, row: usize) -> Result<BitVec, CrossbarError> {
-        self.check(row, 0)?;
-        let pr = self.phys(row);
-        let mut out = BitVec::new(self.cols);
-        let ref_current = ((self.read_voltage / self.device.r_low).as_amps()
-            * (self.read_voltage / self.device.r_high).as_amps())
-        .sqrt();
-        for col in 0..self.cols {
-            if self.column_current(&[pr], col).as_amps() > ref_current {
-                out.set(col, true);
-            }
+/// What one cell write did (see [`Crossbar::commit`]).
+enum Commit {
+    /// The cell is stuck; the write was ignored.
+    Stuck,
+    /// The cell already held the value.
+    Unchanged,
+    /// The cell switched.
+    Flipped,
+    /// The cell switched and used up its endurance budget; it is now
+    /// stuck at the new value.
+    WornOut(DeviceError),
+}
+
+impl CrossbarBackend for Crossbar {
+    /// Host-addressable rows: physical rows minus any reserved spares.
+    fn rows(&self) -> usize {
+        match &self.spare {
+            Some(pool) => self.rows - pool.reserved,
+            None => self.rows,
         }
-        self.ledger.record_read(
-            Joules::new(self.tech.analytic_cycle_energy(self.rows).as_joules() * self.cols as f64),
-            self.tech.read_latency(self.rows),
-        );
-        Ok(out)
     }
 
-    /// A scouting logic operation (Fig. 3): activates the selected rows
-    /// simultaneously and senses each column against the gate's
-    /// reference(s), computing the row-wise logic function across all
-    /// columns in a single memory cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InvalidRowSelection`] if fewer than two
-    /// rows are given, rows repeat, or `Xor` is requested with more than
-    /// two rows; [`CrossbarError::OutOfBounds`] for invalid rows.
-    pub fn scouting(
-        &mut self,
-        kind: ScoutingKind,
-        rows: &[usize],
-    ) -> Result<BitVec, CrossbarError> {
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Cells that wear out are recorded as stuck (see
+    /// [`endurance_failures`](Crossbar::endurance_failures)) without
+    /// aborting the row. With spare rows configured, a row that crosses
+    /// its fault threshold is retired onto a spare, or fails with
+    /// [`CrossbarError::ExhaustedSpares`] when none is left.
+    fn program_row(&mut self, row: usize, values: &BitVec) -> Result<u64, CrossbarError> {
+        self.check(row, 0)?;
+        if values.len() != self.cols {
+            return Err(CrossbarError::WidthMismatch { got: values.len(), expected: self.cols });
+        }
+        let changed = self.program_physical_row(self.phys(row), values);
+        self.maybe_retire(row)?;
+        Ok(changed)
+    }
+
+    fn read_row(&mut self, row: usize) -> Result<BitVec, CrossbarError> {
+        self.check(row, 0)?;
+        let reference = self.read_reference();
+        Ok(self.sense(&[self.phys(row)], 0..self.cols, reference, OpLedger::record_read))
+    }
+
+    fn scouting(&mut self, kind: ScoutingKind, rows: &[usize]) -> Result<BitVec, CrossbarError> {
         kind.validate_selection(rows)?;
         for &r in rows {
             self.check(r, 0)?;
@@ -574,35 +555,24 @@ impl Crossbar {
         } else {
             rows
         };
-        let mut out = BitVec::new(self.cols);
-        for col in 0..self.cols {
-            if thresholds.sense(self.column_current(active, col)) {
-                out.set(col, true);
-            }
-        }
-        self.ledger.record_scouting(
-            Joules::new(self.tech.analytic_cycle_energy(self.rows).as_joules() * self.cols as f64),
-            self.tech.read_latency(self.rows),
-        );
-        Ok(out)
+        Ok(self.sense(active, 0..self.cols, thresholds, OpLedger::record_scouting))
     }
 
-    /// Scouting with write-back: computes `kind` over `rows` and programs
-    /// the result into `dest` — the MVP's in-memory macro-instruction.
-    ///
-    /// # Errors
-    ///
-    /// Combines the error conditions of [`scouting`](Self::scouting) and
-    /// [`program_row`](Self::program_row).
-    pub fn scouting_write(
-        &mut self,
-        kind: ScoutingKind,
-        rows: &[usize],
-        dest: usize,
-    ) -> Result<BitVec, CrossbarError> {
-        let result = self.scouting(kind, rows)?;
-        self.program_row(dest, &result)?;
-        Ok(result)
+    fn ledger_parts(&self) -> Vec<OpLedger> {
+        vec![self.ledger]
+    }
+
+    fn remap_table(&self) -> Vec<RemapEntry> {
+        match &self.spare {
+            Some(pool) => pool
+                .remap
+                .iter()
+                .enumerate()
+                .filter(|&(logical, &physical)| logical != physical)
+                .map(|(logical, &physical)| RemapEntry { bank: 0, logical, physical })
+                .collect(),
+            None => Vec::new(),
+        }
     }
 }
 

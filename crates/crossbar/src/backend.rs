@@ -1,5 +1,5 @@
-//! The [`CrossbarBackend`] trait: one interface over monolithic and
-//! banked crossbar substrates.
+//! The [`CrossbarBackend`] trait: one interface over monolithic,
+//! banked and protected crossbar substrates.
 //!
 //! The paper's MVP owns a 2 GB crossbar that is physically *millions of
 //! subarrays* operating column-parallel; functionally, though, the host
@@ -7,18 +7,28 @@
 //! view — row programming, row reads, scouting logic with and without
 //! write-back, geometry and aggregated cost accounting — so that
 //! everything built on top (the MVP simulator and its workloads) runs
-//! unchanged on a [`Crossbar`] or a [`BankedCrossbar`].
+//! unchanged on any substrate.
 //!
-//! The two implementations differ only in their cost aggregation:
+//! Each row operation is defined once, in its substrate's impl:
 //!
-//! * [`Crossbar`] reports its own [`OpLedger`] verbatim.
-//! * [`BankedCrossbar`] **sums** operation counts and energy over banks
-//!   (every bank really spends its joules) but takes the **maximum**
-//!   busy time (banks operate in the same memory cycles, so wall clock
-//!   is the slowest bank, not the sum) — see
-//!   [`OpLedger::merge_parallel`].
+//! * [`Crossbar`](crate::Crossbar) senses and programs the array
+//!   itself and reports its own [`OpLedger`] as its one ledger part.
+//! * [`BankedCrossbar`](crate::BankedCrossbar) fans every operation out
+//!   to its banks and reports one ledger part per bank; the totals
+//!   **sum** operation counts and energy over banks (every bank really
+//!   spends its joules) but take the **maximum** busy time (banks
+//!   operate in the same memory cycles, so wall clock is the slowest
+//!   bank, not the sum) — see [`OpLedger::merge_parallel`].
+//! * [`EccCrossbar`](crate::EccCrossbar) stores SEC-DED codewords over
+//!   any inner backend and adds its reliability ledger as a part.
+//! * `Box<T>` forwards to `T`, so heterogeneous engine pools can share
+//!   one worker type.
+//!
+//! Scouting with write-back is a provided method (scouting, then a row
+//! program); only [`BankedCrossbar`](crate::BankedCrossbar) overrides
+//! it, writing each bank's slice back locally.
 
-use crate::{BankedCrossbar, Crossbar, CrossbarError, OpLedger, ScoutingKind};
+use crate::{CrossbarError, OpLedger, ScoutingKind};
 use memcim_bits::BitVec;
 
 /// One non-identity entry of a substrate's spare-row remap table: the
@@ -36,11 +46,12 @@ pub struct RemapEntry {
 }
 
 /// A logical crossbar substrate: the host-visible row/column interface
-/// shared by [`Crossbar`] and [`BankedCrossbar`].
+/// of [`Crossbar`](crate::Crossbar), [`BankedCrossbar`](crate::BankedCrossbar),
+/// [`EccCrossbar`](crate::EccCrossbar) and boxed backends.
 ///
 /// # Examples
 ///
-/// Generic code runs identically on both substrates:
+/// Generic code runs identically on a monolithic and a banked array:
 ///
 /// ```
 /// use memcim_bits::BitVec;
@@ -87,12 +98,16 @@ pub trait CrossbarBackend {
     ///
     /// # Errors
     ///
-    /// Returns [`CrossbarError::InvalidRowSelection`] /
-    /// [`CrossbarError::OutOfBounds`] exactly as [`Crossbar::scouting`].
+    /// Returns [`CrossbarError::InvalidRowSelection`] if fewer than two
+    /// rows are given, rows repeat, or a window gate (`Xor`/`Xnor`) is
+    /// requested over other than two rows (see
+    /// [`ScoutingKind::validate_selection`]), and
+    /// [`CrossbarError::OutOfBounds`] for invalid rows.
     fn scouting(&mut self, kind: ScoutingKind, rows: &[usize]) -> Result<BitVec, CrossbarError>;
 
     /// Scouting with write-back of the result into row `dest` — the
-    /// MVP's in-memory macro-instruction.
+    /// MVP's in-memory macro-instruction: [`scouting`](Self::scouting),
+    /// then [`program_row`](Self::program_row).
     ///
     /// # Errors
     ///
@@ -103,7 +118,11 @@ pub trait CrossbarBackend {
         kind: ScoutingKind,
         rows: &[usize],
         dest: usize,
-    ) -> Result<BitVec, CrossbarError>;
+    ) -> Result<BitVec, CrossbarError> {
+        let result = self.scouting(kind, rows)?;
+        self.program_row(dest, &result)?;
+        Ok(result)
+    }
 
     /// Aggregated activity totals for the whole substrate. For a banked
     /// substrate, energy and operation counts sum over banks while busy
@@ -167,10 +186,6 @@ impl<T: CrossbarBackend + ?Sized> CrossbarBackend for Box<T> {
         (**self).scouting_write(kind, rows, dest)
     }
 
-    fn ledger_totals(&self) -> OpLedger {
-        (**self).ledger_totals()
-    }
-
     fn ledger_parts(&self) -> Vec<OpLedger> {
         (**self).ledger_parts()
     }
@@ -180,95 +195,10 @@ impl<T: CrossbarBackend + ?Sized> CrossbarBackend for Box<T> {
     }
 }
 
-impl CrossbarBackend for Crossbar {
-    fn rows(&self) -> usize {
-        Crossbar::rows(self)
-    }
-
-    fn cols(&self) -> usize {
-        Crossbar::cols(self)
-    }
-
-    fn program_row(&mut self, row: usize, values: &BitVec) -> Result<u64, CrossbarError> {
-        Crossbar::program_row(self, row, values)
-    }
-
-    fn read_row(&mut self, row: usize) -> Result<BitVec, CrossbarError> {
-        Crossbar::read_row(self, row)
-    }
-
-    fn scouting(&mut self, kind: ScoutingKind, rows: &[usize]) -> Result<BitVec, CrossbarError> {
-        Crossbar::scouting(self, kind, rows)
-    }
-
-    fn scouting_write(
-        &mut self,
-        kind: ScoutingKind,
-        rows: &[usize],
-        dest: usize,
-    ) -> Result<BitVec, CrossbarError> {
-        Crossbar::scouting_write(self, kind, rows, dest)
-    }
-
-    fn ledger_totals(&self) -> OpLedger {
-        *self.ledger()
-    }
-
-    fn ledger_parts(&self) -> Vec<OpLedger> {
-        vec![*self.ledger()]
-    }
-
-    fn remap_table(&self) -> Vec<RemapEntry> {
-        Crossbar::remap_table(self)
-    }
-}
-
-impl CrossbarBackend for BankedCrossbar {
-    fn rows(&self) -> usize {
-        BankedCrossbar::rows(self)
-    }
-
-    fn cols(&self) -> usize {
-        BankedCrossbar::cols(self)
-    }
-
-    fn program_row(&mut self, row: usize, values: &BitVec) -> Result<u64, CrossbarError> {
-        BankedCrossbar::program_row(self, row, values)
-    }
-
-    fn read_row(&mut self, row: usize) -> Result<BitVec, CrossbarError> {
-        BankedCrossbar::read_row(self, row)
-    }
-
-    fn scouting(&mut self, kind: ScoutingKind, rows: &[usize]) -> Result<BitVec, CrossbarError> {
-        BankedCrossbar::scouting(self, kind, rows)
-    }
-
-    fn scouting_write(
-        &mut self,
-        kind: ScoutingKind,
-        rows: &[usize],
-        dest: usize,
-    ) -> Result<BitVec, CrossbarError> {
-        BankedCrossbar::scouting_write(self, kind, rows, dest)
-    }
-
-    fn ledger_totals(&self) -> OpLedger {
-        BankedCrossbar::ledger_totals(self)
-    }
-
-    fn ledger_parts(&self) -> Vec<OpLedger> {
-        self.bank_ledgers()
-    }
-
-    fn remap_table(&self) -> Vec<RemapEntry> {
-        BankedCrossbar::remap_table(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BankedCrossbar, Crossbar};
 
     fn exercise<B: CrossbarBackend>(xbar: &mut B) -> (BitVec, BitVec, OpLedger) {
         let w = xbar.cols();

@@ -17,9 +17,9 @@
 //! banked operation are the ones its monolithic counterpart also makes
 //! (the returned row, plus each bank's own result inside [`Crossbar`]).
 
-use crate::{Crossbar, CrossbarError, OpLedger, RemapEntry, ScoutingKind};
+use crate::{Crossbar, CrossbarBackend, CrossbarError, OpLedger, RemapEntry, ScoutingKind};
 use memcim_bits::BitVec;
-use memcim_units::{Joules, Seconds, SquareMicrometers, Watts};
+use memcim_units::{SquareMicrometers, Watts};
 
 /// A logical crossbar striped across multiple equally-wide banks.
 ///
@@ -30,7 +30,7 @@ use memcim_units::{Joules, Seconds, SquareMicrometers, Watts};
 ///
 /// ```
 /// use memcim_bits::BitVec;
-/// use memcim_crossbar::{BankedCrossbar, ScoutingKind};
+/// use memcim_crossbar::{BankedCrossbar, CrossbarBackend, ScoutingKind};
 ///
 /// # fn main() -> Result<(), memcim_crossbar::CrossbarError> {
 /// // 4 banks × 256 columns = 1024-bit logical rows.
@@ -108,16 +108,6 @@ impl BankedCrossbar {
         self.bank_cols
     }
 
-    /// Logical row width (columns across all banks).
-    pub fn cols(&self) -> usize {
-        self.banks.len() * self.bank_cols
-    }
-
-    /// Rows per bank (= logical rows).
-    pub fn rows(&self) -> usize {
-        self.banks[0].rows()
-    }
-
     /// Borrows one bank (fault injection, inspection), or `None` if
     /// `index` is out of range.
     pub fn bank_mut(&mut self, index: usize) -> Option<&mut Crossbar> {
@@ -142,108 +132,17 @@ impl BankedCrossbar {
         out.or_shifted(part, bank * bank_cols);
     }
 
-    /// Programs a logical row across all banks (one parallel programming
-    /// cycle). Returns the number of cells whose state changed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::WidthMismatch`] /
-    /// [`CrossbarError::OutOfBounds`] for invalid arguments.
-    pub fn program_row(&mut self, row: usize, values: &BitVec) -> Result<u64, CrossbarError> {
-        self.stripe(values)?;
-        let mut changed = 0;
-        for (bank, stripe) in self.banks.iter_mut().zip(&self.stripes) {
-            changed += bank.program_row(row, stripe)?;
-        }
-        Ok(changed)
-    }
-
-    /// Reads a logical row (all banks sense in the same cycle).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::OutOfBounds`] for an invalid row.
-    pub fn read_row(&mut self, row: usize) -> Result<BitVec, CrossbarError> {
-        let mut out = BitVec::new(self.cols());
-        for (b, bank) in self.banks.iter_mut().enumerate() {
-            let part = bank.read_row(row)?;
-            Self::gather(&mut out, b, self.bank_cols, &part);
-        }
-        Ok(out)
-    }
-
-    /// A scouting operation across the full logical width in one bank
-    /// cycle.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the row-selection errors of [`Crossbar::scouting`].
-    pub fn scouting(
+    /// Runs `op` on every bank in the same cycle and gathers the
+    /// per-bank results into one logical row.
+    fn fan_out(
         &mut self,
-        kind: ScoutingKind,
-        rows: &[usize],
+        mut op: impl FnMut(&mut Crossbar) -> Result<BitVec, CrossbarError>,
     ) -> Result<BitVec, CrossbarError> {
         let mut out = BitVec::new(self.cols());
         for (b, bank) in self.banks.iter_mut().enumerate() {
-            let part = bank.scouting(kind, rows)?;
-            Self::gather(&mut out, b, self.bank_cols, &part);
+            Self::gather(&mut out, b, self.bank_cols, &op(bank)?);
         }
         Ok(out)
-    }
-
-    /// Scouting with write-back of the result into row `dest`: each bank
-    /// computes its slice of the logic function and programs it back
-    /// locally in the same parallel step, so the cross-bank result never
-    /// leaves the memory.
-    ///
-    /// # Errors
-    ///
-    /// Combines the error conditions of [`Crossbar::scouting`] and
-    /// [`Crossbar::program_row`].
-    pub fn scouting_write(
-        &mut self,
-        kind: ScoutingKind,
-        rows: &[usize],
-        dest: usize,
-    ) -> Result<BitVec, CrossbarError> {
-        let mut out = BitVec::new(self.cols());
-        for (b, bank) in self.banks.iter_mut().enumerate() {
-            let part = bank.scouting_write(kind, rows, dest)?;
-            Self::gather(&mut out, b, self.bank_cols, &part);
-        }
-        Ok(out)
-    }
-
-    /// Aggregated activity totals: operation counts and energy sum over
-    /// banks, busy time is the maximum over banks (the banks operate in
-    /// the same memory cycles — see [`OpLedger::merge_parallel`]).
-    pub fn ledger_totals(&self) -> OpLedger {
-        let mut total = OpLedger::new();
-        for bank in &self.banks {
-            total.merge_parallel(bank.ledger());
-        }
-        total
-    }
-
-    /// Snapshots of every bank's individual ledger, in bank order — the
-    /// basis for interval accounting (per-bank deltas re-aggregated with
-    /// [`OpLedger::merge_parallel`]; diffing
-    /// [`ledger_totals`](Self::ledger_totals) directly would
-    /// under-report busy time whenever new work lands in a bank that is
-    /// not the busiest one).
-    pub fn bank_ledgers(&self) -> Vec<OpLedger> {
-        self.banks.iter().map(|b| *b.ledger()).collect()
-    }
-
-    /// Total dynamic energy across all banks.
-    pub fn total_energy(&self) -> Joules {
-        self.banks.iter().map(|b| b.ledger().energy()).sum()
-    }
-
-    /// Wall-clock busy time: banks run in parallel, so the maximum over
-    /// banks (not the sum).
-    pub fn parallel_busy_time(&self) -> Seconds {
-        self.banks.iter().map(|b| b.ledger().busy_time()).fold(Seconds::ZERO, Seconds::max)
     }
 
     /// Total layout area.
@@ -266,10 +165,56 @@ impl BankedCrossbar {
     pub fn retired_rows(&self) -> u64 {
         self.banks.iter().map(Crossbar::retired_rows).sum()
     }
+}
+
+impl CrossbarBackend for BankedCrossbar {
+    /// Rows per bank (= logical rows).
+    fn rows(&self) -> usize {
+        self.banks[0].rows()
+    }
+
+    /// Logical row width (columns across all banks).
+    fn cols(&self) -> usize {
+        self.banks.len() * self.bank_cols
+    }
+
+    fn program_row(&mut self, row: usize, values: &BitVec) -> Result<u64, CrossbarError> {
+        self.stripe(values)?;
+        let mut changed = 0;
+        for (bank, stripe) in self.banks.iter_mut().zip(&self.stripes) {
+            changed += bank.program_row(row, stripe)?;
+        }
+        Ok(changed)
+    }
+
+    fn read_row(&mut self, row: usize) -> Result<BitVec, CrossbarError> {
+        self.fan_out(|bank| bank.read_row(row))
+    }
+
+    fn scouting(&mut self, kind: ScoutingKind, rows: &[usize]) -> Result<BitVec, CrossbarError> {
+        self.fan_out(|bank| bank.scouting(kind, rows))
+    }
+
+    /// Each bank computes its slice of the logic function and programs
+    /// it back locally in the same parallel step, so the cross-bank
+    /// result never leaves the memory.
+    fn scouting_write(
+        &mut self,
+        kind: ScoutingKind,
+        rows: &[usize],
+        dest: usize,
+    ) -> Result<BitVec, CrossbarError> {
+        self.fan_out(|bank| bank.scouting_write(kind, rows, dest))
+    }
+
+    /// One ledger per bank, in bank order.
+    fn ledger_parts(&self) -> Vec<OpLedger> {
+        self.banks.iter().map(|b| *b.ledger()).collect()
+    }
 
     /// Every bank's non-identity remap entries, tagged with the bank
     /// index.
-    pub fn remap_table(&self) -> Vec<RemapEntry> {
+    fn remap_table(&self) -> Vec<RemapEntry> {
         self.banks
             .iter()
             .enumerate()
@@ -283,6 +228,7 @@ impl BankedCrossbar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memcim_units::Seconds;
 
     #[test]
     fn striping_and_gathering_round_trip() {
@@ -330,16 +276,16 @@ mod tests {
         let _ = one_bank.scouting(ScoutingKind::Or, &[0, 1]).expect("or");
         let _ = four_banks.scouting(ScoutingKind::Or, &[0, 1]).expect("or");
         // Parallel banks: same wall-clock, ~4× the energy per op class.
-        assert_eq!(
-            one_bank.parallel_busy_time().as_seconds(),
-            four_banks.parallel_busy_time().as_seconds()
-        );
-        assert!(four_banks.total_energy().as_joules() > 2.0 * one_bank.total_energy().as_joules());
-        // ledger_totals agrees with the two dedicated aggregates.
-        let totals = four_banks.ledger_totals();
-        assert_eq!(totals.energy(), four_banks.total_energy());
-        assert_eq!(totals.busy_time(), four_banks.parallel_busy_time());
-        assert_eq!(totals.scouting_ops(), 4);
+        let (one, four) = (one_bank.ledger_totals(), four_banks.ledger_totals());
+        assert_eq!(one.busy_time().as_seconds(), four.busy_time().as_seconds());
+        assert!(four.energy().as_joules() > 2.0 * one.energy().as_joules());
+        // The totals sum energy over the bank ledgers and take the
+        // slowest bank's busy time.
+        let parts = four_banks.ledger_parts();
+        assert_eq!(four.energy(), parts.iter().map(OpLedger::energy).sum());
+        let slowest = parts.iter().map(OpLedger::busy_time).fold(Seconds::ZERO, Seconds::max);
+        assert_eq!(four.busy_time(), slowest);
+        assert_eq!(four.scouting_ops(), 4);
     }
 
     #[test]

@@ -489,17 +489,6 @@ impl<B: CrossbarBackend> CrossbarBackend for EccCrossbar<B> {
         }
     }
 
-    fn scouting_write(
-        &mut self,
-        kind: ScoutingKind,
-        rows: &[usize],
-        dest: usize,
-    ) -> Result<BitVec, CrossbarError> {
-        let result = self.scouting(kind, rows)?;
-        self.program_row(dest, &result)?;
-        Ok(result)
-    }
-
     fn ledger_parts(&self) -> Vec<OpLedger> {
         let mut parts = self.inner.ledger_parts();
         parts.push(self.ecc_ledger);

@@ -21,7 +21,8 @@
 //!   and stuck-at faults), normal reads, and **scouting logic** reads
 //!   (Fig. 3): multi-row activation whose aggregated bit-line current is
 //!   compared against per-gate sense-amplifier references to compute
-//!   OR / AND / XOR across rows in a single memory cycle.
+//!   OR / AND / XOR across rows in a single memory cycle. A normal read
+//!   is the one-row case of the same sensing loop.
 //! * [`ScoutingKind`]/[`SenseThresholds`] — the reference-current
 //!   placement of Fig. 3b, including the two-reference XOR window.
 //!
@@ -36,10 +37,12 @@
 //! [`memcim_bits::BitVec::or_shifted`]) with reusable scratch — no
 //! per-bit loops, no per-call allocations.
 //!
-//! The [`CrossbarBackend`] trait abstracts over both substrates
-//! (programming, reads, scouting with and without write-back, geometry,
-//! ledger aggregation), so code written against the trait — notably the
-//! MVP simulator in `memcim-mvp` — runs bit-identically on either. Cost
+//! The [`CrossbarBackend`] trait is the host interface of every
+//! substrate (programming, reads, scouting with and without write-back,
+//! geometry, ledger aggregation) and each substrate's impl is the only
+//! definition of its row operations, so code written against the trait —
+//! notably the MVP simulator in `memcim-mvp` — runs bit-identically on
+//! either. Cost
 //! aggregation follows the paper's parallel-subarray model: **energy
 //! sums over banks** (every bank spends its joules) while **busy time is
 //! the maximum over banks** (the wall clock is one bank cycle, not the
@@ -68,7 +71,7 @@
 //!
 //! ```
 //! use memcim_bits::BitVec;
-//! use memcim_crossbar::{Crossbar, ScoutingKind};
+//! use memcim_crossbar::{Crossbar, CrossbarBackend, ScoutingKind};
 //!
 //! # fn main() -> Result<(), memcim_crossbar::CrossbarError> {
 //! let mut xbar = Crossbar::rram(8, 64);

@@ -127,6 +127,18 @@ impl SenseThresholds {
             "xor scouting is defined for exactly two rows"
         );
         assert!(r_low.as_ohms() < r_high.as_ohms(), "r_low must be below r_high");
+        Self::placement(kind, k_rows, vr, r_low, r_high)
+    }
+
+    /// The reference of a plain one-row read: the `OR` reference at
+    /// `k = 1`, the geometric mean of `Vr/RH` and `Vr/RL`.
+    pub(crate) fn read(vr: Volts, r_low: Ohms, r_high: Ohms) -> Self {
+        Self::placement(ScoutingKind::Or, 1, vr, r_low, r_high)
+    }
+
+    /// The Fig. 3b placement behind [`for_gate`](Self::for_gate) and
+    /// [`read`](Self::read), without the selection asserts.
+    fn placement(kind: ScoutingKind, k_rows: usize, vr: Volts, r_low: Ohms, r_high: Ohms) -> Self {
         let i_one_cell = (vr / r_low).as_amps();
         let i_all_zero = k_rows as f64 * (vr / r_high).as_amps();
         let inverted = kind.inverted();

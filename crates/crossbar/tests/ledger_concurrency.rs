@@ -15,7 +15,7 @@
 //!   the same totals as a deterministic single-threaded replay.
 
 use memcim_bits::BitVec;
-use memcim_crossbar::{Crossbar, OpLedger, ScoutingKind};
+use memcim_crossbar::{Crossbar, CrossbarBackend, OpLedger, ScoutingKind};
 use memcim_units::{approx_eq, RelTol};
 use proptest::prelude::*;
 

@@ -59,26 +59,19 @@ pub enum Job {
     },
 }
 
-/// What one MVP job's batch cost on the engine that ran it; the
-/// tenant's ledger is billed exactly this delta, once.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurstReport {
-    /// Programs the job's batch executed.
-    pub programs: usize,
-    /// The batch's ledger delta (banked semantics: energy and counts
-    /// sum over banks, busy time is the slowest bank).
-    pub ledger: OpLedger,
-}
-
-/// The result of an MVP job.
+/// The result of an MVP job, and what it cost on the engine that ran
+/// it; the tenant's ledger is billed exactly this job's delta, once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MvpOutput {
     /// `outputs[i]` holds the `Read` results of this job's `i`-th
     /// program, in program order (a [`Job::MvpProgram`] has exactly one
     /// entry).
     pub outputs: Vec<Vec<BitVec>>,
-    /// What this job, and only this job, cost.
-    pub burst: BurstReport,
+    /// Programs the job's batch executed.
+    pub programs: usize,
+    /// The batch's ledger delta (banked semantics: energy and counts
+    /// sum over banks, busy time is the slowest bank).
+    pub ledger: OpLedger,
 }
 
 /// The result of finishing an AP session's stream: accept events mapped
@@ -273,8 +266,8 @@ impl ShardedTicket {
                 message: format!("shard {shard} sub-query resolved to a non-MVP output"),
             })?;
             match &mut ledger {
-                Some(total) => total.merge_parallel(&output.burst.ledger),
-                None => ledger = Some(output.burst.ledger),
+                Some(total) => total.merge_parallel(&output.ledger),
+                None => ledger = Some(output.ledger),
             }
             let outputs = output.outputs.into_iter().next().unwrap_or_default();
             partials.push(ShardPartial { shard, outputs });

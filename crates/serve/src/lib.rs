@@ -33,7 +33,7 @@
 //!   [`Ticket`] resolves: [`Service::tenant_usage`] returns the client's
 //!   accumulated [`OpLedger`](memcim_crossbar::OpLedger) (serial merge
 //!   of per-job deltas, each reported back in the job's
-//!   [`BurstReport`]) and AP stream costs.
+//!   [`MvpOutput`]) and AP stream costs.
 //! * **Fault tolerance** — engines can run ECC-protected and with spare
 //!   rows, built per worker through [`ServeConfig::with_engine_factory`];
 //!   a worker whose substrate reports a fault-fatal error (uncorrectable
@@ -141,8 +141,8 @@ mod sync;
 
 pub use error::ServeError;
 pub use job::{
-    ApMatches, BurstReport, CorrFeedReport, CorrOutcome, Job, JobOutput, MvpOutput, SessionId,
-    ShardPartial, ShardedOutput, ShardedTicket, TenantId, Ticket, MAX_LANES,
+    ApMatches, CorrFeedReport, CorrOutcome, Job, JobOutput, MvpOutput, SessionId, ShardPartial,
+    ShardedOutput, ShardedTicket, TenantId, Ticket, MAX_LANES,
 };
 pub use placement::{Catalog, PlacementConfig};
 pub use service::{BoxedBackend, EngineFactory, ServeConfig, Service, TenantUsage};

@@ -396,9 +396,9 @@ fn dispatch(
                     Some(result) => Response::Mvp(WireMvpResult {
                         outputs: result.outputs,
                         jobs: 1,
-                        programs: result.burst.programs as u64,
-                        energy: result.burst.ledger.energy(),
-                        busy: result.burst.ledger.busy_time(),
+                        programs: result.programs as u64,
+                        energy: result.ledger.energy(),
+                        busy: result.ledger.busy_time(),
                     }),
                     None => internal("MVP job resolved to a non-MVP output"),
                 },

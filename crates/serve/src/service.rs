@@ -8,8 +8,8 @@ use crate::router::{PushRefused, WhenFull, WorkRouter};
 use crate::session::{ApOpenInfo, ApSession, CorrSession, SessionTable, StreamSession};
 use crate::sync;
 use crate::{
-    ApMatches, BurstReport, CorrFeedReport, CorrOutcome, Job, JobOutput, MvpOutput, ServeError,
-    SessionId, TenantId, Ticket, MAX_LANES,
+    ApMatches, CorrFeedReport, CorrOutcome, Job, JobOutput, MvpOutput, ServeError, SessionId,
+    TenantId, Ticket, MAX_LANES,
 };
 use memcim_ap::ApError;
 use memcim_bits::BitVec;
@@ -1156,8 +1156,11 @@ fn execute(envelope: Envelope, engine: &mut Option<Engine>, shared: &Shared, wor
     match mvp.run_batch(&envelope.batch) {
         Ok(report) => {
             shared.account_mvp(envelope.tenant, &report.ledger);
-            let burst = BurstReport { programs: envelope.batch.len(), ledger: report.ledger };
-            let output = MvpOutput { outputs: report.outputs, burst };
+            let output = MvpOutput {
+                outputs: report.outputs,
+                programs: envelope.batch.len(),
+                ledger: report.ledger,
+            };
             envelope.responder.fulfil(Ok(JobOutput::Mvp(output)));
         }
         Err(error) if is_engine_fatal(&error) => {

@@ -63,8 +63,8 @@ fn tenant_accounting_is_complete_and_visible_before_tickets_resolve() {
         // Accounting precedes ticket resolution: the tenant is always
         // visible in the usage map by the time a ticket resolves.
         assert!(service.tenant_usage(42).is_some());
-        assert_eq!(out.burst.programs, 1);
-        reported.merge_serial(&out.burst.ledger);
+        assert_eq!(out.programs, 1);
+        reported.merge_serial(&out.ledger);
     }
     let usage = service.tenant_usage(42).expect("tenant ran");
     assert_eq!(usage.mvp_jobs, JOBS);
@@ -152,8 +152,8 @@ fn a_bad_job_does_not_poison_its_burst_neighbours() {
     // The failed job bills nothing: tenant 7 paid for good1 and good2.
     let usage = service.tenant_usage(7).expect("billed");
     assert_eq!(usage.mvp_jobs, 2);
-    let mut paid = good1.burst.ledger;
-    paid.merge_serial(&good2.burst.ledger);
+    let mut paid = good1.ledger;
+    paid.merge_serial(&good2.ledger);
     assert_eq!(op_counts(&usage.mvp), op_counts(&paid));
     service.shutdown();
 }
@@ -370,7 +370,7 @@ fn pre_assembled_batches_run_as_one_unit() {
         .with_program(query_program(width, 2));
     let out = service.submit(1, Job::MvpBatch(batch)).unwrap().wait().unwrap().into_mvp().unwrap();
     assert_eq!(out.outputs.len(), 2, "one entry per program of the batch");
-    assert_eq!(out.burst.programs, 2);
+    assert_eq!(out.programs, 2);
     service.shutdown();
 }
 

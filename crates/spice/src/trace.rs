@@ -21,10 +21,14 @@ pub enum Edge {
 pub struct Trace {
     pub(crate) time: Vec<f64>,
     pub(crate) signals: HashMap<String, Vec<f64>>,
-    /// Energy dissipated per element name, joules.
-    pub(crate) dissipated: HashMap<String, f64>,
-    /// Energy delivered per source name, joules.
-    pub(crate) delivered: HashMap<String, f64>,
+    /// Element names, in netlist order.
+    pub(crate) elements: Vec<String>,
+    /// Energy dissipated per element, index-aligned with `elements`,
+    /// joules.
+    pub(crate) dissipated: Vec<f64>,
+    /// Energy delivered per element (zero except for sources),
+    /// index-aligned with `elements`, joules.
+    pub(crate) delivered: Vec<f64>,
 }
 
 impl Trace {
@@ -153,23 +157,31 @@ impl Trace {
     /// Zero for elements that were never stamped with a dissipation model
     /// (capacitors, sources).
     pub fn dissipated_energy(&self, element: &str) -> Joules {
-        Joules::new(self.dissipated.get(element).copied().unwrap_or(0.0))
+        self.energy_of(&self.dissipated, element)
     }
 
-    /// Total energy dissipated across all elements.
+    /// Total energy dissipated across all elements, summed in netlist
+    /// order (so the total is reproducible to the bit).
     pub fn total_dissipated_energy(&self) -> Joules {
-        Joules::new(self.dissipated.values().sum())
+        Joules::new(self.dissipated.iter().sum())
     }
 
     /// Net energy delivered by the named source (positive = the source
     /// injected energy into the circuit).
     pub fn delivered_energy(&self, source: &str) -> Joules {
-        Joules::new(self.delivered.get(source).copied().unwrap_or(0.0))
+        self.energy_of(&self.delivered, source)
     }
 
-    /// Net energy delivered by all sources.
+    /// Net energy delivered by all sources, summed in netlist order.
     pub fn total_delivered_energy(&self) -> Joules {
-        Joules::new(self.delivered.values().sum())
+        Joules::new(self.delivered.iter().sum())
+    }
+
+    /// The named element's entry of an index-aligned energy column
+    /// (zero for an unknown name).
+    fn energy_of(&self, column: &[f64], element: &str) -> Joules {
+        let index = self.elements.iter().position(|name| name == element);
+        Joules::new(index.map_or(0.0, |i| column[i]))
     }
 
     /// Renders selected signals as CSV with a `time` column.
@@ -209,7 +221,7 @@ mod tests {
         let mut signals = HashMap::new();
         signals.insert("up".to_string(), up);
         signals.insert("down".to_string(), down);
-        Trace { time, signals, dissipated: HashMap::new(), delivered: HashMap::new() }
+        Trace { time, signals, ..Trace::default() }
     }
 
     #[test]

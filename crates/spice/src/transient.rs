@@ -8,7 +8,6 @@ use crate::mosfet::{evaluate_nmos, MosfetKind};
 use crate::trace::Trace;
 use crate::SpiceError;
 use memcim_units::{Seconds, Volts};
-use std::collections::HashMap;
 
 /// Numerical integration method for charge-storage elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -104,8 +103,8 @@ impl Transient {
         // Energy accounting.
         let mut prev_power = vec![0.0; ckt.elements.len()];
         let mut prev_delivered = vec![0.0; ckt.elements.len()];
-        let mut dissipated: HashMap<String, f64> = HashMap::new();
-        let mut delivered: HashMap<String, f64> = HashMap::new();
+        let mut dissipated = vec![0.0; ckt.elements.len()];
+        let mut delivered = vec![0.0; ckt.elements.len()];
 
         // Recorded signals: every node voltage, then every voltage
         // source's branch current, each one unknown of `x`.
@@ -200,19 +199,16 @@ impl Transient {
                 let e_del = 0.5 * (prev_delivered[ei] + deliv) * h;
                 prev_power[ei] = power;
                 prev_delivered[ei] = deliv;
-                if e_diss != 0.0 || power != 0.0 {
-                    *dissipated.entry(e.name.clone()).or_insert(0.0) += e_diss;
-                }
-                if e_del != 0.0 || deliv != 0.0 {
-                    *delivered.entry(e.name.clone()).or_insert(0.0) += e_del;
-                }
+                dissipated[ei] += e_diss;
+                delivered[ei] += e_del;
             }
 
             record(t, &x);
         }
 
         let signals = names.into_iter().zip(samples).collect();
-        Ok(Trace { time, signals, dissipated, delivered })
+        let elements = ckt.elements.iter().map(|e| e.name.clone()).collect();
+        Ok(Trace { time, signals, elements, dissipated, delivered })
     }
 }
 
@@ -477,6 +473,47 @@ mod tests {
         // After SET the 1 kΩ-class device forms a divider with 10 kΩ:
         // out collapses towards ~0.2 V.
         assert!(tr.final_value("out").expect("v") < 0.5);
+    }
+
+    #[test]
+    fn energy_totals_sum_in_netlist_order() {
+        // Three sources feed one node through resistors of different
+        // magnitudes; a ladder of five more resistors drains it. With
+        // eight dissipating elements and three delivering ones, the
+        // totals depend on summation order, so they must be the plain
+        // netlist-order sums of the per-element energies.
+        let mut ckt = Circuit::new();
+        let hub = ckt.node("hub");
+        let mut dissipating = Vec::new();
+        for (k, volts) in [0.3, 0.7, 1.1].into_iter().enumerate() {
+            let src = ckt.node(&format!("s{k}"));
+            let (v, r) = (format!("V{k}"), format!("RS{k}"));
+            ckt.add_vsource(&v, src, GND, Waveform::dc(Volts::new(volts))).expect("v");
+            ckt.add_resistor(&r, src, hub, Ohms::new(137.0 * 3.1f64.powi(k as i32))).expect("r");
+            dissipating.push(r);
+        }
+        let mut prev = hub;
+        for k in 0..5 {
+            let next = if k == 4 { GND } else { ckt.node(&format!("l{k}")) };
+            let r = format!("RL{k}");
+            ckt.add_resistor(&r, prev, next, Ohms::new(91.0 + 53.0 * k as f64)).expect("r");
+            dissipating.push(r);
+            prev = next;
+        }
+        ckt.add_capacitor("C1", hub, GND, Farads::from_picofarads(0.1)).expect("c");
+        let tr = Transient::new(Seconds::from_nanoseconds(1.0), Seconds::from_picoseconds(10.0))
+            .run(&mut ckt)
+            .expect("run");
+        let in_order = |f: &dyn Fn(&str) -> f64, names: &[String]| {
+            names.iter().fold(0.0, |acc, name| acc + f(name))
+        };
+        let dissipated = in_order(&|n| tr.dissipated_energy(n).as_joules(), &dissipating);
+        assert!(dissipated > 0.0);
+        assert_eq!(tr.total_dissipated_energy().as_joules().to_bits(), dissipated.to_bits());
+        let sources = ["V0", "V1", "V2"].map(String::from);
+        let delivered = in_order(&|n| tr.delivered_energy(n).as_joules(), &sources);
+        assert!(delivered > 0.0);
+        assert_eq!(tr.total_delivered_energy().as_joules().to_bits(), delivered.to_bits());
     }
 
     #[test]
