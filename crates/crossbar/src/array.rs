@@ -325,10 +325,10 @@ impl Crossbar {
     /// copies. A switching cell spends an endurance cycle and draws a
     /// fresh cycle-to-cycle resistance sample; a cell that wears out is
     /// left stuck at the value it was just given. Ledger charges are
-    /// the caller's.
+    /// the caller's, one pulse per [`Commit::pulsed`] cell.
     fn commit(&mut self, row: usize, col: usize, value: bool) -> Commit {
-        if self.faults.stuck_value(row, col).is_some() {
-            return Commit::Stuck;
+        if let Some(stuck) = self.faults.stuck_value(row, col) {
+            return Commit::Stuck { wasted: stuck != value };
         }
         if self.bits.get(row, col) == value {
             return Commit::Unchanged;
@@ -354,9 +354,10 @@ impl Crossbar {
 
     /// Programs one cell. A no-op (same value) costs nothing; a state
     /// change consumes one endurance cycle and the technology's
-    /// programming energy. A stuck cell silently ignores the write but
-    /// still costs the pulse: there is no way to know it failed without
-    /// a verify read.
+    /// programming energy. A stuck cell silently ignores the write; it
+    /// still costs the pulse when its stuck value differs from `value`,
+    /// because there is no way to know the pulse failed without a
+    /// verify read.
     ///
     /// # Errors
     ///
@@ -377,7 +378,7 @@ impl Crossbar {
     ) -> Result<(), CrossbarError> {
         self.check(row, col)?;
         let commit = self.commit(self.phys(row), col, value);
-        if !matches!(commit, Commit::Unchanged) {
+        if commit.pulsed() {
             self.ledger.record_program(1, self.tech.program_energy, self.tech.program_latency);
         }
         if let Commit::WornOut(e) = commit {
@@ -392,22 +393,22 @@ impl Crossbar {
 
     /// The raw row-programming cycle on a *physical* row: no remap, no
     /// retirement — shared by host writes and spare-repair copies.
-    /// Stuck cells are skipped for free; returns the number of cells
-    /// whose state changed.
+    /// Charges one pulse per [`Commit::pulsed`] cell; returns the
+    /// number of cells whose state changed.
     fn program_physical_row(&mut self, row: usize, values: &BitVec) -> u64 {
-        let mut changed = 0u64;
+        let (mut changed, mut wasted) = (0u64, 0u64);
         for col in 0..self.cols {
-            if matches!(
-                self.commit(row, col, values.get(col)),
-                Commit::Flipped | Commit::WornOut(_)
-            ) {
-                changed += 1;
+            match self.commit(row, col, values.get(col)) {
+                Commit::Flipped | Commit::WornOut(_) => changed += 1,
+                Commit::Stuck { wasted: true } => wasted += 1,
+                Commit::Stuck { wasted: false } | Commit::Unchanged => {}
             }
         }
-        if changed > 0 {
+        let pulses = changed + wasted;
+        if pulses > 0 {
             self.ledger.record_program(
-                changed,
-                Joules::new(self.tech.program_energy.as_joules() * changed as f64),
+                pulses,
+                Joules::new(self.tech.program_energy.as_joules() * pulses as f64),
                 self.tech.program_latency,
             );
         }
@@ -487,8 +488,9 @@ impl Crossbar {
 
 /// What one cell write did (see [`Crossbar::commit`]).
 enum Commit {
-    /// The cell is stuck; the write was ignored.
-    Stuck,
+    /// The cell is stuck; the write was ignored. `wasted` when the
+    /// stuck value differs from the target, so the driver pulsed it.
+    Stuck { wasted: bool },
     /// The cell already held the value.
     Unchanged,
     /// The cell switched.
@@ -496,6 +498,14 @@ enum Commit {
     /// The cell switched and used up its endurance budget; it is now
     /// stuck at the new value.
     WornOut(DeviceError),
+}
+
+impl Commit {
+    /// The one write rule: a write driver without a verify read pulses
+    /// every cell whose observed value differs from the target.
+    fn pulsed(&self) -> bool {
+        !matches!(self, Commit::Unchanged | Commit::Stuck { wasted: false })
+    }
 }
 
 impl CrossbarBackend for Crossbar {
@@ -700,6 +710,31 @@ mod tests {
         assert!(or.get(3), "row 1 carries the 1");
         let and = x.scouting(ScoutingKind::And, &[0, 1]).expect("and");
         assert!(!and.get(3), "stuck row 0 kills the AND");
+    }
+
+    /// `(bits_programmed, programs)` after writing `value` into the
+    /// stuck-at-0 cell (0, 3) through `write`, which must leave the cell
+    /// reading 0 with its logical value untouched.
+    fn stuck_write_charge(value: bool, write: fn(&mut Crossbar, bool)) -> (u64, u64) {
+        let mut x = array();
+        x.faults_mut().inject_stuck_at(0, 3, false);
+        write(&mut x, value);
+        assert!(!x.get(0, 3).expect("in range"), "no state change");
+        assert!(!x.read_bit(0, 3).expect("read"), "stuck-at-0 wins");
+        (x.ledger().bits_programmed(), x.ledger().programs())
+    }
+
+    #[test]
+    fn a_stuck_cell_costs_a_pulse_only_when_the_target_differs() {
+        let bit = |x: &mut Crossbar, v: bool| x.program_bit(0, 3, v).expect("accepted");
+        let row = |x: &mut Crossbar, v: bool| {
+            let values = BitVec::from_bools(&(0..64).map(|c| v && c == 3).collect::<Vec<_>>());
+            assert_eq!(x.program_row(0, &values).expect("accepted"), 0, "nothing changed");
+        };
+        for write in [bit as fn(&mut Crossbar, bool), row] {
+            assert_eq!(stuck_write_charge(false, write), (0, 0), "stuck value: free");
+            assert_eq!(stuck_write_charge(true, write), (1, 1), "other value: one pulse");
+        }
     }
 
     #[test]
