@@ -230,8 +230,8 @@ fn faulty_crossbar_with_spares_is_pinned_bit_for_bit() {
     assert_eq!(
         got,
         (
-            0xd893_6fd5_d8a7_a447,
-            [123, 176, 312, 12827, 0, 0x3e5b_8cc6_7dbd_5cfb, 0x3eca_d1da_ccf3_7cba]
+            0x090b_8172_8cf2_dd74,
+            [123, 176, 309, 13746, 0, 0x3e5d_8600_3e33_3b94, 0x3eca_916e_204c_eb17]
         ),
         "{got:#x?}"
     );
@@ -247,8 +247,8 @@ fn banked_crossbar_with_spares_is_pinned_bit_for_bit() {
     assert_eq!(
         got,
         (
-            0xe9a5_67dc_4455_1b33,
-            [234, 616, 867, 16257, 0, 0x3e61_751c_f1d3_e561, 0x3ec9_2d5c_b7c5_48e6]
+            0x7ea2_4c4d_ab93_d7a1,
+            [234, 616, 868, 16379, 0, 0x3e61_96a5_ee72_24e7, 0x3ec9_2d5c_b7c5_48e6]
         ),
         "{got:#x?}"
     );
@@ -265,8 +265,8 @@ fn ecc_over_banked_crossbar_is_pinned_bit_for_bit() {
     assert_eq!(
         got,
         (
-            0x5e42_d1ef_5f85_2b47,
-            [1711, 0, 798, 12490, 141, 0x3e5a_d3df_77fa_d75a, 0x3ec7_b793_c262_bb9a]
+            0x196f_4510_61b4_8d88,
+            [1711, 0, 799, 12558, 141, 0x3e5a_f941_9e2d_58ea, 0x3ec7_cd0d_5144_ec26]
         ),
         "{got:#x?}"
     );
