@@ -396,15 +396,12 @@ impl Crossbar {
     /// Charges one pulse per [`Commit::pulsed`] cell; returns the
     /// number of cells whose state changed.
     fn program_physical_row(&mut self, row: usize, values: &BitVec) -> u64 {
-        let (mut changed, mut wasted) = (0u64, 0u64);
+        let (mut changed, mut pulses) = (0u64, 0u64);
         for col in 0..self.cols {
-            match self.commit(row, col, values.get(col)) {
-                Commit::Flipped | Commit::WornOut(_) => changed += 1,
-                Commit::Stuck { wasted: true } => wasted += 1,
-                Commit::Stuck { wasted: false } | Commit::Unchanged => {}
-            }
+            let commit = self.commit(row, col, values.get(col));
+            changed += u64::from(matches!(commit, Commit::Flipped | Commit::WornOut(_)));
+            pulses += u64::from(commit.pulsed());
         }
-        let pulses = changed + wasted;
         if pulses > 0 {
             self.ledger.record_program(
                 pulses,
