@@ -424,12 +424,6 @@ impl<B: CrossbarBackend> EccCrossbar<B> {
         self.uncorrectable
     }
 
-    /// Columns the protection costs on top of the data width (Hamming
-    /// parity + overall parity + any unused alignment columns).
-    pub fn overhead_cols(&self) -> usize {
-        self.inner.cols() - self.code.data_bits()
-    }
-
     /// One protected read: inner read, decode, count, extract.
     fn read_decoded(&mut self, row: usize) -> Result<BitVec, CrossbarError> {
         let mut word = self.inner.read_row(row)?;

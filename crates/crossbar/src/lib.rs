@@ -5,7 +5,7 @@
 //! of Section IV.D (Fig. 9):
 //!
 //! * [`CellTechnology`] — calibrated per-cell models for RRAM 1T1R,
-//!   8T/6T SRAM and 1T1C DRAM bit cells: layout area, bit-line
+//!   8T SRAM and 1T1C DRAM bit cells: layout area, bit-line
 //!   capacitance, discharge-path resistance, programming cost and
 //!   leakage. These constants are the *only* place where technology
 //!   numbers live; everything downstream (AP backends, MVP architecture

@@ -105,17 +105,6 @@ impl CellTechnology {
         }
     }
 
-    /// A 6T SRAM cell (cache storage baseline for the MVP model).
-    pub fn sram_6t() -> Self {
-        Self {
-            name: "SRAM-6T",
-            cell_area_f2: 160.0,
-            program_energy: Joules::from_femtojoules(100.0),
-            leakage_per_cell: Watts::new(10.0e-9),
-            ..Self::sram_8t()
-        }
-    }
-
     /// A 1T1C DRAM cell (the Micron AP substrate and the MVP DRAM model).
     pub fn dram_1t1c() -> Self {
         Self {
