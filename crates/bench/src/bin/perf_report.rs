@@ -1,5 +1,6 @@
 //! Reproducible performance report for the hot paths: AP symbol
-//! streaming, bit-line transient solves and MVP bulk bitwise queries —
+//! streaming, bit-line transient solves, single crossbar operations
+//! against their host-side control, and MVP bulk bitwise queries —
 //! the latter on both the monolithic crossbar and a 64-bank
 //! `BankedCrossbar` substrate driven through the `BatchRequest` API —
 //! plus correlation detection, the static verifier and the
@@ -11,8 +12,8 @@
 //! (`bitmap_wire`, `ap_stream_wire`, `corr_stream_wire`), which check
 //! every answer. `serve_load` is the overload and chaos instrument.
 //!
-//! Unlike the criterion benches (interactive, eyeball-level), this binary
-//! runs **fixed-seed** workloads and writes a **machine-readable** JSON
+//! This is the workspace's one in-process timing harness. It runs
+//! **fixed-seed** workloads and writes a **machine-readable** JSON
 //! report so the repository can keep a committed performance trajectory
 //! (`BENCH_ap_engine.json`) that future PRs extend and compare against.
 //!
@@ -32,7 +33,10 @@ use memcim_ap::{ApBackend, AutomataProcessor, RoutingKind};
 use memcim_automata::{rules, PatternSet, StartKind};
 use memcim_bench::json::{self, JsonValue};
 use memcim_bench::yields::{self, YieldConfig};
-use memcim_crossbar::{BitlineCircuit, CellTechnology};
+use memcim_bits::BitVec;
+use memcim_crossbar::{
+    BankedCrossbar, BitlineCircuit, CellTechnology, CrossbarBackend, CrossbarError, ScoutingKind,
+};
 use memcim_mvp::workloads::bitmap::BitmapTable;
 use memcim_mvp::{BatchRequest, MvpSimulator};
 use memcim_serve::ServeConfig;
@@ -53,6 +57,8 @@ const REQUIRED_CONFIGS: &[&str] = &[
     "software_bitparallel",
     "bitline_lumped_RRAM-AP",
     "bitline_lumped_SRAM-AP",
+    "crossbar_ops",
+    "crossbar_ops_host",
     "mvp_bitmap_query",
     "mvp_bitmap_query_banked",
     "correlation_detect",
@@ -101,7 +107,68 @@ fn measure<F: FnMut()>(
     ConfigResult { name, unit, units_per_iter, iters, wall }
 }
 
-fn run_workloads(quick: bool) -> Vec<ConfigResult> {
+/// The crossbar-op rung on `bitmap_wire`'s geometry (32 rows × 64
+/// banks × 32 columns, no faults). `crossbar_ops` runs a 2-row AND and
+/// an 8-row OR scouting gate, one row read and one row write per
+/// iteration; `crossbar_ops_host` is Fig. 3's data-movement control,
+/// the same four ops as `BitVec` work on rows already on the host. The
+/// write alternates two seeded patterns on a scratch row, so every
+/// write flips cells. Both loops assert every result against the host
+/// values, so the numbers describe a correct kernel.
+fn crossbar_ops(budget: Duration) -> Result<[ConfigResult; 2], CrossbarError> {
+    const OPERANDS: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+    const SCRATCH: usize = OPERANDS.len();
+    let mut xbar = BankedCrossbar::rram(32, 64, 32);
+    let cols = xbar.cols();
+    let mut rng = SmallRng::seed_from_u64(SEED);
+    let mut seeded =
+        || BitVec::from_bools(&(0..cols).map(|_| rng.gen_bool(0.5)).collect::<Vec<_>>());
+    let rows: Vec<BitVec> = OPERANDS.iter().map(|_| seeded()).collect();
+    let patterns = [seeded(), seeded()];
+    for (row, values) in rows.iter().enumerate() {
+        xbar.program_row(row, values)?;
+    }
+    xbar.program_row(SCRATCH, &patterns[0])?;
+    let flips = patterns[0].xor(&patterns[1]).count_ones() as u64;
+    let gates = |rows: &[BitVec]| {
+        let mut or = rows[0].clone();
+        rows[1..].iter().for_each(|r| or.or_assign(r));
+        (rows[0].and(&rows[1]), or)
+    };
+    let (and, or) = gates(&rows);
+
+    let (mut next, mut failure) = (1, None);
+    let mut op = || -> Result<(), CrossbarError> {
+        assert_eq!(xbar.scouting(ScoutingKind::And, &OPERANDS[..2])?, and, "AND ≡ host");
+        assert_eq!(xbar.scouting(ScoutingKind::Or, &OPERANDS)?, or, "OR ≡ host");
+        assert_eq!(xbar.read_row(2)?, rows[2], "read ≡ host");
+        assert_eq!(xbar.program_row(SCRATCH, &patterns[next])?, flips, "write ≡ host");
+        next ^= 1;
+        Ok(())
+    };
+    let device = measure("crossbar_ops", "op", 4, budget, || {
+        if let Err(e) = op() {
+            failure.get_or_insert(e);
+        }
+    });
+    if let Some(e) = failure {
+        return Err(e);
+    }
+
+    let (mut scratch, mut next) = (patterns[0].clone(), 1);
+    let host = measure("crossbar_ops_host", "op", 4, budget, || {
+        let (host_and, host_or) = gates(&rows);
+        assert!(host_and == and && host_or == or, "host gates");
+        assert_eq!(std::hint::black_box(rows[2].clone()), rows[2], "host read");
+        let changed = scratch.xor(&patterns[next]).count_ones() as u64;
+        scratch.clone_from(&patterns[next]);
+        assert_eq!(changed, flips, "host write");
+        next ^= 1;
+    });
+    Ok([device, host])
+}
+
+fn run_workloads(quick: bool) -> Result<Vec<ConfigResult>, CrossbarError> {
     let budget = if quick { Duration::from_millis(20) } else { Duration::from_millis(400) };
     let mut results = Vec::new();
 
@@ -178,6 +245,9 @@ fn run_workloads(quick: bool) -> Vec<ConfigResult> {
             );
         }));
     }
+
+    // --- Single crossbar operations and their host control ------------
+    results.extend(crossbar_ops(budget)?);
 
     // --- MVP bulk bitwise query ----------------------------------------
     let records = if quick { 2_048 } else { 16_384 };
@@ -308,7 +378,7 @@ fn run_workloads(quick: bool) -> Vec<ConfigResult> {
         std::hint::black_box(yields::run_point(&yield_cfg, 0.005, 1_000_000, SEED));
     }));
 
-    results
+    Ok(results)
 }
 
 fn render_report(results: &[ConfigResult], quick: bool, baseline: Option<&str>) -> String {
@@ -441,7 +511,13 @@ fn main() {
         text
     });
 
-    let results = run_workloads(quick);
+    let results = match run_workloads(quick) {
+        Ok(results) => results,
+        Err(e) => {
+            eprintln!("perf_report: a workload failed: {e}");
+            std::process::exit(1);
+        }
+    };
     println!(
         "{}",
         memcim_bench::table(
@@ -504,10 +580,19 @@ mod tests {
 
     #[test]
     fn the_new_pr10_configs_are_required() {
-        assert!(
-            REQUIRED_CONFIGS.contains(&"ap_multistream"),
-            "ap_multistream must be in the --check contract"
-        );
+        for name in ["ap_multistream", "crossbar_ops", "crossbar_ops_host"] {
+            assert!(REQUIRED_CONFIGS.contains(&name), "{name} must be in the --check contract");
+        }
+    }
+
+    #[test]
+    fn the_crossbar_rung_agrees_with_its_host_control() {
+        // A tiny budget still runs the warm-up and one timed iteration
+        // of each loop, so every crossbar ≡ host assert fires.
+        let [device, host] = crossbar_ops(Duration::from_micros(1)).expect("rung runs");
+        assert_eq!((device.name, host.name), ("crossbar_ops", "crossbar_ops_host"));
+        assert!(device.iters >= 1 && host.iters >= 1);
+        assert_eq!((device.unit, device.units_per_iter), ("op", 4));
     }
 
     #[test]
