@@ -4,8 +4,9 @@
 //! computational biology \[23\] and data mining \[24\]. Real rule sets and
 //! genomes are licensing-gated, so this module generates *synthetic*
 //! equivalents that exercise the same structures: unioned NFAs with high
-//! fan-out, dense symbol classes, and inputs with planted true positives
-//! (the substitution is documented in `DESIGN.md`).
+//! fan-out, dense symbol classes, and inputs with planted true positives.
+//! Only the data is substituted: planting the positives makes every
+//! expected match known to the tests.
 
 use crate::{AutomataError, HomogeneousAutomaton, Nfa, Regex, StateId};
 use rand::Rng;

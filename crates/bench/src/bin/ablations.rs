@@ -1,4 +1,4 @@
-//! Ablation studies for the design decisions D1–D5 of DESIGN.md.
+//! Ablation studies for five modelling choices, D1–D5:
 //!
 //! D1 window functions · D2 scouting reference margins under
 //! variability · D3 dense vs hierarchical routing · D4 integrator

@@ -1,8 +1,8 @@
 //! Shared table-rendering helpers for the figure-regeneration binaries.
 //!
 //! Each binary in `src/bin/` regenerates one figure (or headline number)
-//! of the paper; see the experiment index in `DESIGN.md` and the
-//! paper-vs-measured record in `EXPERIMENTS.md`. The [`json`] module
+//! of the paper; the Paper → code table of `ARCHITECTURE.md` maps each
+//! figure to its binary and to the test that pins it. The [`json`] module
 //! backs the machine-readable reports written by the `perf_report`
 //! binary.
 

@@ -6,7 +6,9 @@
 //! *simultaneously*: a scouting operation issues to every bank in the
 //! same memory cycle, so latency is one bank cycle while energy is the
 //! sum over banks. This is the structure behind the MVP model's
-//! "massively parallel in-memory op" cost assumption (DESIGN.md §2).
+//! "massively parallel in-memory op" cost assumption (the "2 GB crossbar
+//! = millions of subarrays" row of `ARCHITECTURE.md`'s Paper → code
+//! table).
 //!
 //! Striping a logical row into per-bank slices and gathering per-bank
 //! results back into a logical row are word-parallel

@@ -25,8 +25,8 @@ const K_B_EV: f64 = 8.617_333e-5;
 /// 100 MΩ decade, matching the two-state projection the paper simulates
 /// ("high and low resistances are approximately 100 MΩ and 1 kΩ"), and so
 /// that a 1.3 V SET pulse completes in ~10 ns. Local filament heating is
-/// not modelled (temperature is held at `temperature`); this simplification
-/// is recorded in DESIGN.md.
+/// not modelled: temperature is held at `temperature` for the whole
+/// simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StanfordParams {
     /// Minimum tunnelling gap (fully ON), metres.

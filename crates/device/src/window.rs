@@ -3,8 +3,8 @@
 //! A window function `f(x)` multiplies the state derivative of a drift
 //! model to keep the normalized state `x ∈ \[0, 1\]` inside its physical
 //! bounds and to model the nonlinear dopant drift near the electrodes.
-//! The choice of window is design decision **D1** in `DESIGN.md` and is
-//! exercised by the window-function ablation bench.
+//! The choice of window is ablation **D1** of the `ablations` binary,
+//! which compares the hysteresis lobe area each window produces.
 
 /// Window function selection for [`crate::LinearIonDrift`].
 #[derive(Debug, Clone, Copy, PartialEq)]

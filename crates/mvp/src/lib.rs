@@ -32,7 +32,7 @@
 //!   fraction `%Acc = 0.7`, over the paper's three metrics: `ηPE`
 //!   (MOPs/mW), `ηE` (pJ/op) and `ηPA` (MOPs/mm²).
 //!
-//! The analytical model's key interpretation (documented in DESIGN.md):
+//! The analytical model's key interpretation:
 //! the offloaded 70 % is "the part of the program which is memory
 //! intensive", so the residual 30 % is ALU + L1-resident work, while the
 //! multicore baseline serves *all* traffic through the full hierarchy

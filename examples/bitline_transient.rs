@@ -30,6 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!("\npaper targets: RRAM 104 ps / 2.09 fJ, SRAM 161 ps / 5.16 fJ (HSPICE, 32 nm PTM)");
-    println!("see EXPERIMENTS.md for the paper-vs-measured discussion");
+    println!(
+        "absolute transients run ~35 % above the paper (a level-1 MOSFET stands in for PTM); \
+         the RRAM/SRAM delay and energy ratios are the paper's claims"
+    );
     Ok(())
 }

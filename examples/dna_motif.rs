@@ -12,8 +12,8 @@ use rand::SeedableRng;
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let mut rng = SmallRng::seed_from_u64(42);
 
-    // A synthetic genome with planted motifs (the data substitution
-    // documented in DESIGN.md).
+    // A synthetic genome with planted motifs, standing in for a real
+    // genome so every expected match is known.
     let mut genome = dna::random_genome(&mut rng, 50_000);
     let motifs = ["ACGTRYN", "TTAGGGN", "GATTACA"];
     let plant_sites = [1_000usize, 10_000, 25_000, 49_000];

@@ -25,8 +25,8 @@ fn analytic_model_hits_paper_targets_within_five_percent() {
 
 #[test]
 fn transient_preserves_the_papers_ratios() {
-    // Absolute transient numbers run ~35 % above the paper (level-1
-    // MOSFET nonlinearity vs PTM; see EXPERIMENTS.md) — but the paper's
+    // Absolute transient numbers run ~35 % above the paper (a level-1
+    // MOSFET model stands in for the 32 nm PTM cards) — but the paper's
     // *claims* are the ratios: 35 % less delay, 59 % less energy.
     let rram = BitlineCircuit::lumped(CellTechnology::rram_1t1r(), 256).run().expect("rram");
     let sram = BitlineCircuit::lumped(CellTechnology::sram_8t(), 256).run().expect("sram");
