@@ -69,7 +69,9 @@ impl OpLedger {
         self.programs
     }
 
-    /// Total cells actually re-programmed (state changes only).
+    /// Total programming pulses: one per written cell whose observed
+    /// value differed from the target, including the wasted pulse a
+    /// stuck cell takes without switching.
     pub fn bits_programmed(&self) -> u64 {
         self.bits_programmed
     }
