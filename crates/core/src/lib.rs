@@ -47,7 +47,7 @@
 //! mvp.run_program(&[
 //!     Instruction::Store { row: 0, data: BitVec::from_indices(256, &[1, 5]) },
 //!     Instruction::Store { row: 1, data: BitVec::from_indices(256, &[5, 9]) },
-//!     Instruction::And { srcs: vec![0, 1], dst: 2 },
+//!     Instruction::And { srcs: vec![0, 1], dst: Some(2) },
 //! ])?;
 //! # Ok(())
 //! # }

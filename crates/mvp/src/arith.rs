@@ -86,11 +86,11 @@ pub fn add_bit_planes(
         let mut outputs = mvp.run_program(&[
             Instruction::Store { row: RA, data: plane_a.clone() },
             Instruction::Store { row: RB, data: plane_b.clone() },
-            Instruction::Xor { a: RA, b: RB, dst: RT },
-            Instruction::Xor { a: RT, b: c_in, dst: RS },
-            Instruction::And { srcs: vec![RA, RB], dst: RG },
-            Instruction::And { srcs: vec![c_in, RT], dst: RP },
-            Instruction::Or { srcs: vec![RG, RP], dst: c_out },
+            Instruction::Xor { a: RA, b: RB, dst: Some(RT) },
+            Instruction::Xor { a: RT, b: c_in, dst: Some(RS) },
+            Instruction::And { srcs: vec![RA, RB], dst: Some(RG) },
+            Instruction::And { srcs: vec![c_in, RT], dst: Some(RP) },
+            Instruction::Or { srcs: vec![RG, RP], dst: Some(c_out) },
             Instruction::Read { row: RS },
         ])?;
         sums.push(outputs.pop().expect("read emits one vector"));

@@ -7,7 +7,7 @@
 //! crossbar. [`BatchRequest`] collects independent [`Instruction`]
 //! programs; [`MvpSimulator::run_batch`] executes them back-to-back on
 //! the simulator's backend and returns a [`BatchReport`] with every
-//! program's `Read` outputs plus the ledger delta the batch actually
+//! program's outputs plus the ledger delta the batch actually
 //! cost (computed via [`OpLedger::delta_since`], so a reused simulator
 //! reports only the batch's own activity).
 
@@ -30,7 +30,7 @@ use memcim_crossbar::{CrossbarBackend, OpLedger};
 ///     batch.push(vec![
 ///         Instruction::Store { row: 0, data: BitVec::from_indices(64, &[shift]) },
 ///         Instruction::Store { row: 1, data: BitVec::from_indices(64, &[shift, shift + 1]) },
-///         Instruction::Or { srcs: vec![0, 1], dst: 2 },
+///         Instruction::Or { srcs: vec![0, 1], dst: Some(2) },
 ///         Instruction::Read { row: 2 },
 ///     ]);
 /// }
@@ -86,7 +86,8 @@ impl BatchRequest {
 /// the aggregate activity the batch cost.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
-    /// `outputs[i]` holds program `i`'s `Read` results in program order.
+    /// `outputs[i]` holds program `i`'s outputs (its `Read`s and sensed
+    /// gates) in program order.
     pub outputs: Vec<Vec<BitVec>>,
     /// Ledger delta over the whole batch (banked backends: energy/ops
     /// summed over banks, busy time max-over-banks).
@@ -102,7 +103,7 @@ impl BatchReport {
 
 impl<B: CrossbarBackend> MvpSimulator<B> {
     /// Executes every program of `batch` in order on this simulator's
-    /// backend, returning all `Read` outputs and the aggregate ledger
+    /// backend, returning all outputs and the aggregate ledger
     /// delta. Programs are independent requests: each may freely reuse
     /// the rows of its predecessors.
     ///
@@ -163,7 +164,7 @@ mod tests {
         vec![
             Instruction::Store { row: 0, data: BitVec::from_indices(width, &[shift, shift + 8]) },
             Instruction::Store { row: 1, data: BitVec::from_indices(width, &[shift]) },
-            Instruction::And { srcs: vec![0, 1], dst: 2 },
+            Instruction::And { srcs: vec![0, 1], dst: Some(2) },
             Instruction::Read { row: 2 },
         ]
     }

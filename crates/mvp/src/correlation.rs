@@ -18,9 +18,10 @@
 //! width-aware: after `k` streams the count fits `planes_for(k)` planes,
 //! so a stream only ripples through those and a carry is formed only
 //! where the sum can reach the next plane. Then each stream's
-//! contribution is masked out with one scouting `AND` per plane and read
-//! back, so the host only pops counters — it never sees the raw time
-//! series twice.
+//! contribution is masked out with one sensed `AND` per plane: the
+//! scouting result goes straight from the sense amplifiers to the host,
+//! with no write-back and no read, so the host only pops counters — it
+//! never sees the raw time series twice.
 //!
 //! The plan is row-aware. [`rows_needed`] is the minimum, and on it the
 //! plan is the plain ripple above. Spare rows make it cheaper with the
@@ -28,7 +29,7 @@
 //! streams enter the popcount two at a time and share one ripple, and
 //! every further one holds a scored stream resident, so that stream is
 //! stored once per window instead of once per phase. A served 32-row
-//! engine runs a 24-stream window in 386 instructions instead of 447.
+//! engine runs a 24-stream window in 266 instructions instead of 327.
 //! The instruction sequence depends only on the stream count, the
 //! scored range, the engine width and its rows, never on window bits.
 //!
@@ -63,7 +64,7 @@ pub fn planes_for(streams: usize) -> usize {
 ///
 /// - row 0 stages one stream's window;
 /// - rows `1..1 + 2·planes` hold two rows per activity plane: one holds
-///   the plane's value, the other takes its next update or a mask;
+///   the plane's value, the other takes its next update;
 /// - the last two rows alternate as ripple carries.
 ///
 /// A plan for more rows puts them after these
@@ -397,7 +398,7 @@ impl CorrelationAccumulator {
     /// [`shard_feed_plan_with_rows`](Self::shard_feed_plan_with_rows)
     /// on exactly [`rows_needed`]`(streams)` rows, so it runs on any
     /// engine that fits the streams. For 24 streams the monolithic plan
-    /// is 447 instructions.
+    /// is 327 instructions.
     ///
     /// # Errors
     ///
@@ -414,7 +415,7 @@ impl CorrelationAccumulator {
 
     /// The shard-local feed program for an engine of `rows` rows:
     /// rebuilds the *global* activity planes from the full window, but
-    /// masks and reads only the streams in `range`. Applying every
+    /// masks only the streams in `range`. Applying every
     /// shard of a [`ShardMap`](crate::ShardMap) over the streams
     /// reproduces the monolithic scores exactly.
     ///
@@ -423,7 +424,8 @@ impl CorrelationAccumulator {
     /// into plane 0, stream `k` ripples through the `planes_for(k)` live
     /// planes, and a carry out of the top live plane is ANDed straight
     /// into the new plane's row. Phase 2 masks each scored stream with
-    /// one `AND` per plane into that plane's idle row and reads it.
+    /// one sensed `AND` (`dst: None`) per plane, whose result is an
+    /// output of the program: no write-back and no `Read`.
     ///
     /// Rows beyond [`rows_needed`]`(streams)` make the plan cheaper:
     ///
@@ -438,13 +440,14 @@ impl CorrelationAccumulator {
     ///   second store. A resident stream 0 serves as plane 0's first
     ///   value.
     ///
-    /// On 32 rows the 24-stream monolithic plan is 386 instructions
-    /// (447 on the 13-row minimum). On the minimum, or one row more,
+    /// On 32 rows the 24-stream monolithic plan is 266 instructions
+    /// (327 on the 13-row minimum). On the minimum, or one row more,
     /// the plan is the plain ripple above.
     ///
     /// The program uses at most `rows` rows, writes every row before
     /// reading it (stale engine contents never leak in), and emits
-    /// `range.len() × planes` `Read`s, in `(stream, plane)` order. Its
+    /// `range.len() × planes` sensed ANDs and no `Read`, in
+    /// `(stream, plane)` order. Its
     /// instruction sequence depends only on the stream count, `range`,
     /// `width` and `rows`.
     ///
@@ -517,24 +520,21 @@ impl CorrelationAccumulator {
             }
         }
         // Phase 2: mask each scored stream against every activity plane
-        // into that plane's idle row and read the co-activation columns
-        // back. High planes are mostly zero, so consecutive masks of one
-        // plane often match and rewriting them flips few cells.
+        // with a sensed AND, so the co-activation columns go straight
+        // from the sense amplifiers to the host: no write-back, no read.
         for i in range {
             let x = match home(i) {
                 Some(row) => row,
                 None => stage(&mut plan, i, r_x)?,
             };
             for b in 0..self.planes {
-                let mask = plan.idle(b);
-                plan.program.push(Instruction::And { srcs: vec![x, plan.val[b]], dst: mask });
-                plan.program.push(Instruction::Read { row: mask });
+                plan.program.push(Instruction::And { srcs: vec![x, plan.val[b]], dst: None });
             }
         }
         Ok(plan.program)
     }
 
-    /// Folds the `Read` outputs of a feed program for stream `range`
+    /// Folds the outputs of a feed program for stream `range`
     /// into the scores: `Δscore(i) = Σ_b 2^b · popcount(outputs[i][b])`.
     ///
     /// # Errors
@@ -680,11 +680,11 @@ impl PlaneRows {
         for b in from..live {
             let old = self.val[b];
             self.val[b] = self.idle(b);
-            self.program.push(Instruction::Xor { a: old, b: carry, dst: self.val[b] });
+            self.program.push(Instruction::Xor { a: old, b: carry, dst: Some(self.val[b]) });
             if b + 1 < next {
                 // A carry out of the top live plane opens a new plane.
                 let dst = if b + 1 == live { self.val[b + 1] } else { carries[b % 2] };
-                self.program.push(Instruction::And { srcs: vec![old, carry], dst });
+                self.program.push(Instruction::And { srcs: vec![old, carry], dst: Some(dst) });
                 carry = dst;
             }
         }
@@ -698,16 +698,16 @@ impl PlaneRows {
         let p0 = self.val[0];
         self.val[0] = self.idle(0);
         self.program.extend([
-            Instruction::Xor { a, b, dst: r_s },
-            Instruction::Xor { a: p0, b: r_s, dst: self.val[0] },
-            Instruction::And { srcs: vec![p0, r_s], dst: k0 },
-            Instruction::And { srcs: vec![a, b], dst: c },
+            Instruction::Xor { a, b, dst: Some(r_s) },
+            Instruction::Xor { a: p0, b: r_s, dst: Some(self.val[0]) },
+            Instruction::And { srcs: vec![p0, r_s], dst: Some(k0) },
+            Instruction::And { srcs: vec![a, b], dst: Some(c) },
         ]);
         // `c` implies `a⊕b = 0`, so `c` and `k0` are disjoint and
         // `c ∨ k0` is the whole carry into plane 1. With one live plane
         // it opens plane 1 directly.
         let d = if live == 1 { self.val[1] } else { r_s };
-        self.program.push(Instruction::Or { srcs: vec![c, k0], dst: d });
+        self.program.push(Instruction::Or { srcs: vec![c, k0], dst: Some(d) });
         self.ripple(d, 1, live, next);
     }
 }
@@ -925,28 +925,29 @@ mod tests {
         let window = streams.window(0..64).expect("slice");
         let plan = acc.feed_plan(&window, 64).expect("plan");
         let count = |f: fn(&Instruction) -> bool| plan.iter().filter(|i| f(i)).count();
-        assert_eq!(plan.len(), 447);
+        assert_eq!(plan.len(), 327);
         assert_eq!(count(|i| matches!(i, Instruction::Store { .. })), 48);
         assert_eq!(count(|i| matches!(i, Instruction::Xor { .. })), 89);
         assert_eq!(count(|i| matches!(i, Instruction::And { .. })), 190);
-        assert_eq!(count(|i| matches!(i, Instruction::Read { .. })), 120);
+        assert_eq!(count(|i| matches!(i, Instruction::Read { .. })), 0);
         let shard = acc.shard_feed_plan(&window, 0..12, 64).expect("shard plan");
-        assert_eq!(shard.len(), 315);
+        assert_eq!(shard.len(), 255);
 
         // On 32 rows: the pair stage and 17 resident streams.
         let wide = acc.shard_feed_plan_with_rows(&window, 0..24, 64, 32).expect("plan");
         let count = |f: fn(&Instruction) -> bool| wide.iter().filter(|i| f(i)).count();
-        assert_eq!(wide.len(), 386);
+        assert_eq!(wide.len(), 266);
         assert_eq!(count(|i| matches!(i, Instruction::Store { .. })), 31);
         assert_eq!(count(|i| matches!(i, Instruction::Xor { .. })), 56);
         assert_eq!(count(|i| matches!(i, Instruction::And { .. })), 168);
         assert_eq!(count(|i| matches!(i, Instruction::Or { .. })), 11);
-        assert_eq!(count(|i| matches!(i, Instruction::Read { .. })), 120);
+        assert_eq!(count(|i| matches!(i, Instruction::Read { .. })), 0);
         // Phase 1 is 139 instructions and stores every stream once.
-        // Phase 2 opens with resident stream 0's first mask and read,
-        // and re-stores only the 7 streams without a resident row.
-        let first_read = wide.iter().position(|i| matches!(i, Instruction::Read { .. }));
-        assert_eq!(first_read, Some(139 + 1));
+        // Phase 2 opens with resident stream 0's first sensed mask, and
+        // re-stores only the 7 streams without a resident row.
+        let sensed = |i: &Instruction| matches!(i, Instruction::And { dst: None, .. });
+        assert_eq!(wide.iter().filter(|i| sensed(i)).count(), 120);
+        assert_eq!(wide.iter().position(sensed), Some(139));
         let (phase1, phase2) = wide.split_at(139);
         let stores = |part: &[Instruction]| {
             part.iter().filter(|i| matches!(i, Instruction::Store { .. })).count()
@@ -954,7 +955,7 @@ mod tests {
         assert_eq!((stores(phase1), stores(phase2)), (24, 7));
         // Every scored stream of a 12-stream shard is resident.
         let wide_shard = acc.shard_feed_plan_with_rows(&window, 0..12, 64, 32).expect("plan");
-        assert_eq!(wide_shard.len(), 259);
+        assert_eq!(wide_shard.len(), 199);
         let other = streams.window(300..364).expect("slice");
         assert_ne!(window, other, "the two windows differ");
         let again = acc.feed_plan(&other, 64).expect("plan");

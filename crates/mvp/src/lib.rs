@@ -50,7 +50,7 @@
 //! let program = vec![
 //!     Instruction::Store { row: 0, data: BitVec::from_indices(128, &[1, 2, 3]) },
 //!     Instruction::Store { row: 1, data: BitVec::from_indices(128, &[2, 3, 4]) },
-//!     Instruction::And { srcs: vec![0, 1], dst: 2 },
+//!     Instruction::And { srcs: vec![0, 1], dst: Some(2) },
 //!     Instruction::Read { row: 2 },
 //! ];
 //! let outputs = mvp.run_program(&program)?;

@@ -11,9 +11,9 @@
 //! slicing arithmetic here means both layers and the tests agree on the
 //! same ranges by construction.
 //!
-//! Shard-local *programs* (the per-shard `Store`/`Or`/`And`/`Read`
-//! sequences) are produced by the workloads themselves — see
-//! [`bitmap::BitmapTable::shard_query_plan`] and
+//! Shard-local *programs* (the per-shard `Store`/`Or`/`And` sequences,
+//! ending in a sensed gate) are produced by the workloads themselves —
+//! see [`bitmap::BitmapTable::shard_query_plan`] and
 //! [`kmer::ShiftedBaseIndex::shard_find_plan`] — because only the
 //! workload knows how to slice its own bitmaps. The contract tying it
 //! together is differential: for any map, OR-stitching the shard

@@ -14,8 +14,9 @@ use memcim_crossbar::{BankedCrossbar, Crossbar, CrossbarBackend, OpLedger, Scout
 /// accounting differs (banked: energy sums over banks, wall clock is the
 /// slowest bank).
 ///
-/// Results of `Read` instructions are returned in program order; every
-/// in-memory operation is costed through the backend's [`OpLedger`].
+/// Results of `Read` instructions and sensed gates (`dst: None`) are
+/// returned in program order; every in-memory operation is costed
+/// through the backend's [`OpLedger`].
 /// See the [crate-level example](crate).
 #[derive(Debug)]
 pub struct MvpSimulator<B: CrossbarBackend = Crossbar> {
@@ -63,7 +64,7 @@ impl MvpSimulator<BankedCrossbar> {
     /// let program = vec![
     ///     Instruction::Store { row: 0, data: BitVec::from_indices(128, &[31, 32, 100]) },
     ///     Instruction::Store { row: 1, data: BitVec::from_indices(128, &[32, 100, 127]) },
-    ///     Instruction::And { srcs: vec![0, 1], dst: 2 },
+    ///     Instruction::And { srcs: vec![0, 1], dst: Some(2) },
     ///     Instruction::Read { row: 2 },
     /// ];
     /// let out = banked.run_program(&program)?;
@@ -105,8 +106,9 @@ impl<B: CrossbarBackend> MvpSimulator<B> {
         &mut self.xbar
     }
 
-    /// Executes a program, returning the outputs of `Read` instructions
-    /// in order.
+    /// Executes a program, returning its outputs in program order: one
+    /// per `Read` and one per sensed gate (an `Or`, `And` or `Xor` with
+    /// `dst: None`, whose scouting result is not written back).
     ///
     /// # Errors
     ///
@@ -123,13 +125,13 @@ impl<B: CrossbarBackend> MvpSimulator<B> {
                     self.xbar.program_row(*row, data)?;
                 }
                 Instruction::Or { srcs, dst } => {
-                    self.xbar.scouting_write(ScoutingKind::Or, srcs, *dst)?;
+                    self.gate(ScoutingKind::Or, srcs, *dst, &mut outputs)?;
                 }
                 Instruction::And { srcs, dst } => {
-                    self.xbar.scouting_write(ScoutingKind::And, srcs, *dst)?;
+                    self.gate(ScoutingKind::And, srcs, *dst, &mut outputs)?;
                 }
                 Instruction::Xor { a, b, dst } => {
-                    self.xbar.scouting_write(ScoutingKind::Xor, &[*a, *b], *dst)?;
+                    self.gate(ScoutingKind::Xor, &[*a, *b], *dst, &mut outputs)?;
                 }
                 Instruction::Read { row } => {
                     outputs.push(self.xbar.read_row(*row)?);
@@ -137,6 +139,24 @@ impl<B: CrossbarBackend> MvpSimulator<B> {
             }
         }
         Ok(outputs)
+    }
+
+    /// One scouting gate: written back to `dst`, or, for a sensed gate,
+    /// appended to `outputs` with no write-back.
+    fn gate(
+        &mut self,
+        kind: ScoutingKind,
+        rows: &[usize],
+        dst: Option<usize>,
+        outputs: &mut Vec<BitVec>,
+    ) -> Result<(), MvpError> {
+        match dst {
+            Some(dst) => {
+                self.xbar.scouting_write(kind, rows, dst)?;
+            }
+            None => outputs.push(self.xbar.scouting(kind, rows)?),
+        }
+        Ok(())
     }
 }
 
@@ -158,9 +178,9 @@ mod tests {
             store(1, &[2, 3, 4]),
             store(2, &[5, 6]),
             store(3, &[6, 7]),
-            Instruction::And { srcs: vec![0, 1], dst: 8 },
-            Instruction::Xor { a: 2, b: 3, dst: 9 },
-            Instruction::Or { srcs: vec![8, 9], dst: 10 },
+            Instruction::And { srcs: vec![0, 1], dst: Some(8) },
+            Instruction::Xor { a: 2, b: 3, dst: Some(9) },
+            Instruction::Or { srcs: vec![8, 9], dst: Some(10) },
             Instruction::Read { row: 10 },
         ];
         let out = mvp.run_program(&program).expect("runs");
@@ -176,7 +196,7 @@ mod tests {
         let program = vec![
             store(0, &[0, 31, 32, 63, 64, 127]),
             store(1, &[31, 32, 100]),
-            Instruction::And { srcs: vec![0, 1], dst: 2 },
+            Instruction::And { srcs: vec![0, 1], dst: Some(2) },
             Instruction::Read { row: 2 },
         ];
         let out_mono = mono.run_program(&program).expect("mono");
@@ -194,7 +214,7 @@ mod tests {
         let program = vec![
             store(0, &[0]),
             store(1, &[1]),
-            Instruction::Or { srcs: vec![0, 1], dst: 2 },
+            Instruction::Or { srcs: vec![0, 1], dst: Some(2) },
             Instruction::Read { row: 2 },
         ];
         mvp.run_program(&program).expect("runs");
@@ -212,14 +232,14 @@ mod tests {
                 Instruction::Store { row: 0, data: BitVec::new(63) },
                 Violation::StoreWidth { got: 63, width: 64 },
             ),
-            (Instruction::Or { srcs: vec![0], dst: 2 }, Violation::ScoutingArity { got: 1 }),
+            (Instruction::Or { srcs: vec![0], dst: Some(2) }, Violation::ScoutingArity { got: 1 }),
             (
-                Instruction::And { srcs: vec![0, 1], dst: 1 },
+                Instruction::And { srcs: vec![0, 1], dst: Some(1) },
                 Violation::DestAliasesSource { dst: 1 },
             ),
-            (Instruction::Xor { a: 3, b: 3, dst: 4 }, Violation::XorOperandsEqual { row: 3 }),
+            (Instruction::Xor { a: 3, b: 3, dst: Some(4) }, Violation::XorOperandsEqual { row: 3 }),
             (
-                Instruction::Or { srcs: vec![0, 1, 0], dst: 2 },
+                Instruction::Or { srcs: vec![0, 1, 0], dst: Some(2) },
                 Violation::DuplicateSources { row: 0 },
             ),
         ];
@@ -238,7 +258,7 @@ mod tests {
     fn multi_way_or_collapses_many_rows_in_one_op() {
         let mut mvp = MvpSimulator::new(16, 128);
         let mut program: Vec<Instruction> = (0..8).map(|r| store(r, &[r * 4, r * 4 + 1])).collect();
-        program.push(Instruction::Or { srcs: (0..8).collect(), dst: 9 });
+        program.push(Instruction::Or { srcs: (0..8).collect(), dst: Some(9) });
         program.push(Instruction::Read { row: 9 });
         let out = mvp.run_program(&program).expect("runs");
         assert_eq!(out[0].count_ones(), 16);

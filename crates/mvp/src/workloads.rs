@@ -95,9 +95,10 @@ pub mod bitmap {
         /// The macro-instruction program for one query — the unit that
         /// [`query_mvp`](Self::query_mvp) executes and that a
         /// [`BatchRequest`](crate::BatchRequest) can aggregate many of.
-        /// The program ends with a `Read` of the result row.
+        /// The program ends with a sensed `AND`: the result goes to the
+        /// host straight off the sense amplifiers, never to a row.
         ///
-        /// Row layout: `[set1 bitmaps…][set2 bitmaps…][tmp1][tmp2][out]`.
+        /// Row layout: `[set1 bitmaps…][set2 bitmaps…][tmp1][tmp2]`.
         pub fn query_plan(&self, set1: &[u8], set2: &[u8]) -> Vec<Instruction> {
             self.plan(set1, set2, 0..self.rows, self.rows)
         }
@@ -105,12 +106,12 @@ pub mod bitmap {
         /// The shard-local program for records `range` of the same
         /// query, padded to an engine of `width` columns.
         ///
-        /// The program has the same `[set1…][set2…][tmp1][tmp2][out]`
-        /// shape as [`query_plan`](Self::query_plan), but every stored
+        /// The program has the same `[set1…][set2…][tmp1][tmp2]` shape
+        /// as [`query_plan`](Self::query_plan), but every stored
         /// bitmap carries only the records in `range` (in its low
         /// `range.len()` bits, zero-padded above). Executing one such
         /// program per shard of a [`ShardMap`](crate::ShardMap) and
-        /// stitching the `Read` outputs reproduces the unsharded answer
+        /// stitching the outputs reproduces the unsharded answer
         /// bit for bit — the differential contract the serve layer's
         /// scatter-gather path is tested against.
         ///
@@ -146,7 +147,7 @@ pub mod bitmap {
 
         /// The query program over records `range`, each stored bitmap
         /// `width` bits wide. Row layout:
-        /// `[set1 bitmaps…][set2 bitmaps…][tmp1][tmp2][out]`.
+        /// `[set1 bitmaps…][set2 bitmaps…][tmp1][tmp2]`.
         fn plan(
             &self,
             set1: &[u8],
@@ -174,22 +175,21 @@ pub mod bitmap {
                 rows2.push(row);
                 row += 1;
             }
-            let (tmp1, tmp2, out) = (row, row + 1, row + 2);
+            let (tmp1, tmp2) = (row, row + 1);
             // Single-value sets need no OR reduction.
             let lhs = if rows1.len() == 1 {
                 rows1[0]
             } else {
-                program.push(Instruction::Or { srcs: rows1, dst: tmp1 });
+                program.push(Instruction::Or { srcs: rows1, dst: Some(tmp1) });
                 tmp1
             };
             let rhs = if rows2.len() == 1 {
                 rows2[0]
             } else {
-                program.push(Instruction::Or { srcs: rows2, dst: tmp2 });
+                program.push(Instruction::Or { srcs: rows2, dst: Some(tmp2) });
                 tmp2
             };
-            program.push(Instruction::And { srcs: vec![lhs, rhs], dst: out });
-            program.push(Instruction::Read { row: out });
+            program.push(Instruction::And { srcs: vec![lhs, rhs], dst: None });
             program
         }
 
@@ -207,7 +207,7 @@ pub mod bitmap {
             set2: &[u8],
         ) -> Result<BitVec, MvpError> {
             let mut outputs = mvp.run_program(&self.query_plan(set1, set2))?;
-            Ok(outputs.pop().expect("program ends with a read"))
+            Ok(outputs.pop().expect("program ends with a sensed gate"))
         }
 
         /// Value cardinality per column.
@@ -313,7 +313,7 @@ pub mod kmer {
         }
 
         /// MVP execution: stores the k relevant layers and AND-reduces
-        /// them in one scouting operation.
+        /// them in one sensed scouting operation.
         ///
         /// # Errors
         ///
@@ -326,14 +326,14 @@ pub mod kmer {
         ) -> Result<BitVec, MvpError> {
             let program = self.shard_find_plan(kmer, 0..self.len, self.len)?;
             let mut outputs = mvp.run_program(&program)?;
-            Ok(outputs.pop().expect("program ends with a read"))
+            Ok(outputs.pop().expect("program ends with a sensed gate"))
         }
 
         /// The shard-local program testing only candidate positions
         /// `range`, padded to an engine of `width` columns — the k-mer
         /// counterpart of
         /// [`BitmapTable::shard_query_plan`](super::bitmap::BitmapTable::shard_query_plan).
-        /// Stitching the per-shard `Read` outputs over a
+        /// Stitching the per-shard outputs over a
         /// [`ShardMap`](crate::ShardMap) of [`positions`](Self::positions)
         /// reproduces [`find_reference`](Self::find_reference) bit for
         /// bit.
@@ -357,9 +357,7 @@ pub mod kmer {
                     data: crate::sharded::slice_to_width(layer, range.clone(), width)?,
                 });
             }
-            let dst = self.k;
-            program.push(Instruction::And { srcs: (0..self.k).collect(), dst });
-            program.push(Instruction::Read { row: dst });
+            program.push(Instruction::And { srcs: (0..self.k).collect(), dst: None });
             Ok(program)
         }
     }
@@ -486,11 +484,9 @@ pub mod bfs {
                         program
                             .push(Instruction::Store { row: i, data: self.adjacency[v].clone() });
                     }
-                    let dst = chunk.len();
-                    program.push(Instruction::Or { srcs: (0..chunk.len()).collect(), dst });
-                    program.push(Instruction::Read { row: dst });
+                    program.push(Instruction::Or { srcs: (0..chunk.len()).collect(), dst: None });
                     let mut outputs = mvp.run_program(&program)?;
-                    reached.or_assign(&outputs.pop().expect("read output"));
+                    reached.or_assign(&outputs.pop().expect("sensed output"));
                 }
                 let mut next = Vec::new();
                 for u in reached.ones() {

@@ -63,8 +63,8 @@ pub enum Job {
 /// it; the tenant's ledger is billed exactly this job's delta, once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MvpOutput {
-    /// `outputs[i]` holds the `Read` results of this job's `i`-th
-    /// program, in program order (a [`Job::MvpProgram`] has exactly one
+    /// `outputs[i]` holds the outputs (`Read`s and sensed gates) of this
+    /// job's `i`-th program, in program order (a [`Job::MvpProgram`] has exactly one
     /// entry).
     pub outputs: Vec<Vec<BitVec>>,
     /// Programs the job's batch executed.
@@ -223,7 +223,7 @@ pub struct ShardedTicket {
 pub struct ShardPartial {
     /// The shard this partial covers.
     pub shard: usize,
-    /// The shard-local program's `Read` outputs, in program order.
+    /// The shard-local program's outputs, in program order.
     pub outputs: Vec<BitVec>,
 }
 

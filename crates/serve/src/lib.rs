@@ -95,7 +95,7 @@
 //!     Job::MvpProgram(vec![
 //!         Instruction::Store { row: 0, data: BitVec::from_indices(width, &[1, 5]) },
 //!         Instruction::Store { row: 1, data: BitVec::from_indices(width, &[5, 9]) },
-//!         Instruction::And { srcs: vec![0, 1], dst: 2 },
+//!         Instruction::And { srcs: vec![0, 1], dst: Some(2) },
 //!         Instruction::Read { row: 2 },
 //!     ]),
 //! )?;

@@ -21,7 +21,8 @@
 //! in the frame before anything is allocated, so a forged count of four
 //! billion costs the decoder nothing. The encoder is checked the same
 //! way: a length or index that does not fit the wire format's 32-bit
-//! fields is a typed [`EncodeError`], never a silent truncation.
+//! fields is a typed [`EncodeError`], never a silent truncation. A gate
+//! destination of `u32::MAX` marks a sensed gate (`dst: None`).
 //!
 //! # Verbs
 //!
@@ -258,9 +259,10 @@ impl FrameError {
 
 /// A value that cannot be encoded into a frame: the wire format carries
 /// lengths, counts and row indices as `u32`, and this field's value
-/// does not fit. Refusing with a typed error beats the silent `as u32`
-/// truncation it replaces, which would have framed a *different*
-/// payload than the caller asked for.
+/// does not fit (a gate destination must also stay below `u32::MAX`,
+/// the sensed-gate sentinel). Refusing with a typed error beats the
+/// silent `as u32` truncation it replaces, which would have framed a
+/// *different* payload than the caller asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeError {
     /// Which field overflowed.
@@ -273,7 +275,7 @@ impl fmt::Display for EncodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "cannot encode frame: {} of {} exceeds the wire format's 32-bit fields",
+            "cannot encode frame: {} of {} does not fit the wire format's 32-bit fields",
             self.field, self.value
         )
     }
@@ -560,6 +562,25 @@ impl Wire for Option<u64> {
 
     fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
         Ok(Some(u64::get(r)?).filter(|&limit| limit != u64::MAX))
+    }
+}
+
+/// A gate destination row: `u32::MAX` is the sensed-gate (`None`)
+/// sentinel, so every written-back gate keeps its one `u32` row field.
+/// `Some(u32::MAX)` would read back as `None`, so it is refused.
+impl Wire for Option<usize> {
+    const MIN: usize = 4;
+
+    fn put(&self, w: &mut Writer, field: &'static str) -> Result<(), EncodeError> {
+        match *self {
+            Some(row) if row == u32::MAX as usize => Err(EncodeError { field, value: row }),
+            Some(row) => row.put(w, field),
+            None => u32::MAX.put(w, field),
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(Some(u32::get(r)?).filter(|&row| row != u32::MAX).map(|row| row as usize))
     }
 }
 
@@ -1214,9 +1235,9 @@ mod tests {
             programs: vec![
                 vec![
                     Instruction::Store { row: 0, data: BitVec::from_indices(130, &[0, 64, 129]) },
-                    Instruction::Or { srcs: vec![0, 1], dst: 2 },
-                    Instruction::And { srcs: vec![2, 0, 1], dst: 3 },
-                    Instruction::Xor { a: 3, b: 0, dst: 4 },
+                    Instruction::Or { srcs: vec![0, 1], dst: Some(2) },
+                    Instruction::And { srcs: vec![2, 0, 1], dst: Some(3) },
+                    Instruction::Xor { a: 3, b: 0, dst: Some(4) },
                     Instruction::Read { row: 4 },
                 ],
                 vec![Instruction::Read { row: 0 }],
@@ -1677,9 +1698,9 @@ mod tests {
                     programs: vec![
                         vec![
                             Instruction::Store { row: 1, data: BitVec::from_indices(65, &[0, 64]) },
-                            Instruction::Or { srcs: vec![1, 2], dst: 3 },
-                            Instruction::And { srcs: vec![1, 2, 3], dst: 4 },
-                            Instruction::Xor { a: 1, b: 2, dst: 5 },
+                            Instruction::Or { srcs: vec![1, 2], dst: Some(3) },
+                            Instruction::And { srcs: vec![1, 2, 3], dst: Some(4) },
+                            Instruction::Xor { a: 1, b: 2, dst: Some(5) },
                             Instruction::Read { row: 5 },
                         ],
                         vec![],
@@ -1844,6 +1865,58 @@ mod tests {
             assert_eq!(Response::decode(&body).expect("decodes"), response);
         }
     }
+
+    /// Sensed gates (`dst: None`) travel as the `u32::MAX` destination
+    /// sentinel, in the same field a written-back gate uses.
+    #[test]
+    fn golden_frame_pins_sensed_gates() {
+        let request = Request::Submit {
+            programs: vec![vec![
+                Instruction::Or { srcs: vec![1, 2], dst: None },
+                Instruction::And { srcs: vec![1, 2, 3], dst: None },
+                Instruction::Xor { a: 1, b: 2, dst: None },
+            ]],
+        };
+        let want = concat!(
+            "02000000010000000301000000020000000100000002ffffffff020000000300",
+            "0000010000000200000003ffffffff030000000100000002ffffffff"
+        );
+        let body = request.encode().expect("encodes");
+        assert_eq!(hex(&body), want);
+        assert_eq!(Request::decode(&body).expect("decodes"), request);
+    }
+
+    #[test]
+    fn the_sensed_gate_sentinel_is_no_destination_row() {
+        // `Some(u32::MAX)` would decode as a sensed gate: refused.
+        for instr in [
+            Instruction::Or { srcs: vec![0, 1], dst: Some(u32::MAX as usize) },
+            Instruction::And { srcs: vec![0, 1], dst: Some(u32::MAX as usize) },
+            Instruction::Xor { a: 0, b: 1, dst: Some(u32::MAX as usize) },
+        ] {
+            let request = Request::Submit { programs: vec![vec![instr.clone()]] };
+            let err = request.encode().expect_err("the sentinel is not a row");
+            assert_eq!(err.value, u32::MAX as usize, "{instr:?}");
+        }
+        // One below the sentinel is an ordinary (out-of-range) row.
+        let row = u32::MAX as usize - 1;
+        let request = Request::Submit {
+            programs: vec![vec![Instruction::Xor { a: 0, b: 1, dst: Some(row) }]],
+        };
+        let body = request.encode().expect("encodes");
+        assert_eq!(Request::decode(&body).expect("decodes"), request);
+        // A decoded `u32::MAX` destination is a sensed gate.
+        let mut body =
+            Request::Submit { programs: vec![vec![Instruction::Xor { a: 0, b: 1, dst: Some(7) }]] }
+                .encode()
+                .expect("encodes");
+        let dst = body.len() - 4;
+        body[dst..].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(
+            Request::decode(&body).expect("decodes"),
+            Request::Submit { programs: vec![vec![Instruction::Xor { a: 0, b: 1, dst: None }]] }
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1853,6 +1926,12 @@ mod proptests {
 
     fn row() -> impl Strategy<Value = usize> {
         any::<u32>().prop_map(|r| r as usize)
+    }
+
+    /// A sensed gate, or any destination row below the `u32::MAX`
+    /// sentinel.
+    fn dst() -> impl Strategy<Value = Option<usize>> {
+        prop_oneof![Just(None), any::<u32>().prop_map(|r| Some(r.min(u32::MAX - 1) as usize))]
     }
 
     /// Any IEEE-754 bit pattern, NaNs and infinities included.
@@ -1876,11 +1955,11 @@ mod proptests {
     fn instruction() -> impl Strategy<Value = Instruction> {
         prop_oneof![
             (row(), bits()).prop_map(|(row, data)| Instruction::Store { row, data }),
-            (collection::vec(row(), 0..4), row())
+            (collection::vec(row(), 0..4), dst())
                 .prop_map(|(srcs, dst)| Instruction::Or { srcs, dst }),
-            (collection::vec(row(), 0..4), row())
+            (collection::vec(row(), 0..4), dst())
                 .prop_map(|(srcs, dst)| Instruction::And { srcs, dst }),
-            (row(), row(), row()).prop_map(|(a, b, dst)| Instruction::Xor { a, b, dst }),
+            (row(), row(), dst()).prop_map(|(a, b, dst)| Instruction::Xor { a, b, dst }),
             row().prop_map(|row| Instruction::Read { row }),
         ]
     }

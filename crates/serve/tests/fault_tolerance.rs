@@ -86,7 +86,7 @@ fn query(shift: usize) -> Vec<Instruction> {
     vec![
         Instruction::Store { row: 0, data: BitVec::from_indices(WIDTH, &[shift, shift + 8]) },
         Instruction::Store { row: 1, data: BitVec::from_indices(WIDTH, &[shift + 8]) },
-        Instruction::And { srcs: vec![0, 1], dst: 2 },
+        Instruction::And { srcs: vec![0, 1], dst: Some(2) },
         Instruction::Read { row: 2 },
     ]
 }

@@ -80,7 +80,7 @@ fn mutated_valid_frames_never_kill_the_server() {
                     row: 0,
                     data: memcim_bits::BitVec::from_indices(64, &[1, 5, 63]),
                 },
-                memcim_mvp::Instruction::Or { srcs: vec![0, 0], dst: 2 },
+                memcim_mvp::Instruction::Or { srcs: vec![0, 0], dst: Some(2) },
                 memcim_mvp::Instruction::Read { row: 2 },
             ]],
         }

@@ -24,8 +24,8 @@ fn query_program(width: usize, salt: usize) -> Vec<Instruction> {
         Instruction::Store { row: 0, data: a },
         Instruction::Store { row: 1, data: b },
         Instruction::Store { row: 2, data: c },
-        Instruction::Or { srcs: vec![0, 1], dst: 3 },
-        Instruction::And { srcs: vec![3, 2], dst: 4 },
+        Instruction::Or { srcs: vec![0, 1], dst: Some(3) },
+        Instruction::And { srcs: vec![3, 2], dst: Some(4) },
         Instruction::Read { row: 4 },
     ]
 }
@@ -318,7 +318,7 @@ fn invalid_programs_are_refused_at_submission_not_execution() {
     // submission, and `try_submit` takes the same gate.
     let batch = BatchRequest::new()
         .with_program(query_program(width, 1))
-        .with_program(vec![Instruction::Xor { a: 2, b: 2, dst: 3 }]);
+        .with_program(vec![Instruction::Xor { a: 2, b: 2, dst: Some(3) }]);
     assert!(matches!(
         service.try_submit(7, Job::MvpBatch(batch)),
         Err(ServeError::InvalidProgram { .. })

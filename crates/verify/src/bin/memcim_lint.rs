@@ -2,7 +2,8 @@
 //!
 //! Verifies every built-in MVP plan shape (bitmap queries, sharded
 //! queries, k-mer filters, the ripple-carry adder step, BFS frontier
-//! expansion) against its target geometry, prints each plan's static
+//! expansion; all but the adder step end in a sensed gate) against its
+//! target geometry, prints each plan's static
 //! cost bound, and analyzes the synthetic rule corpus's compiled
 //! automata for unreachable/dead STEs — asserting that the stripped
 //! automaton stays run-equivalent on sampled traffic.
@@ -132,11 +133,11 @@ fn check_adder_step(lint: &mut Lint) {
         Instruction::Store { row: 6, data: zeros() }, // carry-in = 0
         Instruction::Store { row: 0, data: zeros() }, // aᵢ
         Instruction::Store { row: 1, data: zeros() }, // bᵢ
-        Instruction::Xor { a: 0, b: 1, dst: 2 },      // t
-        Instruction::Xor { a: 2, b: 6, dst: 3 },      // sᵢ
-        Instruction::And { srcs: vec![0, 1], dst: 4 }, // g
-        Instruction::And { srcs: vec![6, 2], dst: 5 }, // p
-        Instruction::Or { srcs: vec![4, 5], dst: 7 }, // c'
+        Instruction::Xor { a: 0, b: 1, dst: Some(2) }, // t
+        Instruction::Xor { a: 2, b: 6, dst: Some(3) }, // sᵢ
+        Instruction::And { srcs: vec![0, 1], dst: Some(4) }, // g
+        Instruction::And { srcs: vec![6, 2], dst: Some(5) }, // p
+        Instruction::Or { srcs: vec![4, 5], dst: Some(7) }, // c'
         Instruction::Read { row: 3 },
         Instruction::Read { row: 7 },
     ];
@@ -144,15 +145,14 @@ fn check_adder_step(lint: &mut Lint) {
 }
 
 /// One BFS frontier-expansion chunk (`workloads::bfs`): stores plus a
-/// multi-way OR.
+/// sensed multi-way OR, whose result is the chunk's output.
 fn check_bfs_expansion(lint: &mut Lint) {
     let n = 64;
     let mut rng = SmallRng::seed_from_u64(SEED);
     let mut program: Vec<Instruction> = (0..4)
         .map(|i| Instruction::Store { row: i, data: (0..n).map(|_| rng.gen_bool(0.1)).collect() })
         .collect();
-    program.push(Instruction::Or { srcs: vec![0, 1, 2, 3], dst: 4 });
-    program.push(Instruction::Read { row: 4 });
+    program.push(Instruction::Or { srcs: vec![0, 1, 2, 3], dst: None });
     lint.check("bfs_expansion", &program, 8, n);
 }
 

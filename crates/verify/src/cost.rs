@@ -72,12 +72,20 @@ impl CostModel {
                     b.energy += program_energy;
                     b.busy += program_latency;
                 }
-                Instruction::Or { .. } | Instruction::And { .. } | Instruction::Xor { .. } => {
+                Instruction::Or { dst, .. }
+                | Instruction::And { dst, .. }
+                | Instruction::Xor { dst, .. } => {
                     b.scouting_ops += banks;
-                    b.programs += banks;
-                    b.bits_programmed += self.width as u64;
-                    b.energy += scout_energy + program_energy;
-                    b.busy += scout_latency + program_latency;
+                    b.energy += scout_energy;
+                    b.busy += scout_latency;
+                    if dst.is_some() {
+                        b.programs += banks;
+                        b.bits_programmed += self.width as u64;
+                        b.energy += program_energy;
+                        b.busy += program_latency;
+                    } else {
+                        b.host_reads += 1;
+                    }
                 }
                 Instruction::Read { .. } => {
                     b.host_reads += 1;
@@ -105,7 +113,7 @@ pub struct CostBound {
     pub bits_programmed: u64,
     /// Host → array transfers (`Store` instructions).
     pub host_writes: u64,
-    /// Array → host transfers (`Read` instructions).
+    /// Array → host transfers (`Read` instructions and sensed gates).
     pub host_reads: u64,
     /// Dynamic energy upper bound.
     pub energy: Joules,
@@ -141,8 +149,8 @@ mod tests {
         vec![
             Instruction::Store { row: 0, data: ones.clone() },
             Instruction::Store { row: 1, data: ones },
-            Instruction::Or { srcs: vec![0, 1], dst: 2 },
-            Instruction::Xor { a: 0, b: 1, dst: 3 },
+            Instruction::Or { srcs: vec![0, 1], dst: Some(2) },
+            Instruction::Xor { a: 0, b: 1, dst: Some(3) },
             Instruction::Read { row: 2 },
         ]
     }
@@ -172,6 +180,28 @@ mod tests {
         let actual = mvp.ledger();
         assert!(bound.covers(&actual), "bound {bound:?} vs actual {actual:?}");
         assert_eq!(bound.scouting_ops, actual.scouting_ops(), "one scout op per bank");
+    }
+
+    #[test]
+    fn a_sensed_gate_is_charged_one_scouting_and_no_write_back() {
+        let (rows, banks, bank_cols) = (8, 4, 16);
+        let mut program = dense_program(banks * bank_cols);
+        program.truncate(2);
+        let model = CostModel::banked(rows, banks, bank_cols);
+        let stores = model.bound(&program);
+        program.push(Instruction::And { srcs: vec![0, 1], dst: None });
+        let bound = model.bound(&program);
+        assert_eq!(bound.scouting_ops - stores.scouting_ops, banks as u64);
+        assert_eq!(
+            (bound.programs, bound.bits_programmed),
+            (stores.programs, stores.bits_programmed)
+        );
+        assert_eq!((bound.reads, bound.host_reads), (0, 1));
+        let mut mvp = MvpSimulator::banked(rows, banks, bank_cols);
+        mvp.run_program(&program).expect("runs");
+        let actual = mvp.ledger();
+        assert!(bound.covers(&actual), "bound {bound:?} vs actual {actual:?}");
+        assert_eq!(bound.scouting_ops, actual.scouting_ops());
     }
 
     #[test]
@@ -212,8 +242,14 @@ mod tests {
         }
     }
 
+    /// `None` (a sensed gate) one time in four, else `Some(dst)`.
+    fn sensed_or(rng: &mut SmallRng, dst: usize) -> Option<usize> {
+        (!rng.gen_bool(0.25)).then_some(dst)
+    }
+
     /// A random program that touches only in-range rows with the right
-    /// widths and valid operand shapes.
+    /// widths and valid operand shapes; a quarter of its gates are
+    /// sensed.
     pub(crate) fn random_valid_program(
         rng: &mut SmallRng,
         rows: usize,
@@ -232,7 +268,7 @@ mod tests {
                         picks.swap(i, rng.gen_range(0..=i));
                     }
                     let n = rng.gen_range(2..=(rows - 1).max(2));
-                    let dst = picks[n.min(picks.len() - 1)];
+                    let dst = sensed_or(rng, picks[n.min(picks.len() - 1)]);
                     let srcs = picks[..n.min(picks.len() - 1)].to_vec();
                     if rng.gen_bool(0.5) {
                         Instruction::Or { srcs, dst }
@@ -247,7 +283,7 @@ mod tests {
                     while dst == a || dst == b {
                         dst = (dst + 1) % rows;
                     }
-                    Instruction::Xor { a, b, dst }
+                    Instruction::Xor { a, b, dst: sensed_or(rng, dst) }
                 }
                 _ => Instruction::Read { row: rng.gen_range(0..rows) },
             })

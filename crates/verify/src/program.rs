@@ -19,7 +19,8 @@
 //!
 //! Everything beyond the dynamic checks — reads of never-written rows,
 //! dead stores, programs that produce no output — executes fine and is
-//! reported at [`Severity::Lint`].
+//! reported at [`Severity::Lint`]. A sensed gate (`dst: None`) uses its
+//! sources, writes no row and is an output, like a `Read`.
 
 use core::fmt;
 use memcim_mvp::{Instruction, MvpError, Violation};
@@ -63,7 +64,8 @@ pub enum Code {
     ReadBeforeStore,
     /// A stored value is overwritten before any use.
     DeadStore,
-    /// The program contains no `Read`: it produces no output.
+    /// The program contains no `Read` and no sensed gate: it produces
+    /// no output.
     NoOutput,
 }
 
@@ -186,15 +188,10 @@ pub fn verify_program(program: &[Instruction], rows: usize, width: usize) -> Vec
         match instr {
             Instruction::Store { row, .. } => write_row(&mut state, &mut diags, *row, index),
             Instruction::Or { srcs, dst } | Instruction::And { srcs, dst } => {
-                for &src in srcs {
-                    use_row(&mut state, &mut diags, src, index);
-                }
-                write_row(&mut state, &mut diags, *dst, index);
+                has_output |= gate(&mut state, &mut diags, srcs, *dst, index);
             }
             Instruction::Xor { a, b, dst } => {
-                use_row(&mut state, &mut diags, *a, index);
-                use_row(&mut state, &mut diags, *b, index);
-                write_row(&mut state, &mut diags, *dst, index);
+                has_output |= gate(&mut state, &mut diags, &[*a, *b], *dst, index);
             }
             Instruction::Read { row } => {
                 use_row(&mut state, &mut diags, *row, index);
@@ -207,12 +204,30 @@ pub fn verify_program(program: &[Instruction], rows: usize, width: usize) -> Vec
         diags.push(Diagnostic {
             code: Code::NoOutput,
             index: program.len(),
-            message: "program contains no Read: it produces no output".into(),
+            message: "program contains no Read and no sensed gate: it produces no output".into(),
         });
     }
     // Dead-store lints point at the earlier store; restore index order.
     diags.sort_by_key(|d| d.index);
     diags
+}
+
+/// A scouting gate uses its sources, then writes `dst` or, sensed,
+/// produces an output (the return value).
+fn gate(
+    state: &mut [RowState],
+    diags: &mut Vec<Diagnostic>,
+    srcs: &[usize],
+    dst: Option<usize>,
+    index: usize,
+) -> bool {
+    for &src in srcs {
+        use_row(state, diags, src, index);
+    }
+    if let Some(dst) = dst {
+        write_row(state, diags, dst, index);
+    }
+    dst.is_none()
 }
 
 fn use_row(state: &mut [RowState], diags: &mut Vec<Diagnostic>, row: usize, index: usize) {
@@ -252,8 +267,8 @@ mod tests {
             store(0, width),
             store(1, width),
             store(2, width),
-            Instruction::Or { srcs: vec![0, 1], dst: 3 },
-            Instruction::And { srcs: vec![3, 2], dst: 4 },
+            Instruction::Or { srcs: vec![0, 1], dst: Some(3) },
+            Instruction::And { srcs: vec![3, 2], dst: Some(4) },
             Instruction::Read { row: 4 },
         ]
     }
@@ -269,11 +284,11 @@ mod tests {
         let cases: Vec<(Instruction, Code)> = vec![
             (Instruction::Read { row: 99 }, Code::RowOutOfRange),
             (store(0, w + 1), Code::StoreWidthMismatch),
-            (Instruction::Or { srcs: vec![0], dst: 3 }, Code::ScoutingArity),
-            (Instruction::And { srcs: vec![0, 3], dst: 3 }, Code::DestAliasesSource),
-            (Instruction::Xor { a: 1, b: 1, dst: 3 }, Code::XorOperandsEqual),
-            (Instruction::Or { srcs: vec![0, 0], dst: 3 }, Code::DuplicateSources),
-            (Instruction::Xor { a: 1, b: 2, dst: 2 }, Code::DestAliasesSource),
+            (Instruction::Or { srcs: vec![0], dst: Some(3) }, Code::ScoutingArity),
+            (Instruction::And { srcs: vec![0, 3], dst: Some(3) }, Code::DestAliasesSource),
+            (Instruction::Xor { a: 1, b: 1, dst: Some(3) }, Code::XorOperandsEqual),
+            (Instruction::Or { srcs: vec![0, 0], dst: Some(3) }, Code::DuplicateSources),
+            (Instruction::Xor { a: 1, b: 2, dst: Some(2) }, Code::DestAliasesSource),
         ];
         for (instr, code) in cases {
             let program = vec![
@@ -327,10 +342,25 @@ mod tests {
         // still has no output, and nothing is a dead store (row 2 is
         // simply never used — that is not flagged).
         let w = 4;
-        let program = vec![store(0, w), store(1, w), Instruction::Or { srcs: vec![0, 1], dst: 2 }];
+        let program =
+            vec![store(0, w), store(1, w), Instruction::Or { srcs: vec![0, 1], dst: Some(2) }];
         let diags = verify_program(&program, 8, w);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::NoOutput);
+    }
+
+    #[test]
+    fn a_sensed_gate_uses_its_sources_writes_nothing_and_is_an_output() {
+        let w = 4;
+        // Rows 0/1 are used, no row is written, and the program has an
+        // output without any Read.
+        let program =
+            vec![store(0, w), store(1, w), Instruction::And { srcs: vec![0, 1], dst: None }];
+        assert!(verify_program(&program, 8, w).is_empty());
+        // A sensed XOR of an unwritten row is a read-before-store lint.
+        let program = vec![store(0, w), Instruction::Xor { a: 0, b: 5, dst: None }];
+        let diags = verify_program(&program, 8, w);
+        assert_eq!(diags.iter().map(|d| d.code).collect::<Vec<_>>(), [Code::ReadBeforeStore]);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!   stable [`Code`] matches the runtime error (via [`Code::of_runtime`])
 //!   at the same instruction index — every runtime rejection was
 //!   statically predictable, with the exact code and position an
-//!   admission refusal reports.
+//!   admission refusal reports;
+//! * a program that runs returns no output exactly when the verifier
+//!   lints it [`Code::NoOutput`]: `Read`s and sensed gates (`dst: None`)
+//!   are the outputs on both sides.
 //!
 //! Cases are seeded and deterministic (the vendored proptest's
 //! `TestRng`), so any failure reproduces bit-for-bit.
@@ -24,6 +27,7 @@ use proptest::prelude::*;
 /// mostly in range so programs are a genuine mix: rows wander up to 2
 /// past the array, store widths up to 2 off, scouting source lists can
 /// be too short, can alias their destination, and can repeat a row.
+/// Half the gates are sensed (`dst: None`).
 fn instruction(rows: usize, width: usize) -> impl Strategy<Value = Instruction> {
     let row = 0..rows + 2;
     let data = (width.saturating_sub(2)..width + 3)
@@ -31,20 +35,25 @@ fn instruction(rows: usize, width: usize) -> impl Strategy<Value = Instruction> 
         .prop_map(|bits| bits.into_iter().collect::<BitVec>());
     prop_oneof![
         (row.clone(), data).prop_map(|(row, data)| Instruction::Store { row, data }),
-        (proptest::collection::vec(0..rows + 2, 0..5), row.clone(), any::<bool>()).prop_map(
+        (proptest::collection::vec(0..rows + 2, 0..5), dst(rows), any::<bool>()).prop_map(
             |(srcs, dst, or)| if or {
                 Instruction::Or { srcs, dst }
             } else {
                 Instruction::And { srcs, dst }
             }
         ),
-        (row.clone(), row.clone(), row.clone()).prop_map(|(a, b, dst)| Instruction::Xor {
+        (row.clone(), row.clone(), dst(rows)).prop_map(|(a, b, dst)| Instruction::Xor {
             a,
             b,
             dst
         }),
         row.prop_map(|row| Instruction::Read { row }),
     ]
+}
+
+/// A gate destination: sensed, or a row up to 2 past the array.
+fn dst(rows: usize) -> impl Strategy<Value = Option<usize>> {
+    prop_oneof![Just(None), (0..rows + 2).prop_map(Some)]
 }
 
 /// `(rows, width, program)` over small geometries.
@@ -73,12 +82,19 @@ fn assert_agreement<B: CrossbarBackend>(
 ) -> Result<(), TestCaseError> {
     let diagnostics = verify_program(program, rows, width);
     match fresh().run_program(program) {
-        Ok(_) => {
+        Ok(outputs) => {
             // Lints may remain; nothing of Error severity may.
             prop_assert!(
                 first_error(&diagnostics).is_none(),
                 "simulator ran a program the verifier flagged: {:?}",
                 first_error(&diagnostics)
+            );
+            let no_output = diagnostics.iter().any(|d| d.code == Code::NoOutput);
+            prop_assert_eq!(
+                no_output,
+                outputs.is_empty(),
+                "NoOutput lint vs {} outputs",
+                outputs.len()
             );
         }
         Err(runtime) => {
@@ -129,5 +145,25 @@ proptest! {
         assert_agreement(rows, width, &program, || {
             MvpSimulator::banked(rows, banks, bank_cols)
         })?;
+    }
+
+    /// Programs whose only outputs are sensed gates: every gate loses
+    /// its destination and every `Read` is dropped, so the program has
+    /// an output exactly when a gate runs.
+    #[test]
+    fn verifier_and_simulator_agree_on_sensed_gate_outputs(
+        (rows, width, program) in geometry_and_program()
+    ) {
+        let program: Vec<Instruction> = program
+            .into_iter()
+            .filter_map(|instr| match instr {
+                Instruction::Or { srcs, .. } => Some(Instruction::Or { srcs, dst: None }),
+                Instruction::And { srcs, .. } => Some(Instruction::And { srcs, dst: None }),
+                Instruction::Xor { a, b, .. } => Some(Instruction::Xor { a, b, dst: None }),
+                Instruction::Read { .. } => None,
+                store => Some(store),
+            })
+            .collect();
+        assert_agreement(rows, width, &program, || MvpSimulator::new(rows, width))?;
     }
 }

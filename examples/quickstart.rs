@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         Instruction::Store { row: 0, data: BitVec::from_indices(256, &[1, 2, 3, 100]) },
         Instruction::Store { row: 1, data: BitVec::from_indices(256, &[2, 3, 4, 200]) },
         // One scouting cycle computes the whole 256-bit AND in memory.
-        Instruction::And { srcs: vec![0, 1], dst: 2 },
+        Instruction::And { srcs: vec![0, 1], dst: Some(2) },
         Instruction::Read { row: 2 },
     ];
     let outputs = mvp.run_program(&program)?;

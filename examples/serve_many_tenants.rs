@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                                         row: 1,
                                         data: BitVec::from_indices(width, &rhs),
                                     },
-                                    Instruction::And { srcs: vec![0, 1], dst: 2 },
+                                    Instruction::And { srcs: vec![0, 1], dst: Some(2) },
                                     Instruction::Read { row: 2 },
                                 ]),
                             )

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let result = alice.submit_mvp(&[vec![
         Instruction::Store { row: 0, data: BitVec::from_indices(width, &[1, 5, 9]) },
         Instruction::Store { row: 1, data: BitVec::from_indices(width, &[5, 9, 13]) },
-        Instruction::And { srcs: vec![0, 1], dst: 2 },
+        Instruction::And { srcs: vec![0, 1], dst: Some(2) },
         Instruction::Read { row: 2 },
     ]])?;
     let hits: Vec<usize> = result.outputs[0][0].ones().collect();

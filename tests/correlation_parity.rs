@@ -270,7 +270,7 @@ proptest! {
     /// crossings, every row budget, window width and shard count, the
     /// monolithic, banked and per-shard scores equal the software
     /// reference, every plan verifies clean inside its rows, emits one
-    /// read per (stream, plane) in `(stream, plane)` order, and returns
+    /// output per (stream, plane) in `(stream, plane)` order, and returns
     /// the same reads on an engine holding stale data in every row.
     #[test]
     fn feed_plans_match_reference_across_plane_boundaries(
@@ -307,8 +307,11 @@ proptest! {
                 range,
                 rows
             );
-            let reads = plan.iter().filter(|i| matches!(i, Instruction::Read { .. })).count();
-            prop_assert_eq!(reads, range.len() * acc.planes());
+            let outputs = plan
+                .iter()
+                .filter(|i| matches!(i, Instruction::Read { .. } | Instruction::And { dst: None, .. }))
+                .count();
+            prop_assert_eq!(outputs, range.len() * acc.planes());
             prop_assert!(
                 reads_in_stream_plane_order(&plan, events.data(), range.clone(), acc.planes(), rows),
                 "range {:?} reads out of (stream, plane) order",

@@ -17,7 +17,7 @@ fn stuck_cell_corrupts_exactly_its_column() {
         .run_program(&[
             Instruction::Store { row: 0, data: BitVec::new(64) }, // wants all-zero
             Instruction::Store { row: 1, data: BitVec::from_indices(64, &[5, 6]) },
-            Instruction::And { srcs: vec![0, 1], dst: 2 },
+            Instruction::And { srcs: vec![0, 1], dst: Some(2) },
             Instruction::Read { row: 2 },
         ])
         .expect("program runs");

@@ -41,8 +41,8 @@ fn mvp_program(tenant: u64, iteration: usize) -> Vec<Instruction> {
     vec![
         Instruction::Store { row: 0, data: BitVec::from_indices(WIDTH, &a) },
         Instruction::Store { row: 1, data: BitVec::from_indices(WIDTH, &b) },
-        Instruction::Or { srcs: vec![0, 1], dst: 2 },
-        Instruction::And { srcs: vec![0, 1], dst: 3 },
+        Instruction::Or { srcs: vec![0, 1], dst: Some(2) },
+        Instruction::And { srcs: vec![0, 1], dst: Some(3) },
         Instruction::Read { row: 2 },
         Instruction::Read { row: 3 },
     ]

@@ -35,9 +35,9 @@ fn mvp_program(tenant: u64, iteration: usize) -> Vec<Instruction> {
         Instruction::Store { row: 0, data: BitVec::from_indices(width, &a) },
         Instruction::Store { row: 1, data: BitVec::from_indices(width, &b) },
         Instruction::Store { row: 2, data: BitVec::from_indices(width, &c) },
-        Instruction::Or { srcs: vec![0, 1], dst: 3 },
-        Instruction::And { srcs: vec![3, 2], dst: 4 },
-        Instruction::Xor { a: 4, b: 0, dst: 5 },
+        Instruction::Or { srcs: vec![0, 1], dst: Some(3) },
+        Instruction::And { srcs: vec![3, 2], dst: Some(4) },
+        Instruction::Xor { a: 4, b: 0, dst: Some(5) },
         Instruction::Read { row: 4 },
         Instruction::Read { row: 5 },
     ]
