@@ -27,7 +27,9 @@
 //! * `--baseline` embeds a previously written report under `"baseline"`,
 //!   which is how before/after numbers land in one committed file.
 //! * `--check` parses an existing report and fails (exit 1) if it is
-//!   malformed or missing a required config — the CI guard.
+//!   malformed, missing a required config or number, or a config's
+//!   `ns_per_unit` lies outside its `ns_per_unit_min`..`ns_per_unit_max`
+//!   spread — the CI guard.
 
 use memcim_ap::{ApBackend, AutomataProcessor, RoutingKind};
 use memcim_automata::{rules, PatternSet, StartKind};
@@ -74,11 +76,21 @@ struct ConfigResult {
     units_per_iter: u64,
     iters: u64,
     wall: Duration,
+    /// The fastest and slowest timed call: the run's noise spread.
+    fastest: Duration,
+    slowest: Duration,
 }
 
 impl ConfigResult {
+    /// Mean time per unit over every timed call.
     fn ns_per_unit(&self) -> f64 {
         self.wall.as_nanos() as f64 / (self.iters * self.units_per_iter) as f64
+    }
+
+    /// Time per unit of the fastest and of the slowest timed call.
+    fn ns_per_unit_spread(&self) -> (f64, f64) {
+        let per_unit = |call: Duration| call.as_nanos() as f64 / self.units_per_iter as f64;
+        (per_unit(self.fastest), per_unit(self.slowest))
     }
 
     fn units_per_sec(&self) -> f64 {
@@ -87,7 +99,9 @@ impl ConfigResult {
 }
 
 /// Times `f` (which processes `units_per_iter` units per call): one
-/// warm-up call, then whole-call batches until `budget` is spent.
+/// warm-up call, then whole-call batches until `budget` is spent. Each
+/// call is timed on its own, so the fastest and slowest calls bound the
+/// mean.
 fn measure<F: FnMut()>(
     name: &'static str,
     unit: &'static str,
@@ -97,14 +111,17 @@ fn measure<F: FnMut()>(
 ) -> ConfigResult {
     f(); // warm-up
     let mut iters = 0u64;
-    let mut wall = Duration::ZERO;
+    let (mut wall, mut fastest, mut slowest) = (Duration::ZERO, Duration::MAX, Duration::ZERO);
     while wall < budget {
         let start = Instant::now();
         f();
-        wall += start.elapsed();
+        let call = start.elapsed();
+        wall += call;
+        fastest = fastest.min(call);
+        slowest = slowest.max(call);
         iters += 1;
     }
-    ConfigResult { name, unit, units_per_iter, iters, wall }
+    ConfigResult { name, unit, units_per_iter, iters, wall, fastest, slowest }
 }
 
 /// The crossbar-op rung on `bitmap_wire`'s geometry (32 rows × 64
@@ -400,7 +417,10 @@ fn render_report(results: &[ConfigResult], quick: bool, baseline: Option<&str>) 
         out.push_str(&format!("      \"units_per_iter\": {},\n", r.units_per_iter));
         out.push_str(&format!("      \"iters\": {},\n", r.iters));
         out.push_str(&format!("      \"wall_ms\": {:.3},\n", r.wall.as_secs_f64() * 1e3));
+        let (min, max) = r.ns_per_unit_spread();
         out.push_str(&format!("      \"ns_per_unit\": {:.3},\n", r.ns_per_unit()));
+        out.push_str(&format!("      \"ns_per_unit_min\": {min:.3},\n"));
+        out.push_str(&format!("      \"ns_per_unit_max\": {max:.3},\n"));
         out.push_str(&format!("      \"units_per_sec\": {:.1}\n", r.units_per_sec()));
         out.push_str(if i + 1 == results.len() { "    }\n" } else { "    },\n" });
     }
@@ -434,7 +454,9 @@ fn strip_nested_baseline(text: &str) -> String {
 }
 
 /// Validates a written report: parses, checks the schema tag and that
-/// every required config is present with sane numbers.
+/// every required config is present with sane numbers, its per-unit
+/// spread included (`ns_per_unit_min` ≤ `ns_per_unit` ≤
+/// `ns_per_unit_max`). A nested baseline is not checked.
 fn check_report(text: &str) -> Result<(), String> {
     let doc = json::parse(text).map_err(|e| e.to_string())?;
     match doc.get("schema").and_then(JsonValue::as_str) {
@@ -450,7 +472,7 @@ fn check_report(text: &str) -> Result<(), String> {
             .iter()
             .find(|c| c.get("name").and_then(JsonValue::as_str) == Some(required))
             .ok_or_else(|| format!("missing config {required:?}"))?;
-        for field in ["ns_per_unit", "units_per_sec", "wall_ms"] {
+        let number = |field: &str| {
             let x = entry
                 .get(field)
                 .and_then(JsonValue::as_f64)
@@ -458,6 +480,17 @@ fn check_report(text: &str) -> Result<(), String> {
             if !(x.is_finite() && x > 0.0) {
                 return Err(format!("config {required:?}: {field} = {x} is not positive"));
             }
+            Ok(x)
+        };
+        for field in ["units_per_sec", "wall_ms"] {
+            number(field)?;
+        }
+        let (min, mean, max) =
+            (number("ns_per_unit_min")?, number("ns_per_unit")?, number("ns_per_unit_max")?);
+        if !(min <= mean && mean <= max) {
+            return Err(format!(
+                "config {required:?}: ns_per_unit {mean} lies outside its spread {min}..{max}"
+            ));
         }
     }
     Ok(())
@@ -521,13 +554,15 @@ fn main() {
     println!(
         "{}",
         memcim_bench::table(
-            &["config", "unit", "ns/unit", "units/s", "iters"],
+            &["config", "unit", "ns/unit", "min", "max", "units/s", "iters"],
             &results
                 .iter()
                 .map(|r| vec![
                     r.name.to_string(),
                     r.unit.to_string(),
                     memcim_bench::fmt(r.ns_per_unit(), 2),
+                    memcim_bench::fmt(r.ns_per_unit_spread().0, 2),
+                    memcim_bench::fmt(r.ns_per_unit_spread().1, 2),
                     memcim_bench::fmt(r.units_per_sec(), 0),
                     r.iters.to_string(),
                 ])
@@ -555,6 +590,8 @@ mod tests {
                 units_per_iter: 100,
                 iters: 10,
                 wall: Duration::from_millis(5),
+                fastest: Duration::from_micros(400),
+                slowest: Duration::from_micros(700),
             })
             .collect()
     }
@@ -612,6 +649,36 @@ mod tests {
         let err = check_report("{\"schema\": \"something-else\"}")
             .expect_err("a foreign schema tag is invalid");
         assert!(err.contains("schema"), "{err}");
+    }
+
+    #[test]
+    fn the_spread_is_required_and_must_bound_the_mean() {
+        let report = render_report(&complete_results(), true, None);
+        assert!(report.contains("\"ns_per_unit_min\": 4000.000"), "{report}");
+        assert!(report.contains("\"ns_per_unit_max\": 7000.000"), "{report}");
+        let missing = report.replacen("\"ns_per_unit_max\"", "\"slowest\"", 1);
+        let err = check_report(&missing).expect_err("the spread is required");
+        assert!(err.contains("ns_per_unit_max"), "{err}");
+        let inverted =
+            report.replacen("\"ns_per_unit_min\": 4000.000", "\"ns_per_unit_min\": 6000.000", 1);
+        assert_ne!(inverted, report, "the corruption took");
+        let err = check_report(&inverted).expect_err("the mean lies below the minimum");
+        assert!(err.contains("outside its spread"), "{err}");
+    }
+
+    #[test]
+    fn a_measured_spread_bounds_the_mean() {
+        let mut calls = 0u64;
+        let r = measure("spread", "call", 3, Duration::from_millis(2), || {
+            calls += 1;
+            std::hint::black_box((0..calls % 7 * 100).sum::<u64>());
+        });
+        let (min, max) = r.ns_per_unit_spread();
+        assert!(
+            min <= r.ns_per_unit() && r.ns_per_unit() <= max,
+            "{min} {} {max}",
+            r.ns_per_unit()
+        );
     }
 
     #[test]
