@@ -26,6 +26,9 @@
 //! Two routing-matrix organizations are provided (design decision D3):
 //! dense `N×N` and the Cache-Automaton-style two-level hierarchy
 //! ([`RoutingKind::Hierarchical`]) with bounded global wiring.
+//! [`CompiledPatterns`] maps a whole rule set onto one device: it picks
+//! the hierarchy, falls back to dense when global wires run out, and
+//! attributes report events to patterns as [`ApMatches`].
 //!
 //! # Examples
 //!
@@ -45,6 +48,7 @@
 //! ```
 
 mod backend;
+mod compiled;
 mod engine;
 mod error;
 mod multi;
@@ -52,6 +56,7 @@ mod routing;
 mod template;
 
 pub use backend::{ApBackend, ApCosts};
+pub use compiled::{ApMatches, CompiledPatterns};
 pub use engine::{ApReport, ApRun, AutomataProcessor};
 pub use error::ApError;
 pub use multi::MultiStreamProcessor;

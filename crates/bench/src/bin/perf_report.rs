@@ -2,7 +2,7 @@
 //! streaming, bit-line transient solves, single crossbar operations
 //! against their host-side control, and MVP bulk bitwise queries —
 //! the latter on both the monolithic crossbar and a 64-bank
-//! `BankedCrossbar` substrate driven through the `BatchRequest` API —
+//! `BankedCrossbar` substrate driven through `MvpSimulator::run_batch` —
 //! plus correlation detection, the static verifier and the
 //! fault-tolerance yield harness.
 //!
@@ -40,7 +40,7 @@ use memcim_crossbar::{
     BankedCrossbar, BitlineCircuit, CellTechnology, CrossbarBackend, CrossbarError, ScoutingKind,
 };
 use memcim_mvp::workloads::bitmap::BitmapTable;
-use memcim_mvp::{BatchRequest, MvpSimulator};
+use memcim_mvp::MvpSimulator;
 use memcim_serve::ServeConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -76,9 +76,10 @@ struct ConfigResult {
     units_per_iter: u64,
     iters: u64,
     wall: Duration,
-    /// The fastest and slowest timed call: the run's noise spread.
-    fastest: Duration,
-    slowest: Duration,
+    /// Time per unit of the fastest and of the slowest block (see
+    /// [`measure`]): the run's noise spread.
+    fastest: f64,
+    slowest: f64,
 }
 
 impl ConfigResult {
@@ -87,10 +88,9 @@ impl ConfigResult {
         self.wall.as_nanos() as f64 / (self.iters * self.units_per_iter) as f64
     }
 
-    /// Time per unit of the fastest and of the slowest timed call.
+    /// Time per unit of the fastest and of the slowest block.
     fn ns_per_unit_spread(&self) -> (f64, f64) {
-        let per_unit = |call: Duration| call.as_nanos() as f64 / self.units_per_iter as f64;
-        (per_unit(self.fastest), per_unit(self.slowest))
+        (self.fastest, self.slowest)
     }
 
     fn units_per_sec(&self) -> f64 {
@@ -98,10 +98,18 @@ impl ConfigResult {
     }
 }
 
+/// Equal-time blocks a config's budget is split into; the fastest and
+/// slowest block's time per unit are its reported spread.
+const BLOCKS: u32 = 10;
+
 /// Times `f` (which processes `units_per_iter` units per call): one
-/// warm-up call, then whole-call batches until `budget` is spent. Each
-/// call is timed on its own, so the fastest and slowest calls bound the
-/// mean.
+/// warm-up call, then [`BLOCKS`] blocks of whole calls, each run until
+/// its share of `budget` is spent (at least one call per block). The
+/// mean is the unit-weighted average of the blocks, so the fastest and
+/// slowest block bound it. Blocks rather than single calls: one
+/// preempted call is a host stall, not the run-to-run spread, and a
+/// per-call percentile would have to store every call of a
+/// sub-microsecond config.
 fn measure<F: FnMut()>(
     name: &'static str,
     unit: &'static str,
@@ -110,18 +118,33 @@ fn measure<F: FnMut()>(
     mut f: F,
 ) -> ConfigResult {
     f(); // warm-up
-    let mut iters = 0u64;
-    let (mut wall, mut fastest, mut slowest) = (Duration::ZERO, Duration::MAX, Duration::ZERO);
-    while wall < budget {
+    let block_budget = budget / BLOCKS;
+    let (mut iters, mut wall) = (0u64, Duration::ZERO);
+    let (mut fastest, mut slowest) = (f64::INFINITY, 0.0f64);
+    for _ in 0..BLOCKS {
         let start = Instant::now();
-        f();
-        let call = start.elapsed();
-        wall += call;
-        fastest = fastest.min(call);
-        slowest = slowest.max(call);
-        iters += 1;
+        let mut calls = 0u64;
+        let block = loop {
+            f();
+            calls += 1;
+            let elapsed = start.elapsed();
+            if elapsed >= block_budget {
+                break elapsed;
+            }
+        };
+        let per_unit = block.as_nanos() as f64 / (calls * units_per_iter) as f64;
+        fastest = fastest.min(per_unit);
+        slowest = slowest.max(per_unit);
+        iters += calls;
+        wall += block;
     }
-    ConfigResult { name, unit, units_per_iter, iters, wall, fastest, slowest }
+    let mut result = ConfigResult { name, unit, units_per_iter, iters, wall, fastest, slowest };
+    // The weighted mean lies within the blocks' range; clamp so float
+    // rounding cannot put it a hair outside.
+    let mean = result.ns_per_unit();
+    result.fastest = result.fastest.min(mean);
+    result.slowest = result.slowest.max(mean);
+    result
 }
 
 /// The crossbar-op rung on `bitmap_wire`'s geometry (32 rows × 64
@@ -281,13 +304,10 @@ fn run_workloads(quick: bool) -> Result<Vec<ConfigResult>, CrossbarError> {
     // Same table and row width, but the vector processor stripes its
     // columns over 64 subarrays (the paper's "millions of subarrays"
     // organization at benchmark scale) and serves a burst of four
-    // independent queries per iteration through the BatchRequest API.
+    // independent queries per iteration through one run_batch call.
     let queries: [(&[u8], &[u8]); 4] =
         [(&[1, 4, 9], &[0, 3]), (&[2, 5], &[1, 6]), (&[11], &[2, 4, 7]), (&[0, 8, 14], &[5])];
-    let mut batch = BatchRequest::new();
-    for (s1, s2) in queries {
-        batch.push(table.query_plan(s1, s2));
-    }
+    let batch: Vec<_> = queries.iter().map(|(s1, s2)| table.query_plan(s1, s2)).collect();
     let mut banked = MvpSimulator::banked(32, 64, records / 64);
     results.push(measure(
         "mvp_bitmap_query_banked",
@@ -590,8 +610,8 @@ mod tests {
                 units_per_iter: 100,
                 iters: 10,
                 wall: Duration::from_millis(5),
-                fastest: Duration::from_micros(400),
-                slowest: Duration::from_micros(700),
+                fastest: 4000.0,
+                slowest: 7000.0,
             })
             .collect()
     }

@@ -1,46 +1,19 @@
 //! High-level facade: regex rule sets on the RRAM automata processor.
 
-use memcim_ap::{ApBackend, ApReport, AutomataProcessor, RoutingKind};
-use memcim_automata::{PatternSet, StartKind};
-use std::collections::HashMap;
+use memcim_ap::{ApBackend, ApMatches, AutomataProcessor, CompiledPatterns};
+use memcim_automata::PatternSet;
 use std::error::Error;
-
-/// The result of scanning one input through a [`RegexAccelerator`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScanOutcome {
-    /// `(end position, pattern index)` for every report event.
-    pub matches: Vec<(usize, usize)>,
-    /// Input length scanned.
-    pub symbols: u64,
-    /// Latency/energy summary from the hardware cost model.
-    pub report: ApReport,
-}
-
-impl ScanOutcome {
-    /// The distinct patterns that matched, ascending.
-    pub fn matched_patterns(&self) -> Vec<usize> {
-        let mut pats: Vec<usize> = self.matches.iter().map(|&(_, p)| p).collect();
-        pats.sort_unstable();
-        pats.dedup();
-        pats
-    }
-}
 
 /// A compiled multi-pattern scanner running on an automata-processor
 /// backend — the end-to-end RRAM-AP pipeline of the paper's Section IV
-/// behind one type.
-///
-/// Patterns are compiled to a union NFA, converted to a homogeneous
-/// automaton with all-input (unanchored) start states, and mapped onto
-/// the backend with hierarchical routing (falling back to dense when the
-/// global-wire budget is exceeded).
+/// behind one type: one [`CompiledPatterns`] and one processor stamped
+/// off its template.
 ///
 /// See the [crate-level quick start](crate).
 #[derive(Debug)]
 pub struct RegexAccelerator {
+    compiled: CompiledPatterns,
     processor: AutomataProcessor,
-    owner_of_state: HashMap<usize, usize>,
-    pattern_count: usize,
 }
 
 impl RegexAccelerator {
@@ -53,7 +26,8 @@ impl RegexAccelerator {
         Self::on_backend(patterns, ApBackend::rram())
     }
 
-    /// Compiles a rule set onto an explicit backend.
+    /// Compiles a rule set onto an explicit backend (see
+    /// [`CompiledPatterns::compile`]).
     ///
     /// # Errors
     ///
@@ -62,28 +36,14 @@ impl RegexAccelerator {
         patterns: &[&str],
         backend: ApBackend,
     ) -> Result<Self, Box<dyn Error + Send + Sync>> {
-        let set = PatternSet::compile(patterns)?;
-        let (homog, owner_of_state) = set.to_homogeneous();
-        let homog = homog.with_start_kind(StartKind::AllInput);
-        let processor = match AutomataProcessor::compile(
-            &homog,
-            backend.clone(),
-            RoutingKind::cache_automaton(),
-        ) {
-            Ok(p) => p,
-            // Dense fallback for rule sets too entangled for the
-            // two-level fabric.
-            Err(memcim_ap::ApError::RoutingInfeasible { .. }) => {
-                AutomataProcessor::compile(&homog, backend, RoutingKind::Dense)?
-            }
-            Err(e) => return Err(e.into()),
-        };
-        Ok(Self { processor, owner_of_state, pattern_count: patterns.len() })
+        let compiled = CompiledPatterns::compile(&PatternSet::compile(patterns)?, backend)?;
+        let processor = compiled.template().processor();
+        Ok(Self { compiled, processor })
     }
 
     /// Number of compiled patterns.
     pub fn pattern_count(&self) -> usize {
-        self.pattern_count
+        self.compiled.pattern_count()
     }
 
     /// STEs occupied on the device.
@@ -97,14 +57,8 @@ impl RegexAccelerator {
     }
 
     /// Scans an input, attributing every report event to its pattern.
-    pub fn scan(&mut self, input: &[u8]) -> ScanOutcome {
-        let run = self.processor.run(input);
-        let matches = run
-            .accept_events
-            .iter()
-            .filter_map(|&(pos, state)| self.owner_of_state.get(&state).map(|&p| (pos, p)))
-            .collect();
-        ScanOutcome { matches, symbols: run.symbols, report: run.report }
+    pub fn scan(&mut self, input: &[u8]) -> ApMatches {
+        self.compiled.matches(&self.processor.run(input))
     }
 }
 

@@ -23,7 +23,9 @@
 //!
 //! ## Quick start
 //!
-//! Pattern matching on the RRAM automata processor:
+//! Pattern matching on the RRAM automata processor. A scan returns the
+//! same [`ApMatches`](memcim_ap::ApMatches) a served AP session finishes
+//! with: report events attributed to patterns, plus the stream's cost.
 //!
 //! ```
 //! use memcim::RegexAccelerator;
@@ -66,12 +68,12 @@ pub use memcim_verify as verify;
 
 mod accelerator;
 
-pub use accelerator::{RegexAccelerator, ScanOutcome};
+pub use accelerator::RegexAccelerator;
 
 /// The most commonly used items across the workspace, importable in one
 /// line.
 pub mod prelude {
-    pub use memcim_ap::{ApBackend, AutomataProcessor, RoutingKind};
+    pub use memcim_ap::{ApBackend, ApMatches, AutomataProcessor, CompiledPatterns, RoutingKind};
     pub use memcim_automata::{
         Dfa, HomogeneousAutomaton, Nfa, PatternSet, Regex, StartKind, SymbolClass,
     };
@@ -85,7 +87,7 @@ pub mod prelude {
         StanfordAsu, StanfordParams, SwitchParams, Vteam, VteamParams,
     };
     pub use memcim_mvp::{
-        evaluate, BatchReport, BatchRequest, Instruction, MissRates, MvpSimulator, SystemConfig,
+        evaluate, BatchReport, Instruction, MissRates, MvpSimulator, SystemConfig,
     };
     pub use memcim_serve::net::{NetClient, NetConfig, NetServer, TenantPolicy};
     pub use memcim_serve::{Job, JobOutput, ServeConfig, ServeError, Service, TenantUsage, Ticket};
@@ -98,7 +100,7 @@ pub mod prelude {
         Severity,
     };
 
-    pub use crate::{RegexAccelerator, ScanOutcome};
+    pub use crate::RegexAccelerator;
 }
 
 #[cfg(test)]

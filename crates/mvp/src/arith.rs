@@ -14,13 +14,15 @@
 //!
 //! ```text
 //! t    = aᵢ XOR bᵢ            (1 scouting cycle)
-//! sᵢ   = t XOR c              (1)
+//! sᵢ   = t XOR c              (1, sensed: straight to the host)
 //! g    = aᵢ AND bᵢ            (1)
 //! p    = c AND t              (1)
 //! c'   = g OR p               (1)
 //! ```
 //!
 //! — five in-memory cycles per bit, independent of the vector width.
+//! The sum plane is never a source, so it leaves the array as a sensed
+//! gate's output: no write-back and no `Read`.
 
 use crate::{Instruction, MvpError, MvpSimulator};
 use memcim_bits::BitVec;
@@ -71,10 +73,9 @@ pub fn add_bit_planes(
     const RA: usize = 0; // aᵢ
     const RB: usize = 1; // bᵢ
     const RT: usize = 2; // t = aᵢ ^ bᵢ
-    const RS: usize = 3; // sᵢ
     const RG: usize = 4; // g = aᵢ & bᵢ
     const RP: usize = 5; // p = c & t
-    const RC: [usize; 2] = [6, 7]; // alternating carry rows
+    const RC: [usize; 2] = [6, 7]; // alternating carry rows (row 3 is unused)
 
     let mut sums = Vec::with_capacity(a.len() + 1);
     // carry-in = 0.
@@ -87,13 +88,13 @@ pub fn add_bit_planes(
             Instruction::Store { row: RA, data: plane_a.clone() },
             Instruction::Store { row: RB, data: plane_b.clone() },
             Instruction::Xor { a: RA, b: RB, dst: Some(RT) },
-            Instruction::Xor { a: RT, b: c_in, dst: Some(RS) },
+            // sᵢ, sensed: the program's one output.
+            Instruction::Xor { a: RT, b: c_in, dst: None },
             Instruction::And { srcs: vec![RA, RB], dst: Some(RG) },
             Instruction::And { srcs: vec![c_in, RT], dst: Some(RP) },
             Instruction::Or { srcs: vec![RG, RP], dst: Some(c_out) },
-            Instruction::Read { row: RS },
         ])?;
-        sums.push(outputs.pop().expect("read emits one vector"));
+        sums.push(outputs.pop().expect("the sensed XOR emits one vector"));
     }
     // Final carry plane.
     let mut outputs = mvp.run_program(&[Instruction::Read { row: RC[a.len() % 2] }])?;

@@ -4,83 +4,16 @@
 //! The MVP serves its host as a shared vector engine: the interesting
 //! unit of accounting is rarely one instruction but a *request stream* —
 //! e.g. a burst of bitmap-index queries hitting the same banked
-//! crossbar. [`BatchRequest`] collects independent [`Instruction`]
-//! programs; [`MvpSimulator::run_batch`] executes them back-to-back on
-//! the simulator's backend and returns a [`BatchReport`] with every
-//! program's outputs plus the ledger delta the batch actually
-//! cost (computed via [`OpLedger::delta_since`], so a reused simulator
-//! reports only the batch's own activity).
+//! crossbar. [`MvpSimulator::run_batch`] executes a slice of independent
+//! [`Instruction`] programs back-to-back on the simulator's backend and
+//! returns a [`BatchReport`] with every program's outputs plus the
+//! ledger delta the batch actually cost (computed via
+//! [`OpLedger::delta_since`], so a reused simulator reports only the
+//! batch's own activity).
 
 use crate::{Instruction, MvpError, MvpSimulator};
 use memcim_bits::BitVec;
 use memcim_crossbar::{CrossbarBackend, OpLedger};
-
-/// An ordered collection of independent MVP programs to execute against
-/// one backend.
-///
-/// # Examples
-///
-/// ```
-/// use memcim_bits::BitVec;
-/// use memcim_mvp::{BatchRequest, Instruction, MvpSimulator};
-///
-/// # fn main() -> Result<(), memcim_mvp::MvpError> {
-/// let mut batch = BatchRequest::new();
-/// for shift in 0..3usize {
-///     batch.push(vec![
-///         Instruction::Store { row: 0, data: BitVec::from_indices(64, &[shift]) },
-///         Instruction::Store { row: 1, data: BitVec::from_indices(64, &[shift, shift + 1]) },
-///         Instruction::Or { srcs: vec![0, 1], dst: Some(2) },
-///         Instruction::Read { row: 2 },
-///     ]);
-/// }
-/// let mut mvp = MvpSimulator::banked(4, 2, 32);
-/// let report = mvp.run_batch(&batch)?;
-/// assert_eq!(report.outputs.len(), 3);
-/// assert_eq!(report.outputs[2][0].ones().collect::<Vec<_>>(), vec![2, 3]);
-/// assert!(report.ledger.energy().as_joules() > 0.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct BatchRequest {
-    programs: Vec<Vec<Instruction>>,
-}
-
-impl BatchRequest {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one program to the batch.
-    pub fn push(&mut self, program: Vec<Instruction>) -> &mut Self {
-        self.programs.push(program);
-        self
-    }
-
-    /// Builder-style [`push`](Self::push).
-    #[must_use]
-    pub fn with_program(mut self, program: Vec<Instruction>) -> Self {
-        self.programs.push(program);
-        self
-    }
-
-    /// Number of programs queued.
-    pub fn len(&self) -> usize {
-        self.programs.len()
-    }
-
-    /// `true` when no programs are queued.
-    pub fn is_empty(&self) -> bool {
-        self.programs.is_empty()
-    }
-
-    /// The queued programs, in execution order.
-    pub fn programs(&self) -> &[Vec<Instruction>] {
-        &self.programs
-    }
-}
 
 /// The result of [`MvpSimulator::run_batch`]: per-program outputs plus
 /// the aggregate activity the batch cost.
@@ -102,10 +35,10 @@ impl BatchReport {
 }
 
 impl<B: CrossbarBackend> MvpSimulator<B> {
-    /// Executes every program of `batch` in order on this simulator's
-    /// backend, returning all outputs and the aggregate ledger
-    /// delta. Programs are independent requests: each may freely reuse
-    /// the rows of its predecessors.
+    /// Executes every program of `programs` in order on this
+    /// simulator's backend, returning all outputs and the aggregate
+    /// ledger delta. Programs are independent requests: each may freely
+    /// reuse the rows of its predecessors.
     ///
     /// # Errors
     ///
@@ -116,31 +49,31 @@ impl<B: CrossbarBackend> MvpSimulator<B> {
     ///
     /// ```
     /// use memcim_bits::BitVec;
-    /// use memcim_mvp::{BatchRequest, Instruction, MvpSimulator};
+    /// use memcim_mvp::{Instruction, MvpSimulator};
     ///
     /// # fn main() -> Result<(), memcim_mvp::MvpError> {
-    /// let batch = BatchRequest::new()
-    ///     .with_program(vec![
-    ///         Instruction::Store { row: 0, data: BitVec::from_indices(64, &[3, 9]) },
-    ///         Instruction::Read { row: 0 },
-    ///     ])
-    ///     .with_program(vec![
-    ///         Instruction::Store { row: 0, data: BitVec::from_indices(64, &[5]) },
-    ///         Instruction::Read { row: 0 },
-    ///     ]);
+    /// let programs = [3usize, 5].map(|bit| {
+    ///     vec![
+    ///         Instruction::Store { row: 0, data: BitVec::from_indices(64, &[bit, bit + 1]) },
+    ///         Instruction::Store { row: 1, data: BitVec::from_indices(64, &[bit]) },
+    ///         Instruction::Or { srcs: vec![0, 1], dst: Some(2) },
+    ///         Instruction::Read { row: 2 },
+    ///     ]
+    /// });
     /// let mut mvp = MvpSimulator::banked(4, 2, 32);
-    /// let report = mvp.run_batch(&batch)?;
-    /// assert_eq!(report.outputs[0][0].ones().collect::<Vec<_>>(), vec![3, 9]);
-    /// assert_eq!(report.outputs[1][0].ones().collect::<Vec<_>>(), vec![5]);
+    /// let report = mvp.run_batch(&programs)?;
+    /// assert_eq!(report.programs_run(), 2);
+    /// assert_eq!(report.outputs[0][0].ones().collect::<Vec<_>>(), vec![3, 4]);
+    /// assert_eq!(report.outputs[1][0].ones().collect::<Vec<_>>(), vec![5, 6]);
     /// // The delta covers exactly this batch, not the simulator's past.
     /// assert_eq!(report.ledger.reads(), 2 * 2, "one read per program, per bank");
     /// # Ok(())
     /// # }
     /// ```
-    pub fn run_batch(&mut self, batch: &BatchRequest) -> Result<BatchReport, MvpError> {
+    pub fn run_batch(&mut self, programs: &[Vec<Instruction>]) -> Result<BatchReport, MvpError> {
         let before = self.crossbar_mut().ledger_parts();
-        let mut outputs = Vec::with_capacity(batch.len());
-        for program in &batch.programs {
+        let mut outputs = Vec::with_capacity(programs.len());
+        for program in programs {
             outputs.push(self.run_program(program)?);
         }
         // Diff per subarray, then re-aggregate: the busy time of the
@@ -172,14 +105,11 @@ mod tests {
     #[test]
     fn batch_outputs_match_individual_runs() {
         let width = 96;
-        let batch = BatchRequest::new()
-            .with_program(query(0, width))
-            .with_program(query(3, width))
-            .with_program(query(7, width));
+        let batch = [query(0, width), query(3, width), query(7, width)];
         let mut batched = MvpSimulator::new(4, width);
         let report = batched.run_batch(&batch).expect("batch runs");
         assert_eq!(report.programs_run(), 3);
-        for (i, program) in batch.programs().iter().enumerate() {
+        for (i, program) in batch.iter().enumerate() {
             let mut solo = MvpSimulator::new(4, width);
             assert_eq!(solo.run_program(program).expect("solo"), report.outputs[i]);
         }
@@ -191,8 +121,7 @@ mod tests {
         let mut mvp = MvpSimulator::new(4, width);
         // Pre-batch activity must not leak into the report.
         mvp.run_program(&query(1, width)).expect("warm-up");
-        let report =
-            mvp.run_batch(&BatchRequest::new().with_program(query(2, width))).expect("batch");
+        let report = mvp.run_batch(&[query(2, width)]).expect("batch");
         assert_eq!(report.ledger.scouting_ops(), 1);
         assert_eq!(report.ledger.reads(), 1);
         assert!(report.ledger.energy().as_joules() > 0.0);
@@ -202,10 +131,7 @@ mod tests {
     #[test]
     fn banked_batch_agrees_with_monolithic_batch() {
         let width = 90;
-        let batch = BatchRequest::new()
-            .with_program(query(0, width))
-            .with_program(query(11, width))
-            .with_program(query(40, width));
+        let batch = [query(0, width), query(11, width), query(40, width)];
         let mut mono = MvpSimulator::new(4, width);
         let mut banked = MvpSimulator::banked(4, 3, 30);
         let rm = mono.run_batch(&batch).expect("mono");
@@ -228,10 +154,10 @@ mod tests {
             .expect("warm bank 0");
         // The batch then works only in bank 1 (plus a read that touches
         // both banks equally).
-        let batch = BatchRequest::new().with_program(vec![
+        let batch = [vec![
             Instruction::Store { row: 1, data: BitVec::from_indices(64, &[40, 50]) },
             Instruction::Read { row: 1 },
-        ]);
+        ]];
         let report = warmed.run_batch(&batch).expect("batch");
         // A fresh simulator running the same batch measures the true
         // cost; the warmed simulator must report the same delta even
@@ -244,7 +170,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let mut mvp = MvpSimulator::new(2, 32);
-        let report = mvp.run_batch(&BatchRequest::new()).expect("empty");
+        let report = mvp.run_batch(&[]).expect("empty");
         assert_eq!(report.programs_run(), 0);
         assert_eq!(report.ledger.energy().as_joules(), 0.0);
     }
@@ -252,9 +178,7 @@ mod tests {
     #[test]
     fn a_failing_program_stops_the_batch() {
         let mut mvp = MvpSimulator::new(2, 32);
-        let batch = BatchRequest::new()
-            .with_program(vec![Instruction::Read { row: 99 }])
-            .with_program(query(0, 32));
+        let batch = [vec![Instruction::Read { row: 99 }], query(0, 32)];
         assert!(matches!(
             mvp.run_batch(&batch),
             Err(MvpError::Invalid(Violation::RowOutOfRange { row: 99, .. }))

@@ -20,9 +20,9 @@
 //!   parallel subarrays — the paper's "2 GB crossbar = millions of
 //!   subarrays" organization. Results are bit-identical; the cost model
 //!   changes: energy and operation counts sum over banks, busy time is
-//!   the wall-clock maximum over banks. [`BatchRequest`] /
-//!   [`MvpSimulator::run_batch`] execute many independent programs
-//!   against one substrate and report the aggregate ledger delta.
+//!   the wall-clock maximum over banks. [`MvpSimulator::run_batch`]
+//!   executes a slice of independent programs against one substrate
+//!   and reports the aggregate ledger delta.
 //!
 //! * **Analytical** — [`SystemConfig`] / [`evaluate`]: the Fig. 4
 //!   architecture comparison. A 4-core ALU-only multicore with a
@@ -72,7 +72,7 @@ mod simulator;
 pub mod workloads;
 
 pub use arch::{evaluate, ArchComparison, Metrics, MissRates, SystemConfig};
-pub use batch::{BatchReport, BatchRequest};
+pub use batch::BatchReport;
 pub use error::{MvpError, Violation};
 pub use isa::Instruction;
 pub use sharded::ShardMap;

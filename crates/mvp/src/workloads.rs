@@ -93,8 +93,9 @@ pub mod bitmap {
         }
 
         /// The macro-instruction program for one query — the unit that
-        /// [`query_mvp`](Self::query_mvp) executes and that a
-        /// [`BatchRequest`](crate::BatchRequest) can aggregate many of.
+        /// [`query_mvp`](Self::query_mvp) executes and that
+        /// [`MvpSimulator::run_batch`](crate::MvpSimulator::run_batch)
+        /// runs many of.
         /// The program ends with a sensed `AND`: the result goes to the
         /// host straight off the sense amplifiers, never to a row.
         ///

@@ -1,10 +1,10 @@
 //! Jobs, their results, and the ticket a client waits on.
 
 use crate::{sync, ServeError};
-use memcim_ap::ApReport;
+use memcim_ap::{ApMatches, ApReport};
 use memcim_bits::BitVec;
 use memcim_crossbar::OpLedger;
-use memcim_mvp::{BatchRequest, Instruction};
+use memcim_mvp::Instruction;
 use memcim_units::{Joules, Seconds};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -26,17 +26,18 @@ pub const MAX_LANES: usize = 64;
 /// (engine row state is not promised across job boundaries — jobs may
 /// execute on different workers' engines, in any order across
 /// workers). Within one job, instructions run in order as usual.
-/// Every MVP job executes as one [`BatchRequest`], exactly once per
-/// engine attempt.
+/// Every MVP job executes as one
+/// [`run_batch`](memcim_mvp::MvpSimulator::run_batch) call, exactly once
+/// per engine attempt.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum Job {
     /// A single MVP macro-instruction program, executed as a
-    /// one-program [`BatchRequest`].
+    /// one-program batch.
     MvpProgram(Vec<Instruction>),
-    /// A pre-assembled batch of MVP programs, executed back to back on
-    /// one engine as one unit.
-    MvpBatch(BatchRequest),
+    /// A batch of MVP programs, executed back to back on one engine as
+    /// one unit.
+    MvpBatch(Vec<Vec<Instruction>>),
     /// Streams one chunk into **each** stream lane of an AP session in
     /// a single job: `chunks[i]` goes to lane `i`. Lanes are
     /// independent streams through one compiled automaton; the session
@@ -72,20 +73,6 @@ pub struct MvpOutput {
     /// The batch's ledger delta (banked semantics: energy and counts
     /// sum over banks, busy time is the slowest bank).
     pub ledger: OpLedger,
-}
-
-/// The result of finishing an AP session's stream: accept events mapped
-/// back to pattern indices.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ApMatches {
-    /// Anchored acceptance after the final symbol.
-    pub accepted: bool,
-    /// `(end position, pattern index)` for every report event.
-    pub matches: Vec<(usize, usize)>,
-    /// Symbols streamed since the session's last finish.
-    pub symbols: u64,
-    /// Cost summary for the whole stream.
-    pub report: ApReport,
 }
 
 /// The cumulative state of a correlation session after a feed

@@ -16,9 +16,8 @@
 //!   AP session jobs never queue: they run on the submitting thread and
 //!   return an already-resolved [`Ticket`].
 //! * [`Job`] — the work unit: MVP macro-instruction programs and
-//!   pre-assembled [`BatchRequest`](memcim_mvp::BatchRequest)s, plus
-//!   streaming AP chunks against sessions opened with
-//!   [`Service::open_session`].
+//!   batches of them, plus streaming AP chunks against sessions opened
+//!   with [`Service::open_session`].
 //! * **Streaming correlation sessions** — the temporal-correlation
 //!   workload (`memcim_mvp::correlation`, after arXiv:1706.00511) runs
 //!   as a long-lived job: [`Service::open_corr_session`] →
@@ -141,9 +140,13 @@ mod sync;
 
 pub use error::ServeError;
 pub use job::{
-    ApMatches, CorrFeedReport, CorrOutcome, Job, JobOutput, MvpOutput, SessionId, ShardPartial,
-    ShardedOutput, ShardedTicket, TenantId, Ticket, MAX_LANES,
+    CorrFeedReport, CorrOutcome, Job, JobOutput, MvpOutput, SessionId, ShardPartial, ShardedOutput,
+    ShardedTicket, TenantId, Ticket, MAX_LANES,
 };
+/// The result of finishing an AP session's stream: accept events mapped
+/// back to pattern indices by the session's
+/// [`CompiledPatterns`](memcim_ap::CompiledPatterns).
+pub use memcim_ap::ApMatches;
 pub use placement::{Catalog, PlacementConfig};
 pub use service::{BoxedBackend, EngineFactory, ServeConfig, Service, TenantUsage};
 pub use session::ApOpenInfo;

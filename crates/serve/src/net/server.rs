@@ -32,7 +32,7 @@ use super::wire::{
 };
 use crate::sync;
 use crate::{Job, ServeError, Service, TenantId};
-use memcim_mvp::{BatchRequest, MvpError};
+use memcim_mvp::MvpError;
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -389,8 +389,7 @@ fn dispatch(
             if let Err(e) = admission.admit(tenant, jobs, Instant::now()) {
                 return error_frame(&e);
             }
-            let batch = programs.into_iter().fold(BatchRequest::new(), BatchRequest::with_program);
-            match submit_and_wait(service, tenant, Job::MvpBatch(batch)) {
+            match submit_and_wait(service, tenant, Job::MvpBatch(programs)) {
                 Err(e) => error_frame(&e),
                 Ok(output) => match output.into_mvp() {
                     Some(result) => Response::Mvp(WireMvpResult {

@@ -1972,7 +1972,7 @@ mod proptests {
         })
     }
 
-    fn ap_matches() -> impl Strategy<Value = crate::ApMatches> {
+    fn finished_lane() -> impl Strategy<Value = crate::ApMatches> {
         let event = (any::<u64>(), any::<u64>())
             .prop_map(|(pos, pattern)| (pos as usize, pattern as usize));
         (any::<bool>(), collection::vec(event, 0..3), any::<u64>(), ap_report()).prop_map(
@@ -2102,7 +2102,7 @@ mod proptests {
                 )
             ),
             collection::vec(ap_report(), 0..3).prop_map(Response::ApFedMany),
-            collection::vec(ap_matches(), 0..3).prop_map(Response::ApFinishedMany),
+            collection::vec(finished_lane(), 0..3).prop_map(Response::ApFinishedMany),
             (code, text()).prop_map(|(code, message)| Response::Error { code, message }),
         ]
     }

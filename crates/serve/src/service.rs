@@ -8,13 +8,13 @@ use crate::router::{PushRefused, WhenFull, WorkRouter};
 use crate::session::{ApOpenInfo, ApSession, CorrSession, SessionTable, StreamSession};
 use crate::sync;
 use crate::{
-    ApMatches, CorrFeedReport, CorrOutcome, Job, JobOutput, MvpOutput, ServeError, SessionId,
-    TenantId, Ticket, MAX_LANES,
+    CorrFeedReport, CorrOutcome, Job, JobOutput, MvpOutput, ServeError, SessionId, TenantId,
+    Ticket, MAX_LANES,
 };
 use memcim_ap::ApError;
 use memcim_bits::BitVec;
 use memcim_crossbar::{BankedCrossbar, CrossbarBackend, OpLedger};
-use memcim_mvp::{correlation, BatchRequest, Instruction, MvpError, MvpSimulator, ShardMap};
+use memcim_mvp::{correlation, Instruction, MvpError, MvpSimulator, ShardMap};
 use memcim_units::{Joules, Seconds};
 use memcim_verify::Code;
 use std::collections::HashMap;
@@ -339,10 +339,9 @@ impl Shared {
     fn check_job(&self, tenant: TenantId, job: &Job) -> Result<(), ServeError> {
         match job {
             Job::MvpProgram(program) => self.verify_program_cached(tenant, program),
-            Job::MvpBatch(batch) => batch
-                .programs()
-                .iter()
-                .try_for_each(|program| self.verify_program_cached(tenant, program)),
+            Job::MvpBatch(programs) => {
+                programs.iter().try_for_each(|program| self.verify_program_cached(tenant, program))
+            }
             Job::ApFeedMany { chunks, .. } if chunks.len() > MAX_LANES => {
                 Err(ServeError::Ap(ApError::UnknownStream {
                     stream: chunks.len() - 1,
@@ -371,7 +370,9 @@ impl Shared {
             Some(chunks) => JobOutput::ApFeedMany(state.processor.feed_many(chunks)),
             None => {
                 let runs = state.processor.finish_all();
-                JobOutput::ApFinishMany(runs.iter().map(|run| ap_matches(&state, run)).collect())
+                JobOutput::ApFinishMany(
+                    runs.iter().map(|run| state.compiled.matches(run)).collect(),
+                )
             }
         };
         let (symbols, energy, busy) = state.take_unaccounted();
@@ -387,13 +388,13 @@ impl Shared {
 /// banked [`MvpSimulator`] and serving MVP and correlation work; clients
 /// [`submit`](Service::submit) jobs through a bounded queue (blocking
 /// backpressure; `try_submit` for the non-blocking variant) and wait on
-/// the returned [`Ticket`]. Every engine job is one [`BatchRequest`]
+/// the returned [`Ticket`]. Every engine job is one batch of programs
 /// (a single program is a one-program batch) that a worker runs exactly
-/// once on its engine. AP session jobs never queue: they run on
-/// the submitting thread, through per-session [`MultiStreamProcessor`]s
-/// checked out of a shared session table. Every completed job is billed
-/// to its tenant ([`tenant_usage`](Service::tenant_usage)) before its
-/// ticket resolves.
+/// once on its engine with [`MvpSimulator::run_batch`]. AP session jobs
+/// never queue: they run on the submitting thread, through per-session
+/// [`MultiStreamProcessor`]s checked out of a shared session table.
+/// Every completed job is billed to its tenant
+/// ([`tenant_usage`](Service::tenant_usage)) before its ticket resolves.
 ///
 /// See the [crate-level example](crate).
 ///
@@ -605,9 +606,9 @@ impl Service {
             return Err(ServeError::ShuttingDown);
         }
         self.shared.check_job(tenant, &job)?;
-        let batch = match job {
-            Job::MvpProgram(program) => BatchRequest::new().with_program(program),
-            Job::MvpBatch(batch) => batch,
+        let programs = match job {
+            Job::MvpProgram(program) => vec![program],
+            Job::MvpBatch(programs) => programs,
             // AP jobs run here, but not on a closed service.
             _ if self.shared.queue.is_closed() => return Err(ServeError::ShuttingDown),
             Job::ApFeedMany { session, chunks } => {
@@ -618,7 +619,7 @@ impl Service {
             }
         };
         let (ticket, responder) = ticket_pair();
-        let envelope = Envelope { tenant, batch, route: None, responder };
+        let envelope = Envelope { tenant, programs, route: None, responder };
         match self.shared.queue.push(None, when_full, envelope) {
             Ok(()) => Ok(ticket),
             Err(PushRefused::Full(_)) => {
@@ -741,8 +742,7 @@ impl Service {
                     continue;
                 }
             };
-            let batch = BatchRequest::new().with_program(program);
-            let envelope = Envelope { tenant, batch, route, responder };
+            let envelope = Envelope { tenant, programs: vec![program], route, responder };
             // A refused envelope (the service closed) is dropped, which
             // fails its ticket with `ShuttingDown`.
             let _ = self.shared.queue.push(worker, WhenFull::Wait, envelope);
@@ -1043,12 +1043,12 @@ struct ShardRoute {
 }
 
 /// One queued engine job — the only work the workers execute: the
-/// tenant's programs as one [`BatchRequest`], its optional shard route
-/// and the worker-side ticket half.
+/// tenant's programs, run as one batch, its optional shard route and
+/// the worker-side ticket half.
 #[derive(Debug)]
 struct Envelope {
     tenant: TenantId,
-    batch: BatchRequest,
+    programs: Vec<Vec<Instruction>>,
     /// `Some` for scatter-gather sub-queries (always delivered via a
     /// worker mailbox); `None` for ordinary shared-lane jobs.
     route: Option<ShardRoute>,
@@ -1153,12 +1153,12 @@ fn execute(envelope: Envelope, engine: &mut Option<Engine>, shared: &Shared, wor
         divert(envelope, shared);
         return;
     };
-    match mvp.run_batch(&envelope.batch) {
+    match mvp.run_batch(&envelope.programs) {
         Ok(report) => {
             shared.account_mvp(envelope.tenant, &report.ledger);
             let output = MvpOutput {
                 outputs: report.outputs,
-                programs: envelope.batch.len(),
+                programs: envelope.programs.len(),
                 ledger: report.ledger,
             };
             envelope.responder.fulfil(Ok(JobOutput::Mvp(output)));
@@ -1168,21 +1168,6 @@ fn execute(envelope: Envelope, engine: &mut Option<Engine>, shared: &Shared, wor
             divert(envelope, shared);
         }
         Err(error) => envelope.responder.fulfil(Err(error.into())),
-    }
-}
-
-/// Maps a finished run's accept events from state indices to pattern
-/// indices through the session's ownership map.
-fn ap_matches(state: &ApSession, run: &memcim_ap::ApRun) -> ApMatches {
-    ApMatches {
-        accepted: run.accepted,
-        matches: run
-            .accept_events
-            .iter()
-            .filter_map(|&(pos, s)| state.owner_of_state.get(&s).map(|&p| (pos, p)))
-            .collect(),
-        symbols: run.symbols,
-        report: run.report,
     }
 }
 

@@ -1,8 +1,8 @@
 //! The streaming session table, shared by every long-lived workload.
 //!
 //! A session is per-tenant server-side streaming state: a
-//! [`MultiStreamProcessor`] stamped off a cached [`ApTemplate`] plus its
-//! state→pattern ownership map for AP regex sessions, or a
+//! [`MultiStreamProcessor`] stamped off a cached [`CompiledPatterns`],
+//! which also attributes its runs, for AP regex sessions, or a
 //! [`CorrelationAccumulator`] plus detection
 //! threshold for correlation sessions. Workers *check a session out* of
 //! the table to run a feed/finish job against it, then put it back; the
@@ -13,16 +13,16 @@
 
 use crate::lru::Lru;
 use crate::{sync, ServeError, SessionId, TenantId};
-use memcim_ap::{ApBackend, ApError, ApTemplate, MultiStreamProcessor, RoutingKind};
-use memcim_automata::{PatternSet, StartKind};
+use memcim_ap::{ApBackend, CompiledPatterns, MultiStreamProcessor};
+use memcim_automata::PatternSet;
 use memcim_mvp::correlation::CorrelationAccumulator;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Bounded capacity of the per-table AP compile cache (templates, not
-/// sessions — a template is one compiled automaton plus its attribution
-/// map, so the bound caps compile-artifact memory, not session count).
+/// Bounded capacity of the per-table AP compile cache (compiled pattern
+/// sets, not sessions — the bound caps compile-artifact memory, not
+/// session count).
 const AP_CACHE_CAPACITY: usize = 32;
 
 /// What opening an AP session learned while compiling (see
@@ -41,15 +41,16 @@ pub struct ApOpenInfo {
     pub cache_hit: bool,
 }
 
-/// A checked-out AP session: the multi-stream processor, its
-/// event-attribution map and the accounting watermark. The processor's
+/// A checked-out AP session: the compiled pattern set it streams
+/// through (shared with the compile cache), the multi-stream processor
+/// stamped off it and the accounting watermark. The processor's
 /// billing totals are monotonic across `finish`, so the watermark never
 /// rewinds; it marks how much has already been billed to the tenant.
 #[derive(Debug)]
 pub(crate) struct ApSession {
     pub(crate) tenant: TenantId,
+    pub(crate) compiled: Arc<CompiledPatterns>,
     pub(crate) processor: MultiStreamProcessor,
-    pub(crate) owner_of_state: HashMap<usize, usize>,
     pub(crate) accounted_cycles: u64,
     pub(crate) accounted_energy: memcim_units::Joules,
     pub(crate) accounted_latency: memcim_units::Seconds,
@@ -115,22 +116,11 @@ enum Entry {
     CheckedOut(TenantId),
 }
 
-/// One cached compile artifact: the compiled template (sessions are
-/// stamped off it via [`ApTemplate::multi_stream`], which shares the
-/// arrays and starts fresh lanes and a zero billing watermark), the
-/// pattern attribution map, and whether routing fell back to dense.
-#[derive(Debug)]
-struct CompiledSet {
-    template: Arc<ApTemplate>,
-    owner_of_state: HashMap<usize, usize>,
-    routing_fallback: bool,
-}
-
 /// Bounded LRU of compile artifacts keyed by `(tenant, pattern list)`.
 /// The tenant id is part of the key, so one tenant can never be handed
 /// an automaton compiled for another's patterns, and eviction is by
 /// least-recent use across the table.
-type ApCompileCache = Lru<(TenantId, Vec<String>), CompiledSet, AP_CACHE_CAPACITY>;
+type ApCompileCache = Lru<(TenantId, Vec<String>), Arc<CompiledPatterns>, AP_CACHE_CAPACITY>;
 
 /// Sessions keyed by id; checkout state tracked per entry. Also owns
 /// the AP compile cache and its observability counters — every
@@ -151,33 +141,6 @@ struct Inner {
     next_id: SessionId,
 }
 
-/// Compiles `patterns` onto the RRAM-AP (hierarchical routing with a
-/// dense fallback, unanchored scanning semantics). The fallback is
-/// recorded in the template rather than decided silently.
-fn compile_ap_template(patterns: &[&str]) -> Result<CompiledSet, ServeError> {
-    let set = PatternSet::compile(patterns)
-        .map_err(|e| ServeError::Compile { message: e.to_string() })?;
-    let (homog, owner_of_state) = set.to_homogeneous();
-    // Strip unreachable/dead STEs before compiling onto the AP —
-    // fewer columns per symbol cycle — and remap the pattern
-    // attribution through the renumbering (run-equivalence of the
-    // strip is property-tested in memcim-automata).
-    let (homog, remap) = homog.with_start_kind(StartKind::AllInput).strip();
-    let owner_of_state: HashMap<usize, usize> = owner_of_state
-        .into_iter()
-        .filter_map(|(state, pattern)| remap[state].map(|new| (new, pattern)))
-        .collect();
-    let (template, routing_fallback) =
-        match ApTemplate::compile(&homog, ApBackend::rram(), RoutingKind::cache_automaton()) {
-            Ok(t) => (t, false),
-            Err(ApError::RoutingInfeasible { .. }) => {
-                (ApTemplate::compile(&homog, ApBackend::rram(), RoutingKind::Dense)?, true)
-            }
-            Err(e) => return Err(e.into()),
-        };
-    Ok(CompiledSet { template, owner_of_state, routing_fallback })
-}
-
 impl SessionTable {
     /// Registers an AP session for `tenant` over `patterns`, compiling
     /// through the bounded LRU compile cache: a repeat open of the same
@@ -192,34 +155,30 @@ impl SessionTable {
         patterns: &[&str],
     ) -> Result<(SessionId, ApOpenInfo), ServeError> {
         let key = (tenant, patterns.iter().map(|p| p.to_string()).collect::<Vec<String>>());
-        let cached = {
-            let mut cache = sync::lock(&self.compile_cache);
-            cache
-                .get(&key)
-                .map(|t| (t.template.multi_stream(1), t.owner_of_state.clone(), t.routing_fallback))
-        };
-        let (processor, owner_of_state, routing_fallback, cache_hit) = match cached {
-            Some((processor, owner, fallback)) => {
+        let cached = sync::lock(&self.compile_cache).get(&key).cloned();
+        let cache_hit = cached.is_some();
+        let compiled = match cached {
+            Some(compiled) => {
                 self.ap_cache_hits.fetch_add(1, Ordering::Relaxed);
-                (processor, owner, fallback, true)
+                compiled
             }
             None => {
                 self.ap_cache_misses.fetch_add(1, Ordering::Relaxed);
-                let template = compile_ap_template(patterns)?;
-                let processor = template.template.multi_stream(1);
-                let owner = template.owner_of_state.clone();
-                let fallback = template.routing_fallback;
-                sync::lock(&self.compile_cache).insert(key, template);
-                (processor, owner, fallback, false)
+                let set = PatternSet::compile(patterns)
+                    .map_err(|e| ServeError::Compile { message: e.to_string() })?;
+                let compiled = Arc::new(CompiledPatterns::compile(&set, ApBackend::rram())?);
+                sync::lock(&self.compile_cache).insert(key, Arc::clone(&compiled));
+                compiled
             }
         };
+        let routing_fallback = compiled.routing_fallback();
         if routing_fallback {
             self.routing_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
         let id = self.insert(StreamSession::Ap(Box::new(ApSession {
             tenant,
-            processor,
-            owner_of_state,
+            processor: compiled.template().multi_stream(1),
+            compiled,
             accounted_cycles: 0,
             accounted_energy: memcim_units::Joules::ZERO,
             accounted_latency: memcim_units::Seconds::ZERO,
@@ -526,7 +485,7 @@ mod tests {
         let (fc, fw) =
             (cold.processor.finish(0).expect("lane 0"), warm.processor.finish(0).expect("lane 0"));
         assert_eq!(fc, fw);
-        assert_eq!(cold.owner_of_state, warm.owner_of_state);
+        assert!(Arc::ptr_eq(&cold.compiled, &warm.compiled), "a hit shares the compiled set");
         table.put_back(a, StreamSession::Ap(cold));
         table.put_back(b, StreamSession::Ap(warm));
     }

@@ -7,7 +7,7 @@ use memcim_bits::BitVec;
 use memcim_crossbar::{
     BankedCrossbar, CrossbarBackend, CrossbarError, OpLedger, RemapEntry, ScoutingKind,
 };
-use memcim_mvp::{BatchRequest, Instruction};
+use memcim_mvp::Instruction;
 use memcim_serve::{BoxedBackend, Job, ServeConfig, ServeError, Service};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -191,7 +191,7 @@ fn batches_survive_engine_death() {
     for wave in 0..200 {
         let tickets: Vec<_> = (0..4)
             .map(|i| {
-                let batch = (0..3).fold(BatchRequest::new(), |b, k| b.with_program(query(i + k)));
+                let batch = (0..3).map(|k| query(i + k)).collect();
                 batches += 1;
                 service.submit(TENANT, Job::MvpBatch(batch)).expect("running")
             })

@@ -5,7 +5,7 @@
 use memcim_ap::ApError;
 use memcim_bits::BitVec;
 use memcim_crossbar::{BankedCrossbar, CrossbarBackend, CrossbarError, OpLedger, ScoutingKind};
-use memcim_mvp::{BatchRequest, Instruction, MvpError, MvpSimulator};
+use memcim_mvp::{Instruction, MvpError, MvpSimulator};
 use memcim_serve::{BoxedBackend, Job, JobOutput, ServeConfig, ServeError, Service, MAX_LANES};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -283,8 +283,7 @@ fn a_failing_batch_fails_whole_and_runs_once() {
         vec![Instruction::Read { row: POISONED_ROW }],
         query_program(width, 2),
     ];
-    let batch = programs.iter().cloned().fold(BatchRequest::new(), BatchRequest::with_program);
-    let failed = service.submit(7, Job::MvpBatch(batch)).expect("admitted").wait();
+    let failed = service.submit(7, Job::MvpBatch(programs.to_vec())).expect("admitted").wait();
     assert!(matches!(
         failed,
         Err(ServeError::Mvp(MvpError::Crossbar(CrossbarError::OutOfBounds {
@@ -316,9 +315,7 @@ fn invalid_programs_are_refused_at_submission_not_execution() {
     }
     // A batch is all-or-nothing: one bad program refuses the whole
     // submission, and `try_submit` takes the same gate.
-    let batch = BatchRequest::new()
-        .with_program(query_program(width, 1))
-        .with_program(vec![Instruction::Xor { a: 2, b: 2, dst: Some(3) }]);
+    let batch = vec![query_program(width, 1), vec![Instruction::Xor { a: 2, b: 2, dst: Some(3) }]];
     assert!(matches!(
         service.try_submit(7, Job::MvpBatch(batch)),
         Err(ServeError::InvalidProgram { .. })
@@ -365,9 +362,7 @@ fn pre_assembled_batches_run_as_one_unit() {
     let config = two_worker_config();
     let width = config.mvp_width();
     let service = Service::start(config);
-    let batch = BatchRequest::new()
-        .with_program(query_program(width, 1))
-        .with_program(query_program(width, 2));
+    let batch = vec![query_program(width, 1), query_program(width, 2)];
     let out = service.submit(1, Job::MvpBatch(batch)).unwrap().wait().unwrap().into_mvp().unwrap();
     assert_eq!(out.outputs.len(), 2, "one entry per program of the batch");
     assert_eq!(out.programs, 2);

@@ -32,10 +32,9 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     );
 
     // The same query on a banked substrate: 64 parallel subarrays, one
-    // BatchRequest — bit-identical answer, wall clock of one bank cycle.
+    // batch — bit-identical answer, wall clock of one bank cycle.
     let mut banked = MvpSimulator::banked(32, 64, records / 64);
-    let batch = BatchRequest::new().with_program(table.query_plan(&[1, 4, 9], &[0, 3]));
-    let report = banked.run_batch(&batch)?;
+    let report = banked.run_batch(&[table.query_plan(&[1, 4, 9], &[0, 3])])?;
     assert_eq!(report.outputs[0][0], slow);
     println!(
         "same query on 64 banks: {} scouting ops across banks, busy {} (vs {} monolithic)",

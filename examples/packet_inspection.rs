@@ -5,7 +5,6 @@
 //! Run with: `cargo run --release --example packet_inspection`
 
 use memcim::prelude::*;
-use memcim_ap::{ApTemplate, RoutingKind};
 use memcim_automata::rules;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -21,20 +20,19 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let traffic = rules::synthetic_traffic(&mut rng, set.patterns(), 1 << 16, 96);
     println!("rule set: {} rules, traffic: {} bytes", refs.len(), traffic.len());
 
-    // Map onto the RRAM-AP with the Cache-Automaton routing fabric.
-    let (homog, _) = set.to_homogeneous();
-    let homog = homog.with_start_kind(StartKind::AllInput);
-    let kind = RoutingKind::cache_automaton();
-    let template = match ApTemplate::compile(&homog, ApBackend::rram(), kind) {
-        Ok(template) => template,
-        Err(_) => ApTemplate::compile(&homog, ApBackend::rram(), RoutingKind::Dense)?,
-    };
+    // Map onto the RRAM-AP once: the Cache-Automaton routing fabric,
+    // or a dense matrix if the rule set needs more global wires.
+    let compiled = CompiledPatterns::compile(&set, ApBackend::rram())?;
+    let template = compiled.template();
     let resources = template.routing_resources();
     println!("\nAP sizing:");
     println!("  STEs (homogeneous states): {}", template.state_count());
     println!(
-        "  routing: {} blocks, {} switch bits, {} global wires",
-        resources.blocks, resources.config_bits, resources.global_wires
+        "  routing: {} blocks, {} switch bits, {} global wires{}",
+        resources.blocks,
+        resources.config_bits,
+        resources.global_wires,
+        if compiled.routing_fallback() { " (dense fallback)" } else { "" }
     );
     println!(
         "  area {}, cycle {}, throughput {:.2} Gsym/s",
@@ -46,8 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     println!("  one-time configuration: {} / {}", config.latency, config.energy);
 
     // Scan and attribute.
-    let mut accel = memcim::RegexAccelerator::rram(&refs)?;
-    let outcome = accel.scan(&traffic);
+    let outcome = compiled.matches(&template.processor().run(&traffic));
     let mut per_rule: HashMap<usize, usize> = HashMap::new();
     for &(_, pat) in &outcome.matches {
         *per_rule.entry(pat).or_insert(0) += 1;

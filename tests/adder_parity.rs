@@ -19,6 +19,8 @@ fn wide_random_vectors_add_exactly() {
     }
     // 16 bits × 5 scouting cycles, regardless of the 1024 lanes.
     assert_eq!(mvp.ledger().scouting_ops(), 80);
+    // Sum planes are sensed; only the final carry plane is read.
+    assert_eq!(mvp.ledger().reads(), 1);
 }
 
 #[test]
